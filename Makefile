@@ -205,7 +205,7 @@ fleet-smoke:
 	$$tmp/fleetd -get "http://$$addr/fleet/summary" > $$tmp/live.json || { kill $$pid; exit 1; }; \
 	grep -q '"vehicles"' $$tmp/live.json || { echo "summary endpoint malformed" >&2; kill $$pid; exit 1; }; \
 	$$tmp/fleetd -get "http://$$addr/fleet/failing" >/dev/null || { kill $$pid; exit 1; }; \
-	$$tmp/fleetd -get "http://$$addr/debug/vars" | grep -q '"fleet"' || { echo "expvar endpoint missing fleet" >&2; kill $$pid; exit 1; }; \
+	$$tmp/fleetd -get "http://$$addr/metrics" | grep -q '^fleet_sessions_completed_total' || { echo "/metrics missing fleet series" >&2; kill $$pid; exit 1; }; \
 	kill -TERM $$pid; wait $$pid || { echo "fleetd exited nonzero on SIGTERM" >&2; cat $$tmp/log >&2; exit 1; }; \
 	grep -q '"sessions_completed"' $$tmp/final.json || { echo "no final summary on drain" >&2; exit 1; }; \
 	echo "fleet-smoke: live endpoints served, SIGTERM drained with final summary"
@@ -238,7 +238,7 @@ crash-smoke:
 # must validate through cmd/obsdump with the expected stages and metric
 # series, and the live /metrics endpoint must serve the unified
 # registry (fleet ingest counters and per-stage latency histograms
-# from one scrape).
+# from one scrape), for fleetd and for eedse -progress-addr alike.
 obs-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/eedse ./cmd/eedse || exit 1; \
@@ -273,4 +273,13 @@ obs-smoke:
 		grep -q "^$$s" $$tmp/metrics.txt || { echo "/metrics missing $$s" >&2; kill $$pid; exit 1; }; \
 	done; \
 	kill -TERM $$pid; wait $$pid >/dev/null 2>&1 || true; \
-	echo "obs-smoke: /metrics served the unified registry series"
+	echo "obs-smoke: /metrics served the unified registry series"; \
+	$$tmp/eedse -small -evals 100000000 -pop 32 -progress-addr 127.0.0.1:0 \
+		>/dev/null 2> $$tmp/dse.log & pid=$$!; \
+	for i in $$(seq 1 50); do grep -q 'progress endpoint on' $$tmp/dse.log && break; sleep 0.1; done; \
+	url=$$(sed -n 's/^eedse: progress endpoint on \(http:[^ ]*\).*/\1/p' $$tmp/dse.log); \
+	[ -n "$$url" ] || { echo "eedse never bound -progress-addr" >&2; cat $$tmp/dse.log >&2; kill $$pid; exit 1; }; \
+	$$tmp/fleetd -get "$$url" | grep -q '^dse_evaluations_total' || { echo "eedse /metrics missing dse_evaluations_total" >&2; kill $$pid; exit 1; }; \
+	kill -INT $$pid; wait $$pid; rc=$$?; \
+	[ $$rc -eq 130 ] || { echo "eedse -progress-addr: expected exit 130 on SIGINT, got $$rc" >&2; cat $$tmp/dse.log >&2; exit 1; }; \
+	echo "obs-smoke: eedse -progress-addr served dse_* series on /metrics, SIGINT exited 130"

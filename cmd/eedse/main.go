@@ -56,8 +56,8 @@
 // and still emit the partial Pareto front, and -resume continues a
 // checkpointed run to a byte-identical front. -progress streams one
 // structured line per generation to stderr; -progress-addr additionally
-// serves the same counters as JSON over HTTP (expvar, /debug/vars),
-// Prometheus text on /metrics, and the pprof handlers on /debug/pprof.
+// serves the same counters as Prometheus text on /metrics, plus the
+// pprof handlers on /debug/pprof.
 // -trace-out records per-stage spans (SAT decode, objective evaluation,
 // generation steps, migration epochs, shard spawns/merges) plus
 // periodic metric snapshots as JSONL — a flight recorder for post-hoc
@@ -151,7 +151,7 @@ func run() (err error) {
 		checkpointEvery = flag.Int("checkpoint-every", 0, "checkpoint period: generations for nsga2 (default 10), evaluations for random (default 2560)")
 		resumePath      = flag.String("resume", "", "resume the run from this checkpoint file (same spec, decoder, seed and budget flags required)")
 		progress        = flag.Bool("progress", false, "stream one structured progress line per generation to stderr")
-		progressAddr    = flag.String("progress-addr", "", "serve live run telemetry on this address: Prometheus text on /metrics, expvar JSON on /debug/vars, pprof on /debug/pprof")
+		progressAddr    = flag.String("progress-addr", "", "serve live run telemetry on this address: Prometheus text on /metrics, pprof on /debug/pprof")
 		traceOut        = flag.String("trace-out", "", "stream per-stage trace events and periodic metric snapshots as JSONL to this file (flight recorder; inspect with cmd/obsdump)")
 	)
 	flag.Parse()
@@ -386,12 +386,12 @@ func run() (err error) {
 			rc.Resume = cp
 		}
 	}
-	tel := newTelemetry(*optimizer, reg)
+	tel := newTelemetry(reg)
 	if *progress {
 		rc.OnProgress = tel.observe(func(p core.Progress) { tel.printLine(os.Stderr, p) })
 	}
 	if reg != nil && rc.OnProgress == nil {
-		// Something scrapes or records telemetry: keep the snapshot fresh
+		// Something scrapes or records telemetry: keep the sample fresh
 		// even without -progress.
 		rc.OnProgress = tel.observe(nil)
 	}
@@ -400,7 +400,7 @@ func run() (err error) {
 		if serr != nil {
 			return fmt.Errorf("progress endpoint: %w", serr)
 		}
-		fmt.Fprintf(os.Stderr, "eedse: progress endpoint on http://%s/debug/vars (Prometheus on /metrics)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "eedse: progress endpoint on http://%s/metrics\n", srv.Addr())
 		defer srv.Shutdown(2 * time.Second)
 	}
 
@@ -678,23 +678,16 @@ func specName(small bool) string {
 	return "DATE'14 case study (15 ECUs, 3 CAN buses)"
 }
 
-// telemetry publishes the latest explorer progress sample as
-// structured stderr lines, through the process-wide expvar map "dse"
-// (served on -progress-addr as /debug/vars, same shape as before the
-// obs registry existed), and as pull-style registry series on
-// /metrics. Both HTTP views read the same mutex-guarded sample, so
-// they never disagree.
+// telemetry holds the latest explorer progress sample behind the
+// pull-style dse_* registry series served on /metrics.
 type telemetry struct {
-	optimizer string
-
 	mu   sync.Mutex
 	last core.Progress
 	seen bool
 }
 
-func newTelemetry(optimizer string, reg *obs.Registry) *telemetry {
-	t := &telemetry{optimizer: optimizer}
-	obs.PublishExpvar("dse", func() any { return t.snapshot() })
+func newTelemetry(reg *obs.Registry) *telemetry {
+	t := &telemetry{}
 	if reg == nil {
 		return t
 	}
@@ -732,7 +725,7 @@ func newTelemetry(optimizer string, reg *obs.Registry) *telemetry {
 }
 
 // observe wraps a progress consumer so every sample also updates the
-// expvar snapshot. next may be nil.
+// registry series. next may be nil.
 func (t *telemetry) observe(next func(core.Progress)) func(core.Progress) {
 	return func(p core.Progress) {
 		t.mu.Lock()
@@ -743,28 +736,6 @@ func (t *telemetry) observe(next func(core.Progress)) func(core.Progress) {
 			next(p)
 		}
 	}
-}
-
-// snapshot returns the latest sample as a flat map for expvar.
-func (t *telemetry) snapshot() map[string]any {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m := map[string]any{"optimizer": t.optimizer, "running": t.seen}
-	if !t.seen {
-		return m
-	}
-	p := t.last
-	m["generation"] = p.Generation
-	m["generations"] = p.Generations
-	m["evaluations"] = p.Evaluations
-	m["evals_per_sec"] = p.EvalsPerSec
-	m["archive_size"] = p.ArchiveSize
-	m["hypervolume"] = p.Hypervolume
-	m["decode_failures"] = p.DecodeFailures
-	m["solver_conflicts"] = p.SolverConflicts
-	m["solver_propagations"] = p.SolverPropagations
-	m["elapsed_ms"] = p.Elapsed.Milliseconds()
-	return m
 }
 
 // printLine writes one structured key=value progress line.

@@ -16,10 +16,9 @@
 // tracing is on: the obs layer is purely observational.
 //
 // The server mounts the shared diagnostic surface next to /fleet/:
-// Prometheus text on /metrics, expvar JSON on /debug/vars (map "fleet"
-// carries the summary), and pprof on /debug/pprof. -trace-out records
-// ingest spans (chunk accepts, session assembly, gateway transfers)
-// plus periodic metric snapshots as JSONL for cmd/obsdump.
+// Prometheus text on /metrics and pprof on /debug/pprof. -trace-out
+// records ingest spans (chunk accepts, session assembly, gateway
+// transfers) plus periodic metric snapshots as JSONL for cmd/obsdump.
 package main
 
 import (
@@ -90,9 +89,9 @@ func main() {
 		PerShardVehicles: *vehiclesCap,
 	})
 
-	// Observability: one registry backs /metrics, the expvar bridge and
-	// the flight recorder; the tracer meters ingest stages and buffers
-	// events only when -trace-out asks for them.
+	// Observability: one registry backs /metrics and the flight
+	// recorder; the tracer meters ingest stages and buffers events only
+	// when -trace-out asks for them.
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, obs.TracerConfig{Record: *traceOut != ""})
 	srv.SetObs(tracer)
@@ -186,7 +185,6 @@ func main() {
 
 	mux := obs.NewMux(reg)
 	mux.Handle("/fleet/", srv.Handler())
-	obs.PublishExpvar("fleet", func() any { return srv.Summary() })
 	hs, err := obs.Serve(*addr, mux)
 	if err != nil {
 		log.Fatal(err)

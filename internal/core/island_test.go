@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/casestudy"
@@ -99,8 +100,7 @@ func TestExplorerIslandsCheckpointResume(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "island.json")
 	ctx, cancel := context.WithCancel(context.Background())
-	evals := 0
-	stop := &stopAfterDecoder{Decoder: dec, evals: &evals, cancelAt: 16 * 6, cancel: cancel}
+	stop := &stopAfterDecoder{Decoder: dec, cancelAt: 16 * 6, cancel: cancel}
 	exCancel := NewExplorer(spec, stop)
 	_, err = exCancel.RunIslandsContext(ctx, opt, ic, &RunControl{CheckpointPath: path})
 	if err != context.Canceled {
@@ -124,17 +124,17 @@ func TestExplorerIslandsCheckpointResume(t *testing.T) {
 }
 
 // stopAfterDecoder cancels the run context after a fixed number of
-// decodes, forcing a mid-campaign checkpoint.
+// decodes, forcing a mid-campaign checkpoint. Workers decode
+// concurrently, so the count is atomic.
 type stopAfterDecoder struct {
 	Decoder
-	evals    *int
-	cancelAt int
+	evals    atomic.Int64
+	cancelAt int64
 	cancel   context.CancelFunc
 }
 
 func (s *stopAfterDecoder) Decode(g []float64) (*model.Implementation, error) {
-	*s.evals++
-	if *s.evals == s.cancelAt {
+	if s.evals.Add(1) == s.cancelAt {
 		s.cancel()
 	}
 	return s.Decoder.Decode(g)

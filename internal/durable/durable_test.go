@@ -598,3 +598,83 @@ func TestFrameCodec(t *testing.T) {
 		}
 	}
 }
+
+// atomicOps is the exact FS operation sequence of WriteFileAtomic.
+var atomicOps = []string{"create d/f.tmp", "write d/f.tmp", "sync d/f.tmp", "rename d/f.tmp", "syncdir d"}
+
+func TestWriteFileAtomic(t *testing.T) {
+	fs := NewMemFS()
+	var ops []string
+	fs.Fault = func(op, name string) error { ops = append(ops, op+" "+name); return nil }
+	if err := WriteFileAtomic(fs, "d/f", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ops) != fmt.Sprint(atomicOps) {
+		t.Fatalf("ops = %q, want %q", ops, atomicOps)
+	}
+
+	// A fault at each op surfaces as the error and never leaves a tmp
+	// file behind. Until the rename the target keeps its old bytes; a
+	// failed directory fsync comes after the rename, so the new bytes
+	// are in place but not known to be durable — hence the error.
+	fail := errors.New("injected")
+	for i, at := range atomicOps {
+		fs.Fault = func(op, name string) error {
+			if op+" "+name == at {
+				return fail
+			}
+			return nil
+		}
+		if err := WriteFileAtomic(fs, "d/f", []byte("v2")); !errors.Is(err, fail) {
+			t.Fatalf("fault at %q: err = %v, want the injected fault", at, err)
+		}
+		want := "v1"
+		if i == len(atomicOps)-1 {
+			want = "v2"
+		}
+		if got, _ := fs.ReadFile("d/f"); string(got) != want {
+			t.Fatalf("fault at %q: target = %q, want %q", at, got, want)
+		}
+		if _, err := fs.ReadFile("d/f.tmp"); err == nil {
+			t.Fatalf("fault at %q left d/f.tmp behind", at)
+		}
+		fs.Fault = nil
+		fs.WriteFile("d/f", []byte("v1"))
+	}
+}
+
+// A failed snapshot install is counted, leaves the store writable, and
+// loses nothing: the WAL still recovers the pre-snapshot state.
+func TestSnapshotInstallFault(t *testing.T) {
+	for _, op := range []string{"rename", "syncdir"} {
+		t.Run(op, func(t *testing.T) {
+			fs := NewMemFS()
+			st, o, _ := openOwner(t, fs, "d", Options{SnapshotEvery: 1 << 30})
+			want := appendN(t, st, o, 0, 12)
+			armed := true
+			fs.Fault = func(got, _ string) error {
+				if armed && got == op {
+					armed = false
+					return errors.New("injected " + op)
+				}
+				return nil
+			}
+			if err := st.Snapshot(); err == nil || !strings.HasPrefix(err.Error(), "durable: ") {
+				t.Fatalf("Snapshot under %s fault = %v, want a durable: error", op, err)
+			}
+			fs.Fault = nil
+			if s := st.StatsSnapshot(); s.SnapshotFailures != 1 || s.Snapshots != 0 || s.Degraded {
+				t.Fatalf("stats after failed snapshot = %+v", s)
+			}
+			want = append(want, appendN(t, st, o, 12, 3)...)
+			st.Kill()
+
+			st2, o2, rec := openOwner(t, fs, "d", Options{SnapshotEvery: 1 << 30})
+			defer st2.Close()
+			if rec.LastLSN != 15 {
+				t.Fatalf("recovery = %+v, want LastLSN 15", rec)
+			}
+			wantEntries(t, o2, want)
+		})
+	}
+}

@@ -99,6 +99,36 @@ func (OSFS) SyncDir(dir string) error {
 	return d.Sync()
 }
 
+// WriteFileAtomic replaces name with data so that a crash at any point
+// leaves either the previous content or the new one: data goes to
+// name+".tmp", is fsynced and closed, renamed over name, and the parent
+// directory is fsynced so the rename itself survives power loss. A
+// failure up to the rename removes the tmp file and leaves name with
+// its old bytes; a failed directory fsync comes after the rename, so
+// name holds data but the rename is not known to be durable.
+func WriteFileAtomic(fs FS, name string, data []byte) error {
+	tmp := name + ".tmp"
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, name)
+	}
+	if err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(name))
+}
+
 // ShortWrite, returned from a MemFS fault hook, makes the faulted
 // write persist only N bytes before failing with Err — a torn write.
 type ShortWrite struct {

@@ -490,49 +490,20 @@ func (s *Store) Snapshot() error {
 	if lsn <= s.snapLSN.Load() && s.snapLSN.Load() > 0 {
 		return nil // nothing committed since the last snapshot
 	}
-	fs := s.opts.FS
-	tmp := s.path(snapName(lsn) + tmpSuffix)
-	if err := s.writeSnapshot(tmp, lsn, data); err != nil {
-		s.snapFails.Add(1)
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, s.path(snapName(lsn))); err != nil {
+	buf := make([]byte, 0, len(snapMagic)+16+len(data))
+	buf = append(buf, snapMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, lsn)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(data))
+	buf = append(buf, data...)
+	if err := WriteFileAtomic(s.opts.FS, s.path(snapName(lsn)), buf); err != nil {
 		s.snapFails.Add(1)
 		return fmt.Errorf("durable: install snapshot: %w", err)
-	}
-	if err := fs.SyncDir(s.dir); err != nil {
-		s.snapFails.Add(1)
-		return fmt.Errorf("durable: sync dir: %w", err)
 	}
 	s.snapLSN.Store(lsn)
 	s.snapshots.Add(1)
 	s.gc()
 	return nil
-}
-
-func (s *Store) writeSnapshot(name string, lsn uint64, data []byte) error {
-	f, err := s.opts.FS.Create(name)
-	if err != nil {
-		return fmt.Errorf("durable: create snapshot: %w", err)
-	}
-	hdr := make([]byte, 0, len(snapMagic)+16)
-	hdr = append(hdr, snapMagic...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, lsn)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(data)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(data))
-	if _, err := f.Write(hdr); err == nil {
-		_, err = f.Write(data)
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("durable: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: sync snapshot: %w", err)
-	}
-	return f.Close()
 }
 
 // loadSnapshot reads and validates one snapshot file.

@@ -34,7 +34,6 @@ const (
 	segSuffix  = ".log"
 	snapPrefix = "snap-"
 	snapSuffix = ".snap"
-	tmpSuffix  = ".tmp"
 
 	frameHeader = 8        // u32 len + u32 crc
 	maxFrame    = 64 << 20 // sanity bound on one frame's payload

@@ -15,8 +15,8 @@ import (
 //	                               reconnecting after a server restart
 //	                               skip everything at or below it
 //
-// It extends the expvar telemetry endpoint of cmd/eedse with the
-// fleet's own aggregates; cmd/fleetd mounts both on one mux.
+// cmd/fleetd mounts it next to obs.NewMux's /metrics and /debug/pprof
+// on one mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /fleet/summary", func(w http.ResponseWriter, r *http.Request) {

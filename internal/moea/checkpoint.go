@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
+
+	"repro/internal/durable"
 )
 
 // Checkpoint file format identifiers. Version is bumped on any change
@@ -83,40 +84,16 @@ func (cp *Checkpoint) check(alg string, genLen int) error {
 	return nil
 }
 
-// WriteFile atomically writes the checkpoint to path: the state is
-// marshalled to a temporary file in the same directory, synced, and
-// renamed over the target, so a crash mid-write never destroys the
-// previous checkpoint.
+// WriteFile atomically writes the checkpoint to path through
+// durable.WriteFileAtomic (path+".tmp", fsync, rename, directory
+// fsync), so a crash mid-write never destroys the previous checkpoint
+// and a checkpoint reported as written survives power loss.
 func (cp *Checkpoint) WriteFile(path string) error {
 	data, err := json.Marshal(cp)
+	if err == nil {
+		err = durable.WriteFileAtomic(durable.OSFS{}, path, data)
+	}
 	if err != nil {
-		return fmt.Errorf("moea: checkpoint: %w", err)
-	}
-	return writeFileAtomic(path, data)
-}
-
-// writeFileAtomic writes data to path via tmp-file + fsync + rename —
-// the durability contract shared by the single-run and island
-// checkpoint formats.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("moea: checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("moea: checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("moea: checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("moea: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("moea: checkpoint: %w", err)
 	}
 	return nil

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
+
+	"repro/internal/durable"
 )
 
 // Island shard checkpoint file format identifiers. A shard checkpoint
@@ -88,10 +90,13 @@ func (sh *IslandShard) check() error {
 // across a mid-epoch kill and re-run.
 func (sh *IslandShard) WriteFile(path string) error {
 	data, err := json.Marshal(sh)
+	if err == nil {
+		err = durable.WriteFileAtomic(durable.OSFS{}, path, data)
+	}
 	if err != nil {
 		return fmt.Errorf("moea: island shard: %w", err)
 	}
-	return writeFileAtomic(path, data)
+	return nil
 }
 
 // ReadIslandShardFile loads a shard checkpoint written by WriteFile.

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
@@ -119,10 +120,13 @@ func (cp *IslandCheckpoint) check(opt Options, iopt IslandOptions) error {
 // Checkpoint.WriteFile for the durability contract).
 func (cp *IslandCheckpoint) WriteFile(path string) error {
 	data, err := json.Marshal(cp)
+	if err == nil {
+		err = durable.WriteFileAtomic(durable.OSFS{}, path, data)
+	}
 	if err != nil {
 		return fmt.Errorf("moea: island checkpoint: %w", err)
 	}
-	return writeFileAtomic(path, data)
+	return nil
 }
 
 // ReadIslandCheckpointFile loads an island checkpoint written by

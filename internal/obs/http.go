@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -11,15 +10,14 @@ import (
 )
 
 // NewMux returns a mux with the shared diagnostic surface mounted:
-// GET /metrics (Prometheus text), /debug/vars (expvar JSON), and the
-// /debug/pprof handlers. Callers add their own routes on top.
+// GET /metrics (Prometheus text) and the /debug/pprof handlers.
+// Callers add their own routes on top.
 func NewMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -363,7 +363,6 @@ func TestRecorderRoundTrip(t *testing.T) {
 func TestServeMuxAndShutdown(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("mux_hits_total", "hits").Add(5)
-	PublishExpvar("obs_test_mux", func() any { return map[string]int{"v": 1} })
 	mux := NewMux(reg)
 	mux.HandleFunc("GET /extra", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, "extra-ok")
@@ -387,8 +386,14 @@ func TestServeMuxAndShutdown(t *testing.T) {
 	if out := get("/metrics"); !strings.Contains(out, "mux_hits_total 5") {
 		t.Errorf("/metrics missing counter:\n%s", out)
 	}
-	if out := get("/debug/vars"); !strings.Contains(out, "obs_test_mux") {
-		t.Errorf("/debug/vars missing bridge var:\n%s", out)
+	// /metrics is the only metrics surface: no expvar JSON endpoint.
+	if resp, err := http.Get("http://" + srv.Addr() + "/debug/vars"); err != nil {
+		t.Fatalf("GET /debug/vars: %v", err)
+	} else {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /debug/vars: %s, want 404", resp.Status)
+		}
 	}
 	if out := get("/debug/pprof/cmdline"); out == "" {
 		t.Error("/debug/pprof/cmdline empty")
@@ -403,11 +408,6 @@ func TestServeMuxAndShutdown(t *testing.T) {
 	if err := srv.Shutdown(time.Second); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}
-}
-
-func TestPublishExpvarSwapsTarget(t *testing.T) {
-	PublishExpvar("obs_test_swap", func() any { return 1 })
-	PublishExpvar("obs_test_swap", func() any { return 2 }) // must not panic
 }
 
 // TestRecorderWriteFailure: a dying trace file must surface as a

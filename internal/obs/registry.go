@@ -11,7 +11,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -333,33 +332,4 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// expvar.Publish panics on duplicate names, which breaks re-runs
-// inside one process (tests, -oneshot loops). PublishExpvar registers
-// each name once and swaps the target function on later calls — the
-// same pattern cmd/eedse used for its "dse" map.
-var (
-	expvarMu  sync.Mutex
-	expvarFns = map[string]*func() any{}
-)
-
-// PublishExpvar exposes fn() under name in the process-wide expvar
-// namespace (/debug/vars), replacing any previous target for name.
-func PublishExpvar(name string, fn func() any) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if p, ok := expvarFns[name]; ok {
-		*p = fn
-		return
-	}
-	p := new(func() any)
-	*p = fn
-	expvarFns[name] = p
-	expvar.Publish(name, expvar.Func(func() any {
-		expvarMu.Lock()
-		f := *p
-		expvarMu.Unlock()
-		return f()
-	}))
 }
