@@ -90,11 +90,11 @@ bench:
 	$(GO) test -run=NONE -bench=. ./...
 
 # Machine-readable throughput report: the evaluation-pipeline benchmarks
-# (decode+evaluate, DSE worker sweep, end-to-end Fig. 5 run) plus the
-# fault-tolerant transfer path as JSON. CI uploads $(BENCH_OUT) as an
-# artifact; locally, raise BENCHTIME for stable numbers (e.g.
-# `make bench-json BENCHTIME=2s`) and override the output file with
-# BENCH_OUT=my-report.json.
+# (decode+evaluate at 4 and 36 profiles per ECU, DSE worker sweep,
+# end-to-end Fig. 5 run) plus the fault-tolerant transfer path as JSON.
+# CI uploads $(BENCH_OUT) as an artifact; locally, raise BENCHTIME for
+# stable numbers (e.g. `make bench-json BENCHTIME=2s`) and override the
+# output file with BENCH_OUT=my-report.json.
 BENCHTIME ?= 1x
 BENCH_OUT ?= BENCH_9.json
 bench-json:
@@ -103,21 +103,21 @@ bench-json:
 	@echo "wrote $(BENCH_OUT)"
 
 # Benchmark-regression gate: run the gated benchmarks (the per-candidate
-# decode+evaluate hot loop and the DSE worker sweep) and compare against
-# the committed baseline. Fails on >$(MAX_REGRESS) growth in ns/op or
-# allocs/op, or loss in evals/s, for any benchmark present in both
-# reports. allocs/op is machine-independent and gates exactly; the
-# throughput gate assumes the runner class is no slower than the one
-# that produced BENCH_BASELINE.json (refresh the baseline when the CI
-# runner class changes: `make bench-json BENCH_OUT=BENCH_BASELINE.json
-# BENCHTIME=2s`).
+# decode+evaluate hot loop at 4 and at 36 profiles per ECU, and the DSE
+# worker sweep) and compare against the committed baseline. Fails on
+# >$(MAX_REGRESS) growth in ns/op or allocs/op, or loss in evals/s, for
+# any benchmark present in both reports. allocs/op is machine-independent
+# and gates exactly; the throughput gate assumes the runner class is no
+# slower than the one that produced BENCH_BASELINE.json (refresh the
+# baseline when the CI runner class changes:
+# `make bench-json BENCH_OUT=BENCH_BASELINE.json BENCHTIME=2s`).
 MAX_REGRESS ?= 15%
 # The gate needs multi-iteration samples: a 1x benchtime measures the
 # first iteration, which pays one-time warm-up (solver construction,
 # decoder state) and reads ~2x the steady state.
 GATE_BENCHTIME ?= 1s
 bench-gate:
-	$(GO) test -run=NONE -bench 'DecodeEvaluate$$|DSEParallel|IslandEpoch|FleetIngest' \
+	$(GO) test -run=NONE -bench 'DecodeEvaluate$$|DecodeEvaluateFull$$|DSEParallel|IslandEpoch|FleetIngest' \
 		-benchmem -benchtime=$(GATE_BENCHTIME) . | \
 		$(GO) run ./cmd/benchjson -out bench-current.json \
 			-compare BENCH_BASELINE.json -max-regress $(MAX_REGRESS)

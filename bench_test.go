@@ -137,8 +137,15 @@ func BenchmarkEvalThroughput(b *testing.B) {
 // case study encoding (4 profiles per ECU). This is the path the
 // counter-based propagator, the reusable decoder state and the indexed
 // objectives optimize; -benchmem shows the allocation trajectory.
-func BenchmarkDecodeEvaluate(b *testing.B) {
-	spec, err := casestudy.Build(casestudy.Options{ProfilesPerECU: 4})
+func BenchmarkDecodeEvaluate(b *testing.B) { benchDecodeEvaluate(b, 4) }
+
+// BenchmarkDecodeEvaluateFull is BenchmarkDecodeEvaluate at paper
+// scale: all 36 profiles per ECU, the ~55k-variable encoding the
+// paper's own SAT-decoding runs on.
+func BenchmarkDecodeEvaluateFull(b *testing.B) { benchDecodeEvaluate(b, 36) }
+
+func benchDecodeEvaluate(b *testing.B, profilesPerECU int) {
+	spec, err := casestudy.Build(casestudy.Options{ProfilesPerECU: profilesPerECU})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -32,8 +32,9 @@ type Encoding struct {
 	stepVar  map[stepKey]pbsat.Var
 
 	// msgSteps groups the step variables of each message, sorted by
-	// (tau, resource), so route extraction walks a short dense slice
-	// instead of scanning the whole stepVar map per message.
+	// (tau, resource), so constraint emission and route extraction walk
+	// a short dense slice in a fixed order instead of scanning the whole
+	// stepVar map per message.
 	msgSteps map[model.MessageID][]stepEntry
 }
 
@@ -251,9 +252,12 @@ func (e *Encoding) addRoutingConstraints() {
 			e.Problem.Equiv(pbsat.Pos(sv), pbsat.Pos(e.mapVars[model.Mapping{Task: msg.Src, Resource: r}]),
 				"2b:"+string(msg.ID))
 		}
-		for key, v := range e.stepVar {
-			if key.msg == msg.ID && key.tau == 0 && !senderOpts[key.res] {
-				e.Problem.AddClause("2b0:"+string(msg.ID), pbsat.Not(v))
+		for _, se := range e.msgSteps[msg.ID] {
+			if se.tau != 0 {
+				break // τ-sorted: the τ = 0 steps come first
+			}
+			if !senderOpts[se.res] {
+				e.Problem.AddClause("2b0:"+string(msg.ID), pbsat.Not(se.v))
 			}
 		}
 
@@ -312,17 +316,17 @@ func (e *Encoding) addRoutingConstraints() {
 		}
 
 		// Eq. 2g: a step-τ+1 hop needs an adjacent step-τ hop.
-		for key, sv := range e.stepVar {
-			if key.msg != msg.ID || key.tau == 0 {
+		for _, se := range e.msgSteps[msg.ID] {
+			if se.tau == 0 {
 				continue
 			}
 			terms := []pbsat.Term{}
-			for _, n := range e.Spec.Arch.Neighbors(key.res) {
-				if pv, ok := e.stepVar[stepKey{msg.ID, n, key.tau - 1}]; ok {
+			for _, n := range e.Spec.Arch.Neighbors(se.res) {
+				if pv, ok := e.stepVar[stepKey{msg.ID, n, se.tau - 1}]; ok {
 					terms = append(terms, pbsat.Term{Coef: 1, Lit: pbsat.Pos(pv)})
 				}
 			}
-			terms = append(terms, pbsat.Term{Coef: -1, Lit: pbsat.Pos(sv)})
+			terms = append(terms, pbsat.Term{Coef: -1, Lit: pbsat.Pos(se.v)})
 			e.Problem.AddGE(terms, 0, "2g:"+string(msg.ID))
 		}
 	}

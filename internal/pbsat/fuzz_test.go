@@ -1,6 +1,7 @@
 package pbsat
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -8,13 +9,21 @@ import (
 // and cross-checks the solver against the problem's own Verify: every
 // model returned as SAT must satisfy every constraint, and the
 // counter-based propagator must agree with the recompute-from-scratch
-// oracle on the verdict. Runs as a regression test over the seed corpus
-// under plain `go test`.
+// oracle on the verdict, the search statistics and the model. Runs as a
+// regression test over the seed corpus under plain `go test`.
 func FuzzSolveVerify(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 0, 5, 2, 1, 1, 6, 2})
 	f.Add([]byte{5, 10, 200, 3, 7, 9, 11, 13, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 1, 0, 255})
 	f.Add([]byte{})
+	// Unit clauses, so the root presolve fixes variables and drops
+	// constraints: x2; ~x2 | x3; x3 | x4 | x1 (satisfied at the root).
+	f.Add([]byte{3, 0, 5, 1, 1, 1, 5, 0x81, 5, 2, 1, 2, 5, 2, 5, 3, 5, 0, 1})
+	// x2 and ~x2: a root conflict.
+	f.Add([]byte{3, 0, 5, 1, 1, 0, 5, 0x81, 1})
+	// 2·x1 ≥ 2 fixes x1; x1 + 2·x2 + 2·x3 ≥ 3 stays live with the
+	// terms of x2 and x3 only.
+	f.Add([]byte{2, 0, 6, 0, 2, 2, 5, 0, 6, 1, 6, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, ok := problemFromBytes(data)
 		if !ok {
@@ -31,9 +40,13 @@ func FuzzSolveVerify(f *testing.F) {
 		ref := newRefSolver(p)
 		ref.maxConflicts = 10_000
 		want := ref.solve(nil)
-		if res.SAT != want.SAT || res.Aborted != want.Aborted || res.Conflicts != want.Conflicts {
-			t.Fatalf("solver (SAT=%v aborted=%v c=%d) disagrees with oracle (SAT=%v aborted=%v c=%d)",
-				res.SAT, res.Aborted, res.Conflicts, want.SAT, want.Aborted, want.Conflicts)
+		if res.SAT != want.SAT || res.Aborted != want.Aborted ||
+			res.Conflicts != want.Conflicts || res.Decisions != want.Decisions {
+			t.Fatalf("solver (SAT=%v aborted=%v c=%d d=%d) disagrees with oracle (SAT=%v aborted=%v c=%d d=%d)",
+				res.SAT, res.Aborted, res.Conflicts, res.Decisions, want.SAT, want.Aborted, want.Conflicts, want.Decisions)
+		}
+		if res.SAT && !slices.Equal(res.Model, want.Model) {
+			t.Fatalf("solver model %v differs from oracle model %v", res.Model, want.Model)
 		}
 	})
 }

@@ -10,7 +10,10 @@
 // genotype first.
 package pbsat
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Var is a 1-based Boolean variable index.
 type Var int
@@ -62,10 +65,29 @@ func (c *Constraint) maxSum() int {
 }
 
 // Problem is a conjunction of pseudo-Boolean constraints over numbered
-// variables.
+// variables. Building a Problem is not safe for concurrent use, nor
+// concurrent with NewSolver; once built, any number of goroutines may
+// call NewSolver on it.
 type Problem struct {
 	names       []string
 	constraints []Constraint
+
+	// ix is the presolved solver index every Solver shares. NewSolver
+	// builds it on first use, under ixMu so concurrent first calls build
+	// it once; any change to the problem drops it.
+	ixMu sync.Mutex
+	ix   *index
+}
+
+// solverIndex returns the problem's solver index, building it on first
+// use.
+func (p *Problem) solverIndex() *index {
+	p.ixMu.Lock()
+	defer p.ixMu.Unlock()
+	if p.ix == nil {
+		p.ix = presolve(p)
+	}
+	return p.ix
 }
 
 // NewProblem returns an empty problem.
@@ -74,6 +96,7 @@ func NewProblem() *Problem { return &Problem{} }
 // NewVar allocates a fresh variable with a debugging name.
 func (p *Problem) NewVar(name string) Var {
 	p.names = append(p.names, name)
+	p.ix = nil
 	return Var(len(p.names))
 }
 
@@ -118,6 +141,7 @@ func (p *Problem) AddGE(terms []Term, bound int, tag string) {
 		return // always satisfied
 	}
 	p.constraints = append(p.constraints, c)
+	p.ix = nil
 }
 
 // AddLE adds Σ coef_i·lit_i ≤ bound via negation.

@@ -2,6 +2,8 @@ package pbsat
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -115,14 +117,32 @@ type Result struct {
 	// Model is the satisfying assignment. It aliases a buffer owned by
 	// the solver and is only valid until the next Solve call on the same
 	// Solver; copy it to retain it longer.
-	Model      Assignment
-	Conflicts  int
-	Decisions  int
+	Model     Assignment
+	Conflicts int
+	Decisions int
+	// Propagated counts the implications this call made below the
+	// root. Implications at the root (decision level 0) do not depend
+	// on the branching; they are made once per Problem, when its first
+	// Solver is built, and are not counted here.
 	Propagated int
 	// Aborted is set when the conflict limit was exceeded before a
 	// verdict; SAT is false in that case but unsatisfiability is NOT
 	// proven.
 	Aborted bool
+}
+
+// term is one weighted literal of an indexed constraint. lit is +v for
+// x_v and -v for ~x_v.
+type term struct {
+	coef int32
+	lit  int32
+}
+
+func litCode(l Lit) int32 {
+	if l.Neg {
+		return -int32(l.Var)
+	}
+	return int32(l.Var)
 }
 
 // occurrence is one (constraint, term) incidence of a variable, carrying
@@ -135,96 +155,210 @@ type occurrence struct {
 	falseWhen int8
 }
 
+// index is the read-only half of the solver. One index per Problem is
+// shared by all its Solvers (see Problem.solverIndex); it is presolved
+// at the root:
+//
+//   - assign and maxPossible hold the decision-level-0 propagation
+//     fixpoint, the state every Solve starts from;
+//   - only the constraints that fixpoint leaves unsatisfied ("live")
+//     are kept, renumbered densely, each with just the terms still
+//     unassigned at the root;
+//   - occurrence lists cover only those terms.
+//
+// The search below the root never unassigns a root-fixed variable, and a
+// constraint already satisfied at the root can never force a literal or
+// conflict, so dropping both changes no decision, conflict or model.
+type index struct {
+	// rootConflict is set when propagation at the root already
+	// conflicts: the problem is UNSAT and nothing else is kept.
+	rootConflict bool
+
+	assign      []int8  // per variable (var-1): 1=true, -1=false, 0=free
+	maxPossible []int64 // per constraint: Σ coef over terms not false
+	bounds      []int64 // per constraint
+	maxCoef     []int64 // per constraint: largest indexed term weight, to skip no-op scans
+
+	// Constraint ci's terms are terms[termStart[ci]:termStart[ci+1]].
+	termStart []int32
+	terms     []term
+	// Variable v's incidences are occs[occStart[v-1]:occStart[v]], in
+	// constraint order, so an assignment updates exactly the counters it
+	// affects — and wakes only constraints whose slack shrank.
+	occStart []int32
+	occs     []occurrence
+}
+
+// rawIndex indexes every constraint of p with every variable free: the
+// unpresolved input of the root pass.
+func rawIndex(p *Problem) *index {
+	n := len(p.constraints)
+	ix := &index{
+		assign:      make([]int8, p.NumVars()),
+		maxPossible: make([]int64, n),
+		bounds:      make([]int64, n),
+		maxCoef:     make([]int64, n),
+		termStart:   make([]int32, 1, n+1),
+	}
+	for ci := range p.constraints {
+		c := &p.constraints[ci]
+		ix.bounds[ci] = int64(c.Bound)
+		for _, t := range c.Terms {
+			if t.Coef > math.MaxInt32 {
+				panic(fmt.Sprintf("pbsat: coefficient %d exceeds solver range", t.Coef))
+			}
+			ix.terms = append(ix.terms, term{coef: int32(t.Coef), lit: litCode(t.Lit)})
+			ix.maxPossible[ci] += int64(t.Coef)
+			ix.maxCoef[ci] = max(ix.maxCoef[ci], int64(t.Coef))
+		}
+		ix.termStart = append(ix.termStart, int32(len(ix.terms)))
+	}
+	ix.indexOccurrences()
+	return ix
+}
+
+// presolve builds p's solver index: it runs the Solver's own propagation
+// over the raw index from the empty assignment, then keeps only what
+// the search below the root can still change.
+func presolve(p *Problem) *index {
+	raw := rawIndex(p)
+	root := newSolver(raw)
+	for ci := range root.inQueue {
+		root.inQueue[ci] = true
+		root.queue = append(root.queue, int32(ci))
+	}
+	if !root.propagate(&Result{}) {
+		return &index{rootConflict: true}
+	}
+	ix := &index{
+		assign:    root.assign,
+		termStart: []int32{0},
+	}
+	for ci, bound := range raw.bounds {
+		ts := raw.terms[raw.termStart[ci]:raw.termStart[ci+1]]
+		var sat int64
+		for _, t := range ts {
+			if root.value(t.lit) > 0 {
+				sat += int64(t.coef)
+			}
+		}
+		if sat >= bound {
+			continue // satisfied at the root
+		}
+		var maxCoef int64
+		for _, t := range ts {
+			if root.value(t.lit) == 0 {
+				ix.terms = append(ix.terms, t)
+				maxCoef = max(maxCoef, int64(t.coef))
+			}
+		}
+		ix.bounds = append(ix.bounds, bound)
+		ix.maxPossible = append(ix.maxPossible, root.maxPossible[ci])
+		ix.maxCoef = append(ix.maxCoef, maxCoef)
+		ix.termStart = append(ix.termStart, int32(len(ix.terms)))
+	}
+	ix.indexOccurrences()
+	return ix
+}
+
+// indexOccurrences builds the per-variable occurrence lists of the
+// indexed terms.
+func (ix *index) indexOccurrences() {
+	n := len(ix.assign)
+	ix.occStart = make([]int32, n+1)
+	for _, t := range ix.terms {
+		ix.occStart[abs32(t.lit)]++
+	}
+	for v := 1; v <= n; v++ {
+		ix.occStart[v] += ix.occStart[v-1]
+	}
+	next := slices.Clone(ix.occStart[:n])
+	ix.occs = make([]occurrence, len(ix.terms))
+	for ci := 0; ci+1 < len(ix.termStart); ci++ {
+		for _, t := range ix.terms[ix.termStart[ci]:ix.termStart[ci+1]] {
+			v, falseWhen := t.lit, int8(-1)
+			if v < 0 {
+				v, falseWhen = -v, 1
+			}
+			ix.occs[next[v-1]] = occurrence{ci: int32(ci), coef: t.coef, falseWhen: falseWhen}
+			next[v-1]++
+		}
+	}
+}
+
+func abs32(x int32) int32 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
 // Solver runs chronological DPLL with counter-based pseudo-Boolean unit
 // propagation: each constraint's maximum achievable sum is maintained
 // incrementally on assign/unassign instead of being recomputed from its
-// terms on every visit. A Solver is reusable: Solve resets all search
-// state, so one Solver amortizes its index structures over many calls
-// (the SAT-decoding hot loop). It is not safe for concurrent use.
+// terms on every visit. A Solver owns only mutable search state over
+// its Problem's shared, root-presolved index, and every Solve starts
+// from the root fixpoint, so one Solver serves many Solve calls (the
+// SAT-decoding hot loop). It is not safe for concurrent use; Solvers of
+// one Problem may run concurrently.
 type Solver struct {
-	p *Problem
 	// MaxConflicts bounds the search (0 = 1,000,000).
 	MaxConflicts int
 
-	assign []int8 // 1=true, -1=false, 0=unassigned; index var-1
-	trail  []Var
+	ix *index
 
-	// occs maps each variable to its (constraint, coef, polarity)
-	// incidences, so an assignment updates exactly the counters it
-	// affects — and wakes only constraints whose slack shrank.
-	occs [][]occurrence
+	assign []int8  // 1=true, -1=false, 0=unassigned; index var-1
+	trail  []int32 // variables assigned below the root, in order
 
-	// maxPossible[ci] is the current Σ coef over terms whose literal is
-	// not yet false; initMax is its all-unassigned reset template.
+	// maxPossible[ci] is the current Σ coef over constraint ci's terms
+	// whose literal is not yet false.
 	maxPossible []int64
-	initMax     []int64
-	bounds      []int64 // per-constraint bound, densely packed
-	maxCoef     []int64 // largest term weight, to skip no-op scans
 
 	inQueue []bool  // constraint index -> queued for recheck
 	queue   []int32 // recheck worklist
+
+	// free is the fallback decision cursor: every variable below it is
+	// assigned. backtrack lowers it.
+	free int
 
 	stack    []decision // reusable decision stack
 	modelBuf Assignment // backs Result.Model across calls
 }
 
-// NewSolver prepares a solver for the problem.
-func NewSolver(p *Problem) *Solver {
-	n := len(p.constraints)
-	s := &Solver{
-		p:            p,
+// NewSolver prepares a solver for the problem. The problem's solver
+// index is built and presolved on the first call and shared by every
+// later Solver until the problem changes.
+func NewSolver(p *Problem) *Solver { return newSolver(p.solverIndex()) }
+
+func newSolver(ix *index) *Solver {
+	return &Solver{
 		MaxConflicts: 1_000_000,
-		assign:       make([]int8, p.NumVars()),
-		occs:         make([][]occurrence, p.NumVars()),
-		maxPossible:  make([]int64, n),
-		initMax:      make([]int64, n),
-		bounds:       make([]int64, n),
-		maxCoef:      make([]int64, n),
-		inQueue:      make([]bool, n),
+		ix:           ix,
+		assign:       slices.Clone(ix.assign),
+		maxPossible:  slices.Clone(ix.maxPossible),
+		inQueue:      make([]bool, len(ix.bounds)),
 	}
-	for ci := range p.constraints {
-		c := &p.constraints[ci]
-		s.bounds[ci] = int64(c.Bound)
-		for _, t := range c.Terms {
-			if t.Coef > 1<<31-1 {
-				panic(fmt.Sprintf("pbsat: coefficient %d exceeds solver range", t.Coef))
-			}
-			v := int(t.Lit.Var) - 1
-			falseWhen := int8(-1)
-			if t.Lit.Neg {
-				falseWhen = 1
-			}
-			s.occs[v] = append(s.occs[v], occurrence{ci: int32(ci), coef: int32(t.Coef), falseWhen: falseWhen})
-			s.initMax[ci] += int64(t.Coef)
-			if int64(t.Coef) > s.maxCoef[ci] {
-				s.maxCoef[ci] = int64(t.Coef)
-			}
-		}
-	}
-	copy(s.maxPossible, s.initMax)
-	return s
 }
 
-func (s *Solver) value(l Lit) int8 {
-	v := s.assign[l.Var-1]
-	if l.Neg {
-		return -v
+func (s *Solver) value(lit int32) int8 {
+	if lit < 0 {
+		return -s.assign[-lit-1]
 	}
-	return v
+	return s.assign[lit-1]
 }
 
 // assignLit records the assignment, updates the slack counters of every
 // constraint a falsified term belongs to, and wakes those constraints.
 // Constraints where the literal became true are not queued: their slack
 // is unchanged, so no new propagation or conflict can arise from them.
-func (s *Solver) assignLit(l Lit) {
-	val := int8(1)
-	if l.Neg {
-		val = -1
+func (s *Solver) assignLit(lit int32) {
+	v, val := lit, int8(1)
+	if lit < 0 {
+		v, val = -lit, -1
 	}
-	s.assign[l.Var-1] = val
-	s.trail = append(s.trail, l.Var)
-	for _, o := range s.occs[l.Var-1] {
+	s.assign[v-1] = val
+	s.trail = append(s.trail, v)
+	for _, o := range s.ix.occs[s.ix.occStart[v-1]:s.ix.occStart[v]] {
 		if o.falseWhen != val {
 			continue
 		}
@@ -236,23 +370,20 @@ func (s *Solver) assignLit(l Lit) {
 	}
 }
 
-// unassign undoes one trail entry, restoring the slack counters.
-func (s *Solver) unassign(v Var) {
-	val := s.assign[v-1]
-	s.assign[v-1] = 0
-	for _, o := range s.occs[v-1] {
-		if o.falseWhen == val {
-			s.maxPossible[o.ci] += int64(o.coef)
+// backtrack undoes the trail down to length n, restoring the slack
+// counters.
+func (s *Solver) backtrack(n int) {
+	for len(s.trail) > n {
+		v := s.trail[len(s.trail)-1]
+		s.trail = s.trail[:len(s.trail)-1]
+		val := s.assign[v-1]
+		s.assign[v-1] = 0
+		for _, o := range s.ix.occs[s.ix.occStart[v-1]:s.ix.occStart[v]] {
+			if o.falseWhen == val {
+				s.maxPossible[o.ci] += int64(o.coef)
+			}
 		}
-	}
-}
-
-// enqueueAll schedules every constraint for one initial check.
-func (s *Solver) enqueueAll() {
-	s.queue = s.queue[:0]
-	for ci := range s.inQueue {
-		s.inQueue[ci] = true
-		s.queue = append(s.queue, int32(ci))
+		s.free = min(s.free, int(v-1))
 	}
 }
 
@@ -263,11 +394,12 @@ func (s *Solver) enqueueAll() {
 // on conflict; the queue is drained either way (a conflict clears it,
 // since backtracking re-seeds from the flipped decision's occurrences).
 func (s *Solver) propagate(res *Result) bool {
+	ix := s.ix
 	for len(s.queue) > 0 {
 		ci := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
 		s.inQueue[ci] = false
-		slack := s.maxPossible[ci] - s.bounds[ci]
+		slack := s.maxPossible[ci] - ix.bounds[ci]
 		if slack < 0 {
 			// Conflict: clear the queue; the caller backtracks and
 			// re-seeds via assignLit of the flipped decision.
@@ -277,12 +409,12 @@ func (s *Solver) propagate(res *Result) bool {
 			s.queue = s.queue[:0]
 			return false
 		}
-		if s.maxCoef[ci] <= slack {
+		if ix.maxCoef[ci] <= slack {
 			continue // no term outweighs the slack; nothing to force
 		}
-		for _, t := range s.p.constraints[ci].Terms {
-			if int64(t.Coef) > slack && s.value(t.Lit) == 0 {
-				s.assignLit(t.Lit)
+		for _, t := range ix.terms[ix.termStart[ci]:ix.termStart[ci+1]] {
+			if int64(t.coef) > slack && s.value(t.lit) == 0 {
+				s.assignLit(t.lit)
 				res.Propagated++
 			}
 		}
@@ -298,17 +430,17 @@ type decision struct {
 }
 
 // Solve searches for a model, deciding variables in the order supplied
-// by branch (nil uses plain first-unassigned/false-first). All search
-// state is rewound first, so the same Solver can serve many Solve calls
-// without reallocating its indexes.
+// by branch (nil uses plain first-unassigned/false-first). The search
+// starts from the root fixpoint: the previous call's assignments are
+// undone, so the same Solver can serve many Solve calls without
+// reallocating its state.
 func (s *Solver) Solve(branch Branching) Result {
-	res := Result{}
-	for len(s.trail) > 0 {
-		v := s.trail[len(s.trail)-1]
-		s.trail = s.trail[:len(s.trail)-1]
-		s.unassign(v)
+	if s.ix.rootConflict {
+		// The first propagation, before any decision, conflicts.
+		return Result{Conflicts: 1}
 	}
-	s.enqueueAll()
+	res := Result{}
+	s.backtrack(0)
 	if pb, ok := branch.(*PriorityBranching); ok {
 		pb.Reset()
 	}
@@ -337,7 +469,7 @@ func (s *Solver) Solve(branch Branching) Result {
 				return res
 			}
 			s.stack = append(s.stack, decision{trailLen: len(s.trail), lit: l})
-			s.assignLit(l)
+			s.assignLit(litCode(l))
 			res.Decisions++
 			continue
 		}
@@ -350,16 +482,11 @@ func (s *Solver) Solve(branch Branching) Result {
 		flipped := false
 		for len(s.stack) > 0 {
 			top := &s.stack[len(s.stack)-1]
-			// Undo trail past this decision.
-			for len(s.trail) > top.trailLen {
-				v := s.trail[len(s.trail)-1]
-				s.trail = s.trail[:len(s.trail)-1]
-				s.unassign(v)
-			}
+			s.backtrack(top.trailLen)
 			if !top.flipped {
 				top.flipped = true
 				top.lit = top.lit.Negated()
-				s.assignLit(top.lit)
+				s.assignLit(litCode(top.lit))
 				flipped = true
 				break
 			}
@@ -384,9 +511,9 @@ func (s *Solver) nextDecision(branch Branching, isAssigned func(Var) bool) (Lit,
 			return l, true
 		}
 	}
-	for i, v := range s.assign {
-		if v == 0 {
-			return Lit{Var: Var(i + 1), Neg: true}, true
+	for ; s.free < len(s.assign); s.free++ {
+		if s.assign[s.free] == 0 {
+			return Lit{Var: Var(s.free + 1), Neg: true}, true
 		}
 	}
 	return Lit{}, false

@@ -1,7 +1,10 @@
 package pbsat
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -236,27 +239,164 @@ func TestCounterPropagationMatchesReference(t *testing.T) {
 			branch = br
 		}
 		got := NewSolver(p).Solve(branch)
-		want := newRefSolver(p).solve(branch)
-		if got.SAT != want.SAT || got.Aborted != want.Aborted {
-			t.Fatalf("round %d: verdict (SAT=%v aborted=%v), oracle (SAT=%v aborted=%v)",
-				round, got.SAT, got.Aborted, want.SAT, want.Aborted)
+		if err := agreeWithRef(p, branch, got); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
-		// Propagated is not compared: how many literals a conflicting
-		// cascade assigns before the conflict is detected depends on the
-		// queue order (and is rewound anyway); the search trajectory —
-		// decisions and conflicts — is the deterministic invariant.
-		if got.Decisions != want.Decisions || got.Conflicts != want.Conflicts {
-			t.Fatalf("round %d: stats (d=%d c=%d), oracle (d=%d c=%d)",
-				round, got.Decisions, got.Conflicts, want.Decisions, want.Conflicts)
+	}
+}
+
+// agreeWithRef solves p with the oracle and reports how got differs
+// from it. Propagated is not compared: how many literals a conflicting
+// cascade assigns before the conflict is detected depends on the queue
+// order (and is rewound anyway), and the Solver does not count the
+// root implications; the search trajectory — decisions and conflicts —
+// is the deterministic invariant.
+func agreeWithRef(p *Problem, branch Branching, got Result) error {
+	want := newRefSolver(p).solve(branch)
+	if got.SAT != want.SAT || got.Aborted != want.Aborted {
+		return fmt.Errorf("verdict (SAT=%v aborted=%v), oracle (SAT=%v aborted=%v)",
+			got.SAT, got.Aborted, want.SAT, want.Aborted)
+	}
+	if got.Decisions != want.Decisions || got.Conflicts != want.Conflicts {
+		return fmt.Errorf("stats (d=%d c=%d), oracle (d=%d c=%d)",
+			got.Decisions, got.Conflicts, want.Decisions, want.Conflicts)
+	}
+	if got.SAT {
+		if !slices.Equal(got.Model, want.Model) {
+			return fmt.Errorf("model %v, oracle %v", got.Model, want.Model)
 		}
-		if got.SAT {
-			for i := range got.Model {
-				if got.Model[i] != want.Model[i] {
-					t.Fatalf("round %d: model differs at x%d", round, i+1)
-				}
+		if bad := p.Verify(got.Model); len(bad) != 0 {
+			return fmt.Errorf("model violates %v", bad)
+		}
+	}
+	return nil
+}
+
+// TestRootConflictMatchesReference: a problem whose root propagation
+// conflicts is UNSAT after exactly one conflict and no decision, on
+// every Solve of every Solver.
+func TestRootConflictMatchesReference(t *testing.T) {
+	p := NewProblem()
+	a, b, c := p.NewVar("a"), p.NewVar("b"), p.NewVar("c")
+	p.AddClause("a", Pos(a))
+	p.Implies(Pos(a), Pos(b), "a->b")
+	p.Implies(Pos(b), Not(a), "b->~a")
+	p.AddClause("b|c", Pos(b), Pos(c))
+	s := NewSolver(p)
+	for i := 0; i < 2; i++ {
+		got := s.Solve(nil)
+		if got.SAT || got.Aborted || got.Conflicts != 1 || got.Decisions != 0 {
+			t.Fatalf("solve %d: %+v, want UNSAT after 1 conflict", i, got)
+		}
+		if err := agreeWithRef(p, nil, got); err != nil {
+			t.Fatalf("solve %d: %v", i, err)
+		}
+	}
+}
+
+// TestFullyDecidedAtRoot: when root propagation assigns every variable,
+// the presolved index keeps no constraint and Solve returns the model
+// without a decision.
+func TestFullyDecidedAtRoot(t *testing.T) {
+	p := NewProblem()
+	vars := make([]Var, 6)
+	for i := range vars {
+		vars[i] = p.NewVar("v")
+	}
+	p.AddClause("v1", Pos(vars[0]))
+	for i := 1; i < len(vars); i++ {
+		// Alternate polarities so both propagation directions run.
+		p.AddClause("chain", Not(vars[i-1]), Lit{Var: vars[i], Neg: i%2 == 0})
+		p.AddClause("chain", Pos(vars[i-1]), Pos(vars[i]))
+	}
+	p.AddGE([]Term{{Coef: 2, Lit: Pos(vars[1])}, {Coef: 1, Lit: Pos(vars[3])}}, 3, "pb")
+	if n := len(p.solverIndex().bounds); n != 0 {
+		t.Fatalf("presolved index keeps %d constraints, want 0", n)
+	}
+	s := NewSolver(p)
+	for i := 0; i < 2; i++ {
+		got := s.Solve(nil)
+		if !got.SAT || got.Decisions != 0 || got.Conflicts != 0 {
+			t.Fatalf("solve %d: %+v, want SAT with no search", i, got)
+		}
+		if err := agreeWithRef(p, nil, got); err != nil {
+			t.Fatalf("solve %d: %v", i, err)
+		}
+	}
+}
+
+// TestProblemChangeAfterNewSolver: a constraint or variable added after
+// a NewSolver must be seen by the next NewSolver, which rebuilds the
+// presolved index.
+func TestProblemChangeAfterNewSolver(t *testing.T) {
+	p := NewProblem()
+	a, b := p.NewVar("a"), p.NewVar("b")
+	p.AddClause("a|b", Pos(a), Pos(b))
+	first := NewSolver(p).Solve(nil)
+	if err := agreeWithRef(p, nil, first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Model.Get(a) || !first.Model.Get(b) {
+		t.Fatalf("first model %v, want a=false b=true", first.Model)
+	}
+
+	p.AddClause("~b", Not(b))
+	got := NewSolver(p).Solve(nil)
+	if err := agreeWithRef(p, nil, got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.SAT || !got.Model.Get(a) || got.Model.Get(b) {
+		t.Fatalf("after AddClause: %+v, want a=true b=false", got)
+	}
+
+	c := p.NewVar("c")
+	p.Implies(Pos(a), Pos(c), "a->c")
+	got = NewSolver(p).Solve(nil)
+	if err := agreeWithRef(p, nil, got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Model) != 3 || !got.Model.Get(c) {
+		t.Fatalf("after NewVar: model %v, want c=true", got.Model)
+	}
+}
+
+// TestConcurrentSolversShareIndex builds and uses Solvers of one
+// Problem from several goroutines at once: the first NewSolver calls
+// race to build the shared index, and every Solve must still match the
+// oracle. Run under -race.
+func TestConcurrentSolversShareIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 20; round++ {
+		p, _ := randomProblem(rng)
+		branches := make([]*PriorityBranching, 8)
+		for i := range branches {
+			prio := make(map[Var]float64)
+			pref := make(map[Var]bool)
+			for v := 1; v <= p.NumVars(); v++ {
+				prio[Var(v)] = rng.Float64()
+				pref[Var(v)] = rng.Intn(2) == 0
 			}
-			if bad := p.Verify(got.Model); len(bad) != 0 {
-				t.Fatalf("round %d: model violates %v", round, bad)
+			branches[i] = NewPriorityBranching(prio, pref)
+		}
+		results := make([][2]Result, len(branches))
+		var wg sync.WaitGroup
+		for i, br := range branches {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := NewSolver(p)
+				results[i][0] = s.Solve(nil)
+				results[i][0].Model = slices.Clone(results[i][0].Model)
+				results[i][1] = s.Solve(br)
+			}()
+		}
+		wg.Wait()
+		for i, br := range branches {
+			if err := agreeWithRef(p, nil, results[i][0]); err != nil {
+				t.Fatalf("round %d goroutine %d, no branching: %v", round, i, err)
+			}
+			if err := agreeWithRef(p, br, results[i][1]); err != nil {
+				t.Fatalf("round %d goroutine %d, branching: %v", round, i, err)
 			}
 		}
 	}
