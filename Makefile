@@ -55,7 +55,9 @@ robust-smoke:
 # Checkpoint/resume determinism through the CLI: a run that checkpoints
 # periodically, resumed from its last on-disk snapshot, must reproduce
 # the uninterrupted run's Pareto front byte for byte — for both
-# optimizers and across worker counts.
+# optimizers and across worker counts, and for an island campaign whose
+# last checkpoint falls mid-epoch (65 generations, checkpoint every 3,
+# migration every 4: the file holds generation 63).
 resume-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	for o in nsga2 random; do \
@@ -67,7 +69,15 @@ resume-smoke:
 			-summary -csv $$tmp/resumed-$$o.csv -resume $$tmp/cp-$$o.json >/dev/null || exit 1; \
 		cmp $$tmp/full-$$o.csv $$tmp/resumed-$$o.csv || { echo "resume front differs ($$o)" >&2; exit 1; }; \
 		echo "resume-smoke: $$o front byte-identical after resume"; \
-	done
+	done; \
+	isl="-small -evals 2100 -pop 32 -islands 3 -migrate-every 4"; \
+	$(GO) run ./cmd/eedse $$isl -workers 4 -summary -csv $$tmp/full-isl.csv >/dev/null || exit 1; \
+	$(GO) run ./cmd/eedse $$isl -workers 4 -summary -csv /dev/null \
+		-checkpoint $$tmp/cp-isl.json -checkpoint-every 3 >/dev/null || exit 1; \
+	grep -q '"next_generation":63' $$tmp/cp-isl.json || { echo "island checkpoint not at mid-epoch generation 63" >&2; exit 1; }; \
+	$(GO) run ./cmd/eedse $$isl -workers 2 -summary -csv $$tmp/resumed-isl.csv -resume $$tmp/cp-isl.json >/dev/null || exit 1; \
+	cmp $$tmp/full-isl.csv $$tmp/resumed-isl.csv || { echo "mid-epoch island resume front differs" >&2; exit 1; }; \
+	echo "resume-smoke: island campaign byte-identical after a mid-epoch resume"
 
 # SIGINT survivability: interrupting a long campaign must exit 130 after
 # writing a final checkpoint and the partial Pareto front.
@@ -124,8 +134,9 @@ bench-gate:
 
 # Island-model determinism through the CLI: for a fixed (seed, islands,
 # migration) tuple the merged front must be byte-identical at any
-# worker count, and -islands 1 must reproduce the classic
-# single-population run exactly.
+# worker count, an explicit -islands 1 must reproduce the default
+# single-population run exactly, and an island campaign must resume
+# byte-identically.
 island-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -islands 4 -migrate-every 5 \

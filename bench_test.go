@@ -298,27 +298,26 @@ func BenchmarkIslandEpoch(b *testing.B) {
 		b.Fatal(err)
 	}
 	ex := core.NewExplorer(spec, dec)
-	ic := core.IslandConfig{Islands: 4, MigrateEvery: 5, Migrants: 4}
-	iopt := moea.IslandOptions{Islands: ic.Islands, MigrateEvery: ic.MigrateEvery, Migrants: ic.Migrants}
 	step := func(b *testing.B, opt moea.Options, full *moea.IslandCheckpoint, procs int) *moea.IslandCheckpoint {
 		shards := make([]*moea.IslandShard, procs)
 		for k := range shards {
-			first, count := moea.ShardRange(ic.Islands, procs, k)
-			sh, err := ex.EpochStep(context.Background(), opt, ic, full, first, count)
+			first, count := moea.ShardRange(opt.Islands, procs, k)
+			sh, err := ex.EpochStep(context.Background(), opt, full, first, count)
 			if err != nil {
 				b.Fatal(err)
 			}
 			shards[k] = sh
 		}
-		merged, _, err := moea.MergeShards(shards, iopt)
+		merged, _, err := moea.MergeShards(shards, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return merged
 	}
-	bootOpt := moea.Options{PopSize: 32, Generations: 15, Seed: 1, Workers: runtime.GOMAXPROCS(0)}
+	bootOpt := moea.Options{PopSize: 32, Generations: 15, Seed: 1, Workers: runtime.GOMAXPROCS(0),
+		Islands: 4, MigrateEvery: 5, Migrants: 4}
 	full := step(b, bootOpt, nil, 2) // bootstrap epoch 0 once
-	epochEvals := ic.Islands * bootOpt.PopSize * ic.MigrateEvery
+	epochEvals := bootOpt.Islands * bootOpt.PopSize * bootOpt.MigrateEvery
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			opt := bootOpt

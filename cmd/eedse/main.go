@@ -12,14 +12,13 @@
 //	      [-robust] [-error-rate 1e-5]
 //	      [-islands N] [-migrate-every 10] [-migrants 4]
 //
-// -islands N (N ≥ 1) switches NSGA-II to the island model: N
-// independent populations on derived seed streams, coupled by ring
-// migration every -migrate-every generations (-migrants archive
-// representatives per epoch). -islands 1 is the classic run under the
-// island driver; for a fixed (seed, islands, migration) tuple the
-// merged front is byte-identical at any -workers count. Checkpoints
-// written with -islands use the island checkpoint format and must be
-// resumed with the same -islands/-migrate-every/-migrants values.
+// -islands N (default 1) runs NSGA-II as N independent populations on
+// derived seed streams, coupled by ring migration every -migrate-every
+// generations (-migrants archive representatives per epoch); one island
+// is the classic single-population run. For a fixed (seed, islands,
+// migration) tuple the merged front is byte-identical at any -workers
+// count. NSGA-II checkpoints use the island checkpoint format and must
+// be resumed with the same -islands/-migrate-every/-migrants values.
 //
 // -procs P shards the island campaign across P worker processes: each
 // migration epoch the orchestrator re-execs itself P times in worker
@@ -136,11 +135,11 @@ func run() (err error) {
 		robust  = flag.Bool("robust", false, "add the degraded-mode transfer score as a 4th objective (CAN error model, default -error-rate 1e-5)")
 		errRate = flag.Float64("error-rate", 0, "CAN bit-error rate for the robustness objective; > 0 implies -robust")
 
-		islands      = flag.Int("islands", 0, "island-model NSGA-II: number of independent populations coupled by ring migration (0 = classic single-population run)")
-		migrateEvery = flag.Int("migrate-every", 10, "island migration period in generations (with -islands)")
-		migrants     = flag.Int("migrants", 4, "archive representatives exchanged per island per migration epoch (with -islands)")
+		islands      = flag.Int("islands", 1, "NSGA-II populations coupled by ring migration (1 = classic single-population run)")
+		migrateEvery = flag.Int("migrate-every", 10, "island migration period in generations (with -islands > 1)")
+		migrants     = flag.Int("migrants", 4, "archive representatives exchanged per island per migration epoch (with -islands > 1)")
 
-		procs     = flag.Int("procs", 0, "shard the island campaign across this many worker processes, merging at migration-epoch boundaries (requires -islands; front byte-identical at any value)")
+		procs     = flag.Int("procs", 0, "shard the NSGA-II campaign's islands across this many worker processes, merging at migration-epoch boundaries (front byte-identical at any value)")
 		maxEpochs = flag.Int("max-epochs", 0, "with -procs: stop after this many merged migration epochs and keep the checkpoint (0 = run to completion)")
 
 		epochStep   = flag.Bool("epoch-step", false, "worker mode: advance the -island-shard island subset exactly one migration epoch from -resume (or bootstrap epoch 0), write -shard-out, exit")
@@ -166,25 +165,20 @@ func run() (err error) {
 	} else if *robust {
 		*errRate = 1e-5
 	}
-	if *islands < 0 {
-		return fmt.Errorf("-islands must be non-negative, got %d", *islands)
+	if *islands < 1 {
+		return fmt.Errorf("-islands must be at least 1, got %d", *islands)
 	}
-	if *islands > 0 && *optimizer != "nsga2" {
-		return fmt.Errorf("-islands requires -optimizer nsga2")
+	if (*islands > 1 || *procs > 0 || *epochStep) && *optimizer != "nsga2" {
+		return fmt.Errorf("-islands, -procs and -epoch-step require -optimizer nsga2")
 	}
-	if *islands > 0 {
-		if *migrateEvery <= 0 {
-			return fmt.Errorf("-migrate-every must be positive, got %d", *migrateEvery)
-		}
-		if *migrants < 0 {
-			return fmt.Errorf("-migrants must be non-negative, got %d", *migrants)
-		}
+	if *migrateEvery <= 0 {
+		return fmt.Errorf("-migrate-every must be positive, got %d", *migrateEvery)
+	}
+	if *migrants < 0 {
+		return fmt.Errorf("-migrants must be non-negative, got %d", *migrants)
 	}
 	if *procs < 0 {
 		return fmt.Errorf("-procs must be non-negative, got %d", *procs)
-	}
-	if *procs > 0 && *islands == 0 {
-		return fmt.Errorf("-procs requires -islands")
 	}
 	if *maxEpochs < 0 {
 		return fmt.Errorf("-max-epochs must be non-negative, got %d", *maxEpochs)
@@ -199,9 +193,6 @@ func run() (err error) {
 		return fmt.Errorf("-epoch-step and -island-shard must be used together")
 	}
 	if *epochStep {
-		if *islands == 0 {
-			return fmt.Errorf("-epoch-step requires -islands")
-		}
 		if *shardOut == "" {
 			return fmt.Errorf("-epoch-step requires -shard-out")
 		}
@@ -317,16 +308,16 @@ func run() (err error) {
 		}()
 	}
 
+	ex := core.NewExplorer(spec, dec)
+	ex.Obs = tracer
+	if *robust {
+		ex.Robust = objective.RobustConfig{ErrorRate: *errRate}
+	}
+	mopt := moea.Options{PopSize: *pop, Generations: gens, Seed: *seed, Workers: *workers, ArchiveEpsilon: eps,
+		Islands: *islands, MigrateEvery: *migrateEvery, Migrants: *migrants}
 	if *epochStep {
 		// Worker mode: step one shard one epoch, write it, say nothing.
-		ex := core.NewExplorer(spec, dec)
-		ex.Obs = tracer
-		if *robust {
-			ex.Robust = objective.RobustConfig{ErrorRate: *errRate}
-		}
-		mopt := moea.Options{PopSize: *pop, Generations: gens, Seed: *seed, Workers: *workers, ArchiveEpsilon: eps}
-		ic := core.IslandConfig{Islands: *islands, MigrateEvery: *migrateEvery, Migrants: *migrants}
-		return runEpochStep(ctx, ex, mopt, ic, *islandShard, *resumePath, *shardOut)
+		return runEpochStep(ctx, ex, mopt, *islandShard, *resumePath, *shardOut)
 	}
 	name := specName(*small)
 	if *specPath != "" {
@@ -336,16 +327,13 @@ func run() (err error) {
 	if *robust {
 		robustNote = fmt.Sprintf(", robust@BER=%g", *errRate)
 	}
-	if *islands > 0 {
+	if *islands > 1 {
 		robustNote += fmt.Sprintf(", islands=%d/migrate=%d", *islands, *migrateEvery)
 	}
 	if *procs > 0 {
 		robustNote += fmt.Sprintf(", procs=%d", *procs)
 	}
-	evalBudget := *pop + *pop*gens
-	if *islands > 1 {
-		evalBudget *= *islands // every island runs its own population
-	}
+	evalBudget := (*pop + *pop*gens) * *islands // every island runs its own population
 	fmt.Fprintf(out, "exploring %s with %s decoder (%s, storage=%s, sbst=%s%s): pop=%d generations=%d (~%d evaluations)\n\n",
 		name, *decoder, *optimizer, *storage, *sbst, robustNote, *pop, gens, evalBudget)
 	if err := out.Flush(); err != nil {
@@ -369,13 +357,7 @@ func run() (err error) {
 		CheckpointEvery: *checkpointEvery,
 	}
 	if *resumePath != "" {
-		if *islands > 0 {
-			icp, err := moea.ReadIslandCheckpointFile(*resumePath)
-			if err != nil {
-				return err
-			}
-			rc.ResumeIslands = icp
-		} else {
+		if *optimizer == "random" {
 			cp, err := moea.ReadCheckpointFile(*resumePath)
 			if err != nil {
 				return err
@@ -384,6 +366,8 @@ func run() (err error) {
 				return fmt.Errorf("resume: checkpoint is for optimizer %q, run uses -optimizer %s", cp.Algorithm, *optimizer)
 			}
 			rc.Resume = cp
+		} else if mopt.Resume, err = moea.ReadIslandCheckpointFile(*resumePath); err != nil {
+			return err
 		}
 	}
 	tel := newTelemetry(reg)
@@ -404,11 +388,6 @@ func run() (err error) {
 		defer srv.Shutdown(2 * time.Second)
 	}
 
-	ex := core.NewExplorer(spec, dec)
-	ex.Obs = tracer
-	if *robust {
-		ex.Robust = objective.RobustConfig{ErrorRate: *errRate}
-	}
 	// workerArgs reconstructs the campaign flags every epoch-step worker
 	// must share with the orchestrator. The spec-construction flags are
 	// passed through rather than a serialized spec: both builders are
@@ -450,15 +429,9 @@ func run() (err error) {
 	var runErr error
 	switch *optimizer {
 	case "nsga2":
-		mopt := moea.Options{PopSize: *pop, Generations: gens, Seed: *seed, Workers: *workers, ArchiveEpsilon: eps}
-		switch {
-		case *procs > 0:
-			ic := core.IslandConfig{Islands: *islands, MigrateEvery: *migrateEvery, Migrants: *migrants}
-			res, runErr = runSharded(ctx, ex, mopt, ic, rc, *procs, *maxEpochs, workerArgs, *progress, tracer)
-		case *islands > 0:
-			ic := core.IslandConfig{Islands: *islands, MigrateEvery: *migrateEvery, Migrants: *migrants}
-			res, runErr = ex.RunIslandsContext(ctx, mopt, ic, rc)
-		default:
+		if *procs > 0 {
+			res, runErr = runSharded(ctx, ex, mopt, rc.CheckpointPath, *procs, *maxEpochs, workerArgs, *progress, tracer)
+		} else {
 			res, runErr = ex.RunContext(ctx, mopt, rc)
 		}
 	case "random":
@@ -534,22 +507,22 @@ func run() (err error) {
 // checkpoint (or bootstrap epoch 0) and write the partial shard
 // checkpoint. It prints nothing on success — the orchestrator owns all
 // reporting.
-func runEpochStep(ctx context.Context, ex *core.Explorer, mopt moea.Options, ic core.IslandConfig, shardSpec, resumePath, outPath string) error {
+func runEpochStep(ctx context.Context, ex *core.Explorer, mopt moea.Options, shardSpec, resumePath, outPath string) error {
 	k, p, err := parseShardSpec(shardSpec)
 	if err != nil {
 		return err
 	}
-	if p > ic.Islands {
-		return fmt.Errorf("-island-shard %s: %d shards for only %d islands", shardSpec, p, ic.Islands)
+	if p > mopt.Islands {
+		return fmt.Errorf("-island-shard %s: %d shards for only %d islands", shardSpec, p, mopt.Islands)
 	}
-	first, count := moea.ShardRange(ic.Islands, p, k)
+	first, count := moea.ShardRange(mopt.Islands, p, k)
 	var full *moea.IslandCheckpoint
 	if resumePath != "" {
 		if full, err = moea.ReadIslandCheckpointFile(resumePath); err != nil {
 			return err
 		}
 	}
-	sh, err := ex.EpochStep(ctx, mopt, ic, full, first, count)
+	sh, err := ex.EpochStep(ctx, mopt, full, first, count)
 	if err != nil {
 		return err
 	}
@@ -577,9 +550,10 @@ func parseShardSpec(s string) (k, p int, err error) {
 }
 
 // runSharded is the -procs orchestrator body: drive the campaign
-// through internal/shard (spawning this same binary in -epoch-step
-// mode), then rebuild the merged result from the final full checkpoint.
-func runSharded(ctx context.Context, ex *core.Explorer, mopt moea.Options, ic core.IslandConfig, rc *core.RunControl, procs, maxEpochs int, args []string, progress bool, tracer *obs.Tracer) (*core.Result, error) {
+// (resuming from mopt.Resume, if set) through internal/shard, spawning
+// this same binary in -epoch-step mode, then rebuild the merged result
+// from the final full checkpoint.
+func runSharded(ctx context.Context, ex *core.Explorer, mopt moea.Options, checkpointPath string, procs, maxEpochs int, args []string, progress bool, tracer *obs.Tracer) (*core.Result, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
@@ -588,11 +562,11 @@ func runSharded(ctx context.Context, ex *core.Explorer, mopt moea.Options, ic co
 		Binary:         exe,
 		Args:           args,
 		Procs:          procs,
-		Islands:        ic.Islands,
-		MigrateEvery:   ic.MigrateEvery,
-		Migrants:       ic.Migrants,
-		CheckpointPath: rc.CheckpointPath,
-		Resume:         rc.ResumeIslands,
+		Islands:        mopt.Islands,
+		MigrateEvery:   mopt.MigrateEvery,
+		Migrants:       mopt.Migrants,
+		CheckpointPath: checkpointPath,
+		Resume:         mopt.Resume,
 		MaxEpochs:      maxEpochs,
 		Stderr:         os.Stderr,
 		Obs:            tracer,
@@ -623,12 +597,12 @@ func runSharded(ctx context.Context, ex *core.Explorer, mopt moea.Options, ic co
 	}
 	if !done && runErr == nil {
 		fmt.Fprintf(os.Stderr, "eedse: stopped after %d epoch(s) at -max-epochs; continue with -resume %s\n",
-			maxEpochs, rc.CheckpointPath)
+			maxEpochs, checkpointPath)
 	}
 	// Rebuild the merged front from the checkpoint. Collection must not
 	// be cancelled by the same SIGINT that stopped the campaign — the
 	// partial front is the point of a graceful stop.
-	res, err := ex.CollectIslands(context.Background(), mopt, ic, final)
+	res, err := ex.CollectIslands(context.Background(), mopt, final)
 	if err != nil {
 		return nil, err
 	}

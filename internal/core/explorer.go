@@ -216,18 +216,17 @@ type SolverStatsReporter interface {
 type RunControl struct {
 	// CheckpointPath, when non-empty, periodically writes optimizer
 	// state to this file (atomically: tmp + rename) and once more when
-	// the context is cancelled. Resume a run with Resume.
+	// the context is cancelled: a moea.IslandCheckpoint for NSGA-II, a
+	// moea.Checkpoint for random search.
 	CheckpointPath string
 	// CheckpointEvery is the checkpoint period: generations for NSGA-II
 	// (default 10), evaluations for random search (default 2560).
 	CheckpointEvery int
-	// Resume restores optimizer state from a previously written
+	// Resume restores a random search from a previously written
 	// checkpoint; the run continues to the configured end and produces a
-	// byte-identical Pareto front to the uninterrupted run.
+	// byte-identical Pareto front to the uninterrupted run. NSGA-II
+	// campaigns resume through moea.Options.Resume.
 	Resume *moea.Checkpoint
-	// ResumeIslands restores an island campaign from a previously
-	// written island checkpoint (RunIslandsContext only).
-	ResumeIslands *moea.IslandCheckpoint
 	// OnProgress, when non-nil, receives a telemetry sample per
 	// generation/chunk on the optimizer goroutine.
 	OnProgress func(Progress)
@@ -238,11 +237,14 @@ func (e *Explorer) Run(opt moea.Options) (*Result, error) {
 	return e.RunContext(context.Background(), opt, nil)
 }
 
-// RunContext executes the exploration with cancellation, checkpointing
-// and telemetry. On context cancellation the partial Result collected
-// so far is returned together with ctx.Err(); the final checkpoint (if
-// configured) is written before returning, and no worker goroutines
-// outlive the call.
+// RunContext executes the NSGA-II exploration (opt.Islands populations,
+// one by default; see moea.Run) with cancellation, checkpointing and
+// telemetry. For a fixed (seed, islands, migration) tuple the front is
+// byte-identical at any worker count, and a campaign resumed through
+// opt.Resume matches the uninterrupted one. On context cancellation the
+// partial Result collected so far is returned together with ctx.Err();
+// the final checkpoint (if configured) is written before returning, and
+// no worker goroutines outlive the call.
 func (e *Explorer) RunContext(ctx context.Context, opt moea.Options, rc *RunControl) (*Result, error) {
 	runCtx, cancel, start := e.beginRun(ctx)
 	defer cancel()
@@ -251,10 +253,9 @@ func (e *Explorer) RunContext(ctx context.Context, opt moea.Options, rc *RunCont
 	mopt := opt
 	mopt.Obs = e.Obs
 	if rc != nil {
-		mopt.Resume = rc.Resume
 		if rc.CheckpointPath != "" {
 			path := rc.CheckpointPath
-			mopt.OnCheckpoint = func(cp *moea.Checkpoint) error { return cp.WriteFile(path) }
+			mopt.OnCheckpoint = func(cp *moea.IslandCheckpoint) error { return cp.WriteFile(path) }
 			mopt.CheckpointEvery = rc.CheckpointEvery
 			if mopt.CheckpointEvery <= 0 {
 				mopt.CheckpointEvery = 10
@@ -269,59 +270,19 @@ func (e *Explorer) RunContext(ctx context.Context, opt moea.Options, rc *RunCont
 	return e.finishRun(mres, err, start)
 }
 
-// IslandConfig selects the island-model NSGA-II driver: Islands
-// independent populations on derived seed streams, coupled by ring
-// migration every MigrateEvery generations (see moea.RunIslands).
-type IslandConfig struct {
-	Islands      int
-	MigrateEvery int
-	Migrants     int
-}
-
-// RunIslandsContext executes an island-model exploration. The
-// (seed, islands, migration) tuple pins the campaign: the merged front
-// is byte-identical at any worker count, and a resumed campaign
-// (RunControl.ResumeIslands) matches the uninterrupted one.
-func (e *Explorer) RunIslandsContext(ctx context.Context, opt moea.Options, ic IslandConfig, rc *RunControl) (*Result, error) {
-	runCtx, cancel, start := e.beginRun(ctx)
-	defer cancel()
-	defer e.endRun()
-
-	opt.Obs = e.Obs
-	iopt := moea.IslandOptions{
-		Islands:      ic.Islands,
-		MigrateEvery: ic.MigrateEvery,
-		Migrants:     ic.Migrants,
-	}
-	if rc != nil {
-		iopt.Resume = rc.ResumeIslands
-		if rc.CheckpointPath != "" {
-			path := rc.CheckpointPath
-			iopt.OnCheckpoint = func(cp *moea.IslandCheckpoint) error { return cp.WriteFile(path) }
-		}
-		if rc.OnProgress != nil {
-			cb := rc.OnProgress
-			iopt.OnProgress = func(mp moea.Progress) { cb(e.progressSample(mp)) }
-		}
-	}
-	mres, err := moea.RunIslands(runCtx, e, opt, iopt)
-	return e.finishRun(mres, err, start)
-}
-
 // EpochStep advances the contiguous island subset [first, first+count)
 // of an island campaign by exactly one migration epoch — the worker
 // unit of the multi-process orchestrator (internal/shard). full is the
 // campaign checkpoint to step from (nil bootstraps epoch 0); the
 // returned shard holds the post-epoch state plus the objective vectors
 // the orchestrator needs to migrate centrally. See moea.EpochStep.
-func (e *Explorer) EpochStep(ctx context.Context, opt moea.Options, ic IslandConfig, full *moea.IslandCheckpoint, first, count int) (*moea.IslandShard, error) {
+func (e *Explorer) EpochStep(ctx context.Context, opt moea.Options, full *moea.IslandCheckpoint, first, count int) (*moea.IslandShard, error) {
 	runCtx, cancel, _ := e.beginRun(ctx)
 	defer cancel()
 	defer e.endRun()
 
 	opt.Obs = e.Obs
-	iopt := moea.IslandOptions{Islands: ic.Islands, MigrateEvery: ic.MigrateEvery, Migrants: ic.Migrants}
-	sh, err := moea.EpochStep(runCtx, e, opt, iopt, full, first, count)
+	sh, err := moea.EpochStep(runCtx, e, opt, full, first, count)
 	if verr := e.takeRunError(); verr != nil {
 		return nil, verr
 	}
@@ -331,16 +292,15 @@ func (e *Explorer) EpochStep(ctx context.Context, opt moea.Options, ic IslandCon
 // CollectIslands turns a full island-campaign checkpoint into the
 // exploration Result without advancing any island: the per-island
 // states are restored (re-evaluating their genotypes) and the archives
-// fold in island order — the same merge the in-process driver performs,
-// so a completed multi-process campaign reports a byte-identical front,
-// and a mid-campaign checkpoint yields the partial front.
-func (e *Explorer) CollectIslands(ctx context.Context, opt moea.Options, ic IslandConfig, cp *moea.IslandCheckpoint) (*Result, error) {
+// fold in island order — the same merge moea.Run performs, so a
+// completed multi-process campaign reports a byte-identical front, and
+// a mid-campaign checkpoint yields the partial front.
+func (e *Explorer) CollectIslands(ctx context.Context, opt moea.Options, cp *moea.IslandCheckpoint) (*Result, error) {
 	runCtx, cancel, start := e.beginRun(ctx)
 	defer cancel()
 	defer e.endRun()
 
-	iopt := moea.IslandOptions{Islands: ic.Islands, MigrateEvery: ic.MigrateEvery, Migrants: ic.Migrants}
-	mres, err := moea.MergeIslandCheckpoint(runCtx, e, opt, iopt, cp)
+	mres, err := moea.MergeIslandCheckpoint(runCtx, e, opt, cp)
 	return e.finishRun(mres, err, start)
 }
 

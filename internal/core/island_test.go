@@ -40,11 +40,10 @@ func TestExplorerIslandsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	ex := NewExplorer(spec, dec)
 	ex.Verify = true
-	ic := IslandConfig{Islands: 3, MigrateEvery: 3, Migrants: 2}
 	var ref *Result
 	for _, w := range []int{1, 2, 4} {
-		res, err := ex.RunIslandsContext(context.Background(),
-			moea.Options{PopSize: 12, Generations: 9, Seed: 13, Workers: w}, ic, nil)
+		res, err := ex.RunContext(context.Background(), moea.Options{PopSize: 12, Generations: 9, Seed: 13, Workers: w,
+			Islands: 3, MigrateEvery: 3, Migrants: 2}, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -59,27 +58,6 @@ func TestExplorerIslandsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestExplorerIslandsSingleMatchesPlain: -islands 1 must be the classic
-// exploration under another driver — same seed stream, same schedule.
-func TestExplorerIslandsSingleMatchesPlain(t *testing.T) {
-	spec := smallSpec(t)
-	dec, err := NewGreedyDecoder(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExplorer(spec, dec)
-	opt := moea.Options{PopSize: 16, Generations: 10, Seed: 21}
-	plain, err := ex.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	isl, err := ex.RunIslandsContext(context.Background(), opt, IslandConfig{Islands: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frontsEqual(t, plain, isl, "islands=1 vs plain")
-}
-
 // TestExplorerIslandsCheckpointResume: an island campaign checkpointed
 // through RunControl resumes byte-identically at a different worker
 // count.
@@ -90,10 +68,9 @@ func TestExplorerIslandsCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := NewExplorer(spec, dec)
-	opt := moea.Options{PopSize: 16, Generations: 12, Seed: 5, Workers: 2}
-	ic := IslandConfig{Islands: 2, MigrateEvery: 4, Migrants: 2}
+	opt := moea.Options{PopSize: 16, Generations: 12, Seed: 5, Workers: 2, Islands: 2, MigrateEvery: 4, Migrants: 2}
 
-	full, err := ex.RunIslandsContext(context.Background(), opt, ic, nil)
+	full, err := ex.RunContext(context.Background(), opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +79,7 @@ func TestExplorerIslandsCheckpointResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	stop := &stopAfterDecoder{Decoder: dec, cancelAt: 16 * 6, cancel: cancel}
 	exCancel := NewExplorer(spec, stop)
-	_, err = exCancel.RunIslandsContext(ctx, opt, ic, &RunControl{CheckpointPath: path})
+	_, err = exCancel.RunContext(ctx, opt, &RunControl{CheckpointPath: path})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -113,7 +90,8 @@ func TestExplorerIslandsCheckpointResume(t *testing.T) {
 	}
 	resumeOpt := opt
 	resumeOpt.Workers = 4
-	res, err := ex.RunIslandsContext(context.Background(), resumeOpt, ic, &RunControl{ResumeIslands: cp})
+	resumeOpt.Resume = cp
+	res, err := ex.RunContext(context.Background(), resumeOpt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,7 @@ func TestExplorerObsNonIntrusive(t *testing.T) {
 // campaign at every worker count.
 func TestExplorerIslandsObsNonIntrusive(t *testing.T) {
 	spec := smallSpec(t)
-	ic := IslandConfig{Islands: 3, MigrateEvery: 2, Migrants: 2}
-	opt := moea.Options{PopSize: 12, Generations: 6, Seed: 9}
+	opt := moea.Options{PopSize: 12, Generations: 6, Seed: 9, Islands: 3, MigrateEvery: 2, Migrants: 2}
 
 	var want []byte
 	for _, w := range []int{1, 4} {
@@ -88,7 +87,7 @@ func TestExplorerIslandsObsNonIntrusive(t *testing.T) {
 			t.Fatal(err)
 		}
 		plain := NewExplorer(spec, dec)
-		res, err := plain.RunIslandsContext(context.Background(), o, ic, nil)
+		res, err := plain.RunContext(context.Background(), o, nil)
 		if err != nil {
 			t.Fatalf("workers=%d plain: %v", w, err)
 		}
@@ -106,7 +105,7 @@ func TestExplorerIslandsObsNonIntrusive(t *testing.T) {
 		tracer := obs.NewTracer(reg, obs.TracerConfig{Record: true})
 		traced := NewExplorer(spec, dec2)
 		traced.Obs = tracer
-		tres, err := traced.RunIslandsContext(context.Background(), o, ic, nil)
+		tres, err := traced.RunContext(context.Background(), o, nil)
 		if err != nil {
 			t.Fatalf("workers=%d traced: %v", w, err)
 		}

@@ -162,14 +162,16 @@ func TestExplorerCheckpointResume(t *testing.T) {
 		&RunControl{CheckpointPath: path, CheckpointEvery: 2}); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := moea.ReadCheckpointFile(path)
+	cp, err := moea.ReadIslandCheckpointFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.NextGeneration != 4 {
-		t.Fatalf("last periodic checkpoint at generation %d, want 4", cp.NextGeneration)
+	if cp.States[0].NextGeneration != 4 {
+		t.Fatalf("last periodic checkpoint at generation %d, want 4", cp.States[0].NextGeneration)
 	}
-	got, err := NewExplorer(spec, gd).RunContext(context.Background(), opt, &RunControl{Resume: cp})
+	resumed := opt
+	resumed.Resume = cp
+	got, err := NewExplorer(spec, gd).RunContext(context.Background(), resumed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,12 +241,12 @@ func TestExplorerCancellation(t *testing.T) {
 	if res == nil || len(res.Solutions) == 0 {
 		t.Fatal("no partial front on cancellation")
 	}
-	cp, err := moea.ReadCheckpointFile(path)
+	cp, err := moea.ReadIslandCheckpointFile(path)
 	if err != nil {
 		t.Fatalf("no final checkpoint on cancellation: %v", err)
 	}
-	if cp.NextGeneration != 2 {
-		t.Fatalf("final checkpoint resumes at generation %d, want 2", cp.NextGeneration)
+	if cp.States[0].NextGeneration != 2 {
+		t.Fatalf("final checkpoint resumes at generation %d, want 2", cp.States[0].NextGeneration)
 	}
 }
 

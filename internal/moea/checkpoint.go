@@ -22,13 +22,14 @@ const (
 	AlgorithmRandom = "random"
 )
 
-// Checkpoint is a complete snapshot of optimizer state at a generation
-// (NSGA-II) or chunk (random search) boundary. Only genotypes are
-// stored: objectives and payloads are rebuilt on resume by re-evaluating
-// them, which is exact because decoders and objective evaluation are
-// deterministic. Together with the serialized PRNG state this makes a
-// resumed run byte-identical to the uninterrupted one, at any worker
-// count.
+// Checkpoint is a complete snapshot of one optimizer state: an NSGA-II
+// island at a generation boundary (embedded in an IslandCheckpoint) or
+// a random search at a chunk boundary (the random-search checkpoint
+// file). Only genotypes are stored: objectives and payloads are rebuilt
+// on resume by re-evaluating them, which is exact because decoders and
+// objective evaluation are deterministic. Together with the serialized
+// PRNG state this makes a resumed run byte-identical to the
+// uninterrupted one, at any worker count.
 type Checkpoint struct {
 	Format    string `json:"format"`
 	Version   int    `json:"version"`
@@ -99,7 +100,9 @@ func (cp *Checkpoint) WriteFile(path string) error {
 	return nil
 }
 
-// ReadCheckpointFile loads a checkpoint written by WriteFile.
+// ReadCheckpointFile loads a checkpoint written by WriteFile. A file
+// that exists but does not parse as a checkpoint of this version fails
+// with ErrCheckpointCorrupt.
 func ReadCheckpointFile(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -107,13 +110,13 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 	}
 	cp := &Checkpoint{}
 	if err := json.Unmarshal(data, cp); err != nil {
-		return nil, fmt.Errorf("moea: checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("moea: checkpoint %s: %w: %v", path, ErrCheckpointCorrupt, err)
 	}
 	if cp.Format != CheckpointFormat {
-		return nil, fmt.Errorf("moea: checkpoint %s: not a checkpoint file (format %q)", path, cp.Format)
+		return nil, fmt.Errorf("moea: checkpoint %s: %w: not a checkpoint file (format %q)", path, ErrCheckpointCorrupt, cp.Format)
 	}
 	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("moea: checkpoint %s: unsupported version %d (want %d)", path, cp.Version, CheckpointVersion)
+		return nil, fmt.Errorf("moea: checkpoint %s: %w: unsupported version %d (want %d)", path, ErrCheckpointCorrupt, cp.Version, CheckpointVersion)
 	}
 	return cp, nil
 }

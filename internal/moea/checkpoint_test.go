@@ -2,7 +2,11 @@ package moea
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"io/fs"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -80,13 +84,65 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCheckpointFileErrors: a random-search checkpoint file that
+// exists but cannot be trusted fails with ErrCheckpointCorrupt, the
+// same corrupt-vs-missing contract as the island and shard readers; a
+// missing file is not corrupt.
+func TestReadCheckpointFileErrors(t *testing.T) {
+	var valid []byte
+	_, err := RandomSearchOpt(context.Background(), zdt1{n: 4}, RandomOptions{
+		Evals: 600, Seed: 1, CheckpointEvery: 256,
+		OnCheckpoint: func(c *Checkpoint) (err error) { valid, err = json.Marshal(c); return err },
+	})
+	if err != nil || valid == nil {
+		t.Fatalf("no checkpoint captured: %v", err)
+	}
+	mutate := func(f func(c *Checkpoint)) []byte {
+		c := &Checkpoint{}
+		if err := json.Unmarshal(valid, c); err != nil {
+			t.Fatal(err)
+		}
+		f(c)
+		data, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"wrong format", mutate(func(c *Checkpoint) { c.Format = IslandCheckpointFormat }), "not a checkpoint file"},
+		{"wrong version", mutate(func(c *Checkpoint) { c.Version = 99 }), "unsupported version"},
+		{"truncated json", valid[:len(valid)/2], "unexpected end of JSON"},
+		{"not json", []byte("evaluation 512 of 600\n"), "invalid character"},
+	}
+	dir := t.TempDir()
+	for _, tc := range cases {
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".json")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadCheckpointFile(path)
+		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want ErrCheckpointCorrupt with %q", tc.name, err, tc.want)
+		}
+	}
+	_, err = ReadCheckpointFile(filepath.Join(dir, "does-not-exist.json"))
+	if !errors.Is(err, fs.ErrNotExist) || errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("missing file: err = %v, want not-exist and not corrupt", err)
+	}
+}
+
 func TestResumeValidation(t *testing.T) {
 	p := zdt1{n: 6}
-	var cp *Checkpoint
+	var cp *IslandCheckpoint
 	_, err := Run(context.Background(), p, Options{
 		PopSize: 16, Generations: 6, Seed: 3,
 		CheckpointEvery: 2,
-		OnCheckpoint:    func(c *Checkpoint) error { cp = c; return nil },
+		OnCheckpoint:    func(c *IslandCheckpoint) error { cp = c; return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +166,7 @@ func TestResumeValidation(t *testing.T) {
 			t.Errorf("%s mismatch accepted on resume", c.name)
 		}
 	}
-	if _, err := RandomSearchOpt(context.Background(), p, RandomOptions{Evals: 100, Seed: 3, Resume: cp}); err == nil {
+	if _, err := RandomSearchOpt(context.Background(), p, RandomOptions{Evals: 100, Seed: 3, Resume: cp.States[0]}); err == nil {
 		t.Error("nsga2 checkpoint accepted by random search")
 	}
 }
@@ -130,11 +186,11 @@ func TestNSGA2ResumeByteIdentical(t *testing.T) {
 	want := flatFront(ref.Archive)
 
 	for _, workers := range []int{1, 4} {
-		var mid *Checkpoint
+		var mid *IslandCheckpoint
 		opt := base
 		opt.Workers = workers
 		opt.CheckpointEvery = 5
-		opt.OnCheckpoint = func(c *Checkpoint) error {
+		opt.OnCheckpoint = func(c *IslandCheckpoint) error {
 			if mid == nil {
 				mid = c // keep the first (generation 5) snapshot
 			}
@@ -143,7 +199,7 @@ func TestNSGA2ResumeByteIdentical(t *testing.T) {
 		if _, err := Run(context.Background(), p, opt); err != nil {
 			t.Fatal(err)
 		}
-		if mid == nil || mid.NextGeneration != 5 {
+		if mid == nil || mid.States[0].NextGeneration != 5 {
 			t.Fatalf("workers=%d: expected a checkpoint at generation 5, got %+v", workers, mid)
 		}
 
@@ -216,7 +272,7 @@ func TestCancellationPartialResult(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var final *Checkpoint
+	var final *IslandCheckpoint
 	opt := Options{
 		PopSize: 32, Generations: 1000, Seed: 2, Workers: 4,
 		OnGeneration: func(gen int, _ []*Individual) {
@@ -224,7 +280,7 @@ func TestCancellationPartialResult(t *testing.T) {
 				cancel()
 			}
 		},
-		OnCheckpoint: func(c *Checkpoint) error { final = c; return nil },
+		OnCheckpoint: func(c *IslandCheckpoint) error { final = c; return nil },
 	}
 	res, err := Run(ctx, p, opt)
 	if err != context.Canceled {
@@ -236,8 +292,8 @@ func TestCancellationPartialResult(t *testing.T) {
 	if final == nil {
 		t.Fatal("no final checkpoint on cancellation")
 	}
-	if final.NextGeneration != 4 {
-		t.Fatalf("final checkpoint resumes at generation %d, want 4", final.NextGeneration)
+	if final.States[0].NextGeneration != 4 {
+		t.Fatalf("final checkpoint resumes at generation %d, want 4", final.States[0].NextGeneration)
 	}
 	// The cancelled run must be resumable to the full-run front.
 	res2 := Options{PopSize: 32, Generations: 1000, Seed: 2}
@@ -286,31 +342,35 @@ func TestRandomCancellation(t *testing.T) {
 	}
 }
 
+// TestProgressTelemetry: one sample per generation, for a single
+// population and for an island campaign (summed evaluations) alike.
 func TestProgressTelemetry(t *testing.T) {
 	p := zdt1{n: 8}
-	var samples []Progress
-	_, err := Run(context.Background(), p, Options{
-		PopSize: 16, Generations: 5, Seed: 1,
-		OnProgress: func(pr Progress) { samples = append(samples, pr) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 5 {
-		t.Fatalf("got %d progress samples, want 5", len(samples))
-	}
-	for i, s := range samples {
-		if s.Generation != i || s.Generations != 5 {
-			t.Fatalf("sample %d: generation %d/%d", i, s.Generation, s.Generations)
+	for _, islands := range []int{1, 3} {
+		var samples []Progress
+		_, err := Run(context.Background(), p, Options{
+			PopSize: 16, Generations: 5, Seed: 1, Islands: islands, MigrateEvery: 2,
+			OnProgress: func(pr Progress) { samples = append(samples, pr) },
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s.Evaluations != 16+16*(i+1) {
-			t.Fatalf("sample %d: evaluations = %d", i, s.Evaluations)
+		if len(samples) != 5 {
+			t.Fatalf("islands=%d: got %d progress samples, want 5", islands, len(samples))
 		}
-		if s.RunEvaluations != s.Evaluations {
-			t.Fatalf("sample %d: run evaluations %d != %d on a fresh run", i, s.RunEvaluations, s.Evaluations)
-		}
-		if len(s.Archive) == 0 || s.Elapsed < 0 {
-			t.Fatalf("sample %d: empty archive or negative elapsed", i)
+		for i, s := range samples {
+			if s.Generation != i || s.Generations != 5 {
+				t.Fatalf("sample %d: generation %d/%d", i, s.Generation, s.Generations)
+			}
+			if s.Evaluations != islands*(16+16*(i+1)) {
+				t.Fatalf("islands=%d sample %d: evaluations = %d", islands, i, s.Evaluations)
+			}
+			if s.RunEvaluations != s.Evaluations {
+				t.Fatalf("sample %d: run evaluations %d != %d on a fresh run", i, s.RunEvaluations, s.Evaluations)
+			}
+			if len(s.Archive) == 0 || s.Elapsed < 0 {
+				t.Fatalf("sample %d: empty archive or negative elapsed", i)
+			}
 		}
 	}
 }

@@ -133,16 +133,16 @@ func ShardRange(islands, procs, k int) (first, count int) {
 // checkpoint holding the post-epoch, pre-migration state. full is the
 // campaign-wide checkpoint to step from; nil bootstraps epoch 0 (the
 // subset's islands sample their initial populations from the derived
-// seed streams, exactly as RunIslands would). The epoch boundary is
-// computed from the full checkpoint's least-advanced island — the same
-// schedule the in-process driver follows — so shards produced by
-// different processes agree on it without coordination.
+// seed streams, exactly as Run would). The epoch boundary is computed
+// from the full checkpoint's least-advanced island — the schedule Run
+// follows — so shards produced by different processes agree on it
+// without coordination. Callbacks and checkpoint options are ignored.
 //
 // Cancellation is honored at generation boundaries and returns
 // ctx.Err() without emitting a shard: the orchestrator's recovery point
 // is the last full checkpoint, and a re-run of the epoch reproduces the
 // same shard bit for bit.
-func EpochStep(ctx context.Context, p Problem, opt Options, iopt IslandOptions, full *IslandCheckpoint, first, count int) (*IslandShard, error) {
+func EpochStep(ctx context.Context, p Problem, opt Options, full *IslandCheckpoint, first, count int) (*IslandShard, error) {
 	genLen := p.GenotypeLen()
 	if genLen <= 0 {
 		return nil, errEmptyGenotype
@@ -151,27 +151,26 @@ func EpochStep(ctx context.Context, p Problem, opt Options, iopt IslandOptions, 
 		ctx = context.Background()
 	}
 	opt = opt.withDefaults(genLen)
-	iopt = iopt.withDefaults()
-	if count < 1 || first < 0 || first+count > iopt.Islands {
-		return nil, fmt.Errorf("moea: epoch step: island range [%d,%d) outside campaign of %d islands", first, first+count, iopt.Islands)
+	if count < 1 || first < 0 || first+count > opt.Islands {
+		return nil, fmt.Errorf("moea: epoch step: island range [%d,%d) outside campaign of %d islands", first, first+count, opt.Islands)
 	}
 
 	minGen := 0
 	if full != nil {
-		if err := full.check(opt, iopt); err != nil {
+		if err := full.check(opt); err != nil {
 			return nil, err
 		}
 		minGen = opt.Generations
 		for _, st := range full.States {
-			if st.NextGeneration < minGen {
-				minGen = st.NextGeneration
-			}
+			minGen = min(minGen, st.NextGeneration)
 		}
 	}
 	if minGen >= opt.Generations {
 		return nil, fmt.Errorf("moea: epoch step: campaign already complete (generation %d of %d)", minGen, opt.Generations)
 	}
-	boundary := epochBoundary(minGen, iopt.MigrateEvery, opt.Generations)
+	// The epoch ends where Run migrates next: the smallest MigrateEvery
+	// multiple beyond the least-advanced island, capped at the budget.
+	boundary := min((minGen/opt.MigrateEvery+1)*opt.MigrateEvery, opt.Generations)
 
 	pool := newEvalPool(p, opt.Workers)
 	defer pool.close()
@@ -179,22 +178,17 @@ func EpochStep(ctx context.Context, p Problem, opt Options, iopt IslandOptions, 
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range states {
-		for s.gen < boundary {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			s.step()
-		}
+	if err := advance(ctx, states, boundary, nil); err != nil {
+		return nil, err
 	}
 
 	sh := &IslandShard{
 		Format:            IslandShardFormat,
 		Version:           IslandShardVersion,
 		Seed:              opt.Seed,
-		Islands:           iopt.Islands,
-		MigrateEvery:      iopt.MigrateEvery,
-		Migrants:          iopt.Migrants,
+		Islands:           opt.Islands,
+		MigrateEvery:      opt.MigrateEvery,
+		Migrants:          opt.Migrants,
 		First:             first,
 		Count:             count,
 		Boundary:          boundary,
@@ -229,17 +223,17 @@ func objectiveVectors(pop []*Individual) []Objectives {
 // driver runs, on exactly the values it would see, so the merged
 // checkpoint is byte-identical to the in-process snapshot at the same
 // boundary. Migration is skipped after the final epoch (done=true),
-// matching RunIslands.
+// matching Run.
 //
 // The shards must cover every island of the campaign exactly once and
-// agree on (seed, islands, migrate-every, migrants, boundary); iopt
-// cross-checks the orchestrator's own topology. Shards may be passed in
-// any order.
-func MergeShards(shards []*IslandShard, iopt IslandOptions) (cp *IslandCheckpoint, done bool, err error) {
+// agree on (seed, islands, migrate-every, migrants, boundary); the
+// topology fields of opt cross-check the orchestrator's own. Shards may
+// be passed in any order.
+func MergeShards(shards []*IslandShard, opt Options) (cp *IslandCheckpoint, done bool, err error) {
 	if len(shards) == 0 {
 		return nil, false, fmt.Errorf("moea: merge: no shards")
 	}
-	iopt = iopt.withDefaults()
+	opt = opt.withDefaults(0)
 	for _, sh := range shards {
 		if sh == nil {
 			return nil, false, fmt.Errorf("moea: merge: missing shard")
@@ -253,9 +247,9 @@ func MergeShards(shards []*IslandShard, iopt IslandOptions) (cp *IslandCheckpoin
 		if err := sh.check(); err != nil {
 			return nil, false, err
 		}
-		if sh.Islands != iopt.Islands || sh.MigrateEvery != iopt.MigrateEvery || sh.Migrants != iopt.Migrants {
+		if sh.Islands != opt.Islands || sh.MigrateEvery != opt.MigrateEvery || sh.Migrants != opt.Migrants {
 			return nil, false, fmt.Errorf("moea: merge: shard [%d,%d) topology (%d islands, migrate %d, migrants %d) does not match campaign (%d, %d, %d)",
-				sh.First, sh.First+sh.Count, sh.Islands, sh.MigrateEvery, sh.Migrants, iopt.Islands, iopt.MigrateEvery, iopt.Migrants)
+				sh.First, sh.First+sh.Count, sh.Islands, sh.MigrateEvery, sh.Migrants, opt.Islands, opt.MigrateEvery, opt.Migrants)
 		}
 		if sh.Seed != ref.Seed {
 			return nil, false, fmt.Errorf("moea: merge: shard [%d,%d) seed %d does not match %d", sh.First, sh.First+sh.Count, sh.Seed, ref.Seed)
@@ -272,15 +266,15 @@ func MergeShards(shards []*IslandShard, iopt IslandOptions) (cp *IslandCheckpoin
 		}
 		next = sh.First + sh.Count
 	}
-	if next != iopt.Islands {
-		return nil, false, fmt.Errorf("moea: merge: shards cover %d of %d islands", next, iopt.Islands)
+	if next != opt.Islands {
+		return nil, false, fmt.Errorf("moea: merge: shards cover %d of %d islands", next, opt.Islands)
 	}
 
 	// Reassemble per-island state and rebuild (genotype, objectives)
 	// individuals for the central migration.
-	states := make([]*Checkpoint, iopt.Islands)
-	pops := make([][]*Individual, iopt.Islands)
-	archives := make([][]*Individual, iopt.Islands)
+	states := make([]*Checkpoint, opt.Islands)
+	pops := make([][]*Individual, opt.Islands)
+	archives := make([][]*Individual, opt.Islands)
 	generations := 0
 	for _, sh := range sorted {
 		for j := 0; j < sh.Count; j++ {
@@ -294,7 +288,7 @@ func MergeShards(shards []*IslandShard, iopt IslandOptions) (cp *IslandCheckpoin
 	done = ref.Boundary >= generations
 
 	if !done {
-		migrateRing(pops, archives, iopt.Migrants)
+		migrateRing(pops, archives, opt.Migrants)
 		// Write the post-migration populations back into the per-island
 		// checkpoints; injection only replaces whole genotypes, so this is
 		// a pure reshuffle of already-serialized vectors.
@@ -307,9 +301,9 @@ func MergeShards(shards []*IslandShard, iopt IslandOptions) (cp *IslandCheckpoin
 		Format:       IslandCheckpointFormat,
 		Version:      IslandCheckpointVersion,
 		Seed:         ref.Seed,
-		Islands:      iopt.Islands,
-		MigrateEvery: iopt.MigrateEvery,
-		Migrants:     iopt.Migrants,
+		Islands:      opt.Islands,
+		MigrateEvery: opt.MigrateEvery,
+		Migrants:     opt.Migrants,
 		States:       states,
 	}, done, nil
 }
@@ -338,11 +332,11 @@ func CampaignDone(cp *IslandCheckpoint) bool {
 // MergeIslandCheckpoint turns a full campaign checkpoint into the
 // campaign Result without advancing any island: every island's state is
 // restored (re-evaluating its genotypes, exactly as resume does) and
-// the archives fold in island order — the same merge RunIslands
-// performs at the end of an uninterrupted run, so a completed
-// multi-process campaign reports a byte-identical front. On a
-// checkpoint taken mid-campaign it yields the partial front.
-func MergeIslandCheckpoint(ctx context.Context, p Problem, opt Options, iopt IslandOptions, cp *IslandCheckpoint) (*Result, error) {
+// the archives fold in island order — the same merge Run performs at
+// the end of an uninterrupted run, so a completed multi-process
+// campaign reports a byte-identical front. On a checkpoint taken
+// mid-campaign it yields the partial front.
+func MergeIslandCheckpoint(ctx context.Context, p Problem, opt Options, cp *IslandCheckpoint) (*Result, error) {
 	genLen := p.GenotypeLen()
 	if genLen <= 0 {
 		return nil, errEmptyGenotype
@@ -351,8 +345,7 @@ func MergeIslandCheckpoint(ctx context.Context, p Problem, opt Options, iopt Isl
 		ctx = context.Background()
 	}
 	opt = opt.withDefaults(genLen)
-	iopt = iopt.withDefaults()
-	if err := cp.check(opt, iopt); err != nil {
+	if err := cp.check(opt); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -360,7 +353,7 @@ func MergeIslandCheckpoint(ctx context.Context, p Problem, opt Options, iopt Isl
 	}
 	pool := newEvalPool(p, opt.Workers)
 	defer pool.close()
-	states, err := buildIslandStates(p, opt, cp, 0, iopt.Islands, pool)
+	states, err := buildIslandStates(p, opt, cp, 0, opt.Islands, pool)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -45,15 +46,15 @@ func TestShardRangePartition(t *testing.T) {
 // does: procs EpochStep calls over the shard partition, each shard
 // JSON-round-tripped (modelling the file hop between processes), then
 // MergeShards. opt.Workers may differ per call — it must not matter.
-func stepEpochSharded(t *testing.T, p Problem, opt Options, iopt IslandOptions, cur *IslandCheckpoint, procs int) (*IslandCheckpoint, bool) {
+func stepEpochSharded(t *testing.T, p Problem, opt Options, cur *IslandCheckpoint, procs int) (*IslandCheckpoint, bool) {
 	t.Helper()
-	if procs > iopt.Islands {
-		procs = iopt.Islands
+	if procs > opt.Islands {
+		procs = opt.Islands
 	}
 	shards := make([]*IslandShard, procs)
 	for k := 0; k < procs; k++ {
-		first, count := ShardRange(iopt.Islands, procs, k)
-		sh, err := EpochStep(context.Background(), p, opt, iopt, cur, first, count)
+		first, count := ShardRange(opt.Islands, procs, k)
+		sh, err := EpochStep(context.Background(), p, opt, cur, first, count)
 		if err != nil {
 			t.Fatalf("epoch step %d/%d: %v", k, procs, err)
 		}
@@ -67,7 +68,7 @@ func stepEpochSharded(t *testing.T, p Problem, opt Options, iopt IslandOptions, 
 		}
 		shards[k] = rt
 	}
-	merged, done, err := MergeShards(shards, iopt)
+	merged, done, err := MergeShards(shards, opt)
 	if err != nil {
 		t.Fatalf("merge at procs=%d: %v", procs, err)
 	}
@@ -77,20 +78,20 @@ func stepEpochSharded(t *testing.T, p Problem, opt Options, iopt IslandOptions, 
 // TestShardedCampaignMatchesInProcess is the process-sharding
 // acceptance gate: stepping the campaign epoch by epoch through
 // EpochStep + MergeShards — with the process count AND the worker count
-// changing every epoch — must reproduce the in-process RunIslands
-// checkpoint trajectory byte for byte, and the final merged front plus
-// evaluation count exactly.
+// changing every epoch — must reproduce the in-process Run's
+// checkpoint trajectory at the migration barriers byte for byte, and
+// the final merged front plus evaluation count exactly.
 func TestShardedCampaignMatchesInProcess(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := Options{PopSize: 16, Generations: 20, Seed: 5, Workers: 2}
-	iopt := IslandOptions{Islands: 3, MigrateEvery: 5, Migrants: 3}
+	opt := Options{PopSize: 16, Generations: 20, Seed: 5, Workers: 2, Islands: 3, MigrateEvery: 5, Migrants: 3}
 
-	full, err := RunIslands(context.Background(), p, opt, iopt)
+	full, err := Run(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cps [][]byte
-	capture := iopt
+	capture := opt
+	capture.CheckpointEvery = opt.MigrateEvery
 	capture.OnCheckpoint = func(cp *IslandCheckpoint) error {
 		data, err := json.Marshal(cp)
 		if err != nil {
@@ -99,7 +100,7 @@ func TestShardedCampaignMatchesInProcess(t *testing.T) {
 		cps = append(cps, data)
 		return nil
 	}
-	if _, err := RunIslands(context.Background(), p, opt, capture); err != nil {
+	if _, err := Run(context.Background(), p, capture); err != nil {
 		t.Fatal(err)
 	}
 	if len(cps) == 0 {
@@ -113,7 +114,7 @@ func TestShardedCampaignMatchesInProcess(t *testing.T) {
 	for epoch := 0; ; epoch++ {
 		o := opt
 		o.Workers = workerSeq[epoch%len(workerSeq)]
-		merged, done := stepEpochSharded(t, p, o, iopt, cur, procsSeq[epoch%len(procsSeq)])
+		merged, done := stepEpochSharded(t, p, o, cur, procsSeq[epoch%len(procsSeq)])
 		cur = merged
 		if done {
 			break
@@ -139,7 +140,7 @@ func TestShardedCampaignMatchesInProcess(t *testing.T) {
 	if !CampaignDone(cur) {
 		t.Fatal("final merged checkpoint not complete")
 	}
-	res, err := MergeIslandCheckpoint(context.Background(), p, opt, iopt, cur)
+	res, err := MergeIslandCheckpoint(context.Background(), p, opt, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,37 +155,18 @@ func TestShardedCampaignMatchesInProcess(t *testing.T) {
 // can be finished sharded (and the front stays identical).
 func TestShardedResumeFromInProcessCheckpoint(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := Options{PopSize: 16, Generations: 20, Seed: 11, Workers: 2}
-	iopt := IslandOptions{Islands: 3, MigrateEvery: 5, Migrants: 2}
+	opt := Options{PopSize: 16, Generations: 20, Seed: 11, Workers: 2, Islands: 3, MigrateEvery: 5, Migrants: 2}
+	full, cps := runCapturing(t, p, opt, 7) // first checkpoint mid-epoch, at generation 7
 
-	full, err := RunIslands(context.Background(), p, opt, iopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first *IslandCheckpoint
-	capture := iopt
-	capture.OnCheckpoint = func(cp *IslandCheckpoint) error {
-		if first == nil {
-			first = cp
-		}
-		return nil
-	}
-	if _, err := RunIslands(context.Background(), p, opt, capture); err != nil {
-		t.Fatal(err)
-	}
-	if first == nil {
-		t.Fatal("no checkpoint captured")
-	}
-
-	cur := first
+	cur := cps[0]
 	for {
-		merged, done := stepEpochSharded(t, p, opt, iopt, cur, 2)
+		merged, done := stepEpochSharded(t, p, opt, cur, 2)
 		cur = merged
 		if done {
 			break
 		}
 	}
-	res, err := MergeIslandCheckpoint(context.Background(), p, opt, iopt, cur)
+	res, err := MergeIslandCheckpoint(context.Background(), p, opt, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +181,12 @@ func TestShardedResumeFromInProcessCheckpoint(t *testing.T) {
 // mangled state.
 func TestEpochStepErrors(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := Options{PopSize: 8, Generations: 4, Seed: 1}
-	iopt := IslandOptions{Islands: 2, MigrateEvery: 2, Migrants: 1}
+	opt := Options{PopSize: 8, Generations: 4, Seed: 1, Islands: 2, MigrateEvery: 2, Migrants: 1}
 
 	for _, tc := range []struct{ first, count int }{
 		{-1, 1}, {0, 0}, {0, 3}, {2, 1},
 	} {
-		if _, err := EpochStep(context.Background(), p, opt, iopt, nil, tc.first, tc.count); err == nil {
+		if _, err := EpochStep(context.Background(), p, opt, nil, tc.first, tc.count); err == nil {
 			t.Fatalf("range [%d,%d) accepted", tc.first, tc.first+tc.count)
 		}
 	}
@@ -213,27 +194,27 @@ func TestEpochStepErrors(t *testing.T) {
 	// Drive the campaign to completion, then ask for one more epoch.
 	var cur *IslandCheckpoint
 	for {
-		merged, done := stepEpochSharded(t, p, opt, iopt, cur, 2)
+		merged, done := stepEpochSharded(t, p, opt, cur, 2)
 		cur = merged
 		if done {
 			break
 		}
 	}
-	if _, err := EpochStep(context.Background(), p, opt, iopt, cur, 0, 1); err == nil || !strings.Contains(err.Error(), "complete") {
+	if _, err := EpochStep(context.Background(), p, opt, cur, 0, 1); err == nil || !strings.Contains(err.Error(), "complete") {
 		t.Fatalf("stepping a complete campaign: err = %v", err)
 	}
 
 	// Checkpoint topology must match the requesting campaign.
-	bad := iopt
+	bad := opt
 	bad.Islands = 3
-	if _, err := EpochStep(context.Background(), p, opt, bad, cur, 0, 1); err == nil {
+	if _, err := EpochStep(context.Background(), p, bad, cur, 0, 1); err == nil {
 		t.Fatal("topology mismatch accepted")
 	}
 
 	// Cancellation aborts without emitting a shard.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EpochStep(ctx, p, opt, iopt, nil, 0, 1); err != context.Canceled {
+	if _, err := EpochStep(ctx, p, opt, nil, 0, 1); err != context.Canceled {
 		t.Fatalf("cancelled epoch step: err = %v, want context.Canceled", err)
 	}
 }
@@ -243,14 +224,13 @@ func TestEpochStepErrors(t *testing.T) {
 // epoch (the mid-epoch-kill recovery hazard).
 func TestMergeShardsErrors(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := Options{PopSize: 8, Generations: 8, Seed: 3}
-	iopt := IslandOptions{Islands: 2, MigrateEvery: 2, Migrants: 1}
+	opt := Options{PopSize: 8, Generations: 8, Seed: 3, Islands: 2, MigrateEvery: 2, Migrants: 1}
 
 	step := func(cur *IslandCheckpoint, k int, seed int64) *IslandShard {
 		o := opt
 		o.Seed = seed
-		first, count := ShardRange(iopt.Islands, 2, k)
-		sh, err := EpochStep(context.Background(), p, o, iopt, cur, first, count)
+		first, count := ShardRange(opt.Islands, 2, k)
+		sh, err := EpochStep(context.Background(), p, o, cur, first, count)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,35 +239,37 @@ func TestMergeShardsErrors(t *testing.T) {
 
 	// Epoch 0 shards, merged; then epoch 1 shards.
 	e0s0, e0s1 := step(nil, 0, 3), step(nil, 1, 3)
-	merged, done, err := MergeShards([]*IslandShard{e0s0, e0s1}, iopt)
+	merged, done, err := MergeShards([]*IslandShard{e0s0, e0s1}, opt)
 	if err != nil || done {
 		t.Fatalf("epoch 0 merge: done=%v err=%v", done, err)
 	}
 	e1s0, e1s1 := step(merged, 0, 3), step(merged, 1, 3)
 
+	other := opt
+	other.MigrateEvery = 3
 	cases := []struct {
 		name   string
 		shards []*IslandShard
-		iopt   IslandOptions
+		opt    Options
 		want   string
 	}{
-		{"empty", nil, iopt, "no shards"},
-		{"nil shard", []*IslandShard{e1s0, nil}, iopt, "missing shard"},
-		{"stale epoch", []*IslandShard{e0s0, e1s1}, iopt, "stale shard"},
-		{"duplicate coverage", []*IslandShard{e1s0, e1s0}, iopt, "cover"},
-		{"partial coverage", []*IslandShard{e1s1}, iopt, "cover"},
-		{"seed mismatch", []*IslandShard{e1s0, step(nil, 1, 4)}, iopt, "seed"},
-		{"topology mismatch", []*IslandShard{e1s0, e1s1}, IslandOptions{Islands: 2, MigrateEvery: 3, Migrants: 1}, "topology"},
+		{"empty", nil, opt, "no shards"},
+		{"nil shard", []*IslandShard{e1s0, nil}, opt, "missing shard"},
+		{"stale epoch", []*IslandShard{e0s0, e1s1}, opt, "stale shard"},
+		{"duplicate coverage", []*IslandShard{e1s0, e1s0}, opt, "cover"},
+		{"partial coverage", []*IslandShard{e1s1}, opt, "cover"},
+		{"seed mismatch", []*IslandShard{e1s0, step(nil, 1, 4)}, opt, "seed"},
+		{"topology mismatch", []*IslandShard{e1s0, e1s1}, other, "topology"},
 	}
 	for _, tc := range cases {
-		if _, _, err := MergeShards(tc.shards, tc.iopt); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := MergeShards(tc.shards, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 
 	// The untouched epoch-1 set still merges (the error paths above must
 	// not have mutated the shards).
-	if _, _, err := MergeShards([]*IslandShard{e1s1, e1s0}, iopt); err != nil {
+	if _, _, err := MergeShards([]*IslandShard{e1s1, e1s0}, opt); err != nil {
 		t.Fatalf("epoch 1 merge after error cases: %v", err)
 	}
 }
@@ -296,18 +278,9 @@ func TestMergeShardsErrors(t *testing.T) {
 // files fail loudly with a diagnostic naming the problem.
 func TestReadIslandCheckpointFileErrors(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := Options{PopSize: 8, Generations: 8, Seed: 2}
-	iopt := IslandOptions{Islands: 2, MigrateEvery: 4, Migrants: 1}
-	var cp *IslandCheckpoint
-	capture := iopt
-	capture.OnCheckpoint = func(c *IslandCheckpoint) error { cp = c; return nil }
-	if _, err := RunIslands(context.Background(), p, opt, capture); err != nil {
-		t.Fatal(err)
-	}
-	if cp == nil {
-		t.Fatal("no checkpoint captured")
-	}
-	valid, err := json.Marshal(cp)
+	opt := Options{PopSize: 8, Generations: 8, Seed: 2, Islands: 2, MigrateEvery: 4, Migrants: 1}
+	_, cps := runCapturing(t, p, opt, 4)
+	valid, err := json.Marshal(cps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,6 +307,15 @@ func TestReadIslandCheckpointFileErrors(t *testing.T) {
 		{"wrong version", mutate(func(c *IslandCheckpoint) { c.Version = 99 }), "unsupported version"},
 		{"truncated json", valid[:len(valid)/2], "unexpected end of JSON"},
 		{"not json", []byte("generation 12 of 40\n"), "invalid character"},
+		{"null state", mutate(func(c *IslandCheckpoint) { c.States[1] = nil }), "island 1: missing state"},
+		{"missing state", mutate(func(c *IslandCheckpoint) { c.States = c.States[:1] }), "1 states for 2 islands"},
+		{"foreign state seed", mutate(func(c *IslandCheckpoint) { c.States[1].Seed = c.Seed }), "island 1: state seed"},
+		{"population size", mutate(func(c *IslandCheckpoint) { c.States[1].PopSize = 6 }), "island 1: population"},
+		{"population count", mutate(func(c *IslandCheckpoint) { c.States[0].Population = c.States[0].Population[1:] }), "island 0: 7 genotypes"},
+		{"generation budget", mutate(func(c *IslandCheckpoint) { c.States[1].Generations = 9 }), "island 1: population"},
+		{"generation past budget", mutate(func(c *IslandCheckpoint) { c.States[0].NextGeneration = 9 }), "island 0: at generation 9 of 8"},
+		{"random-search state", mutate(func(c *IslandCheckpoint) { c.States[0].Algorithm = AlgorithmRandom }), "optimizer"},
+		{"zero epoch", mutate(func(c *IslandCheckpoint) { c.MigrateEvery = 0 }), "topology"},
 	}
 	dir := t.TempDir()
 	for _, tc := range cases {
@@ -341,23 +323,14 @@ func TestReadIslandCheckpointFileErrors(t *testing.T) {
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadIslandCheckpointFile(path); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		_, err := ReadIslandCheckpointFile(path)
+		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want ErrCheckpointCorrupt with %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := ReadIslandCheckpointFile(filepath.Join(dir, "does-not-exist.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-
-	// check() catches an island-count/states mismatch that survives the
-	// file-level validation.
-	c := &IslandCheckpoint{}
-	if err := json.Unmarshal(valid, c); err != nil {
-		t.Fatal(err)
-	}
-	c.States = c.States[:1]
-	if err := c.check(opt, iopt); err == nil || !strings.Contains(err.Error(), "states") {
-		t.Fatalf("states/islands mismatch: err = %v", err)
+	_, err = ReadIslandCheckpointFile(filepath.Join(dir, "does-not-exist.json"))
+	if err == nil || errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("missing file: err = %v, want an error that is not ErrCheckpointCorrupt", err)
 	}
 }
 
@@ -365,9 +338,8 @@ func TestReadIslandCheckpointFileErrors(t *testing.T) {
 // the worker shard format the orchestrator merges.
 func TestReadIslandShardFileErrors(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := Options{PopSize: 8, Generations: 8, Seed: 2}
-	iopt := IslandOptions{Islands: 2, MigrateEvery: 4, Migrants: 1}
-	sh, err := EpochStep(context.Background(), p, opt, iopt, nil, 0, 2)
+	opt := Options{PopSize: 8, Generations: 8, Seed: 2, Islands: 2, MigrateEvery: 4, Migrants: 1}
+	sh, err := EpochStep(context.Background(), p, opt, nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,6 +387,8 @@ func TestReadIslandShardFileErrors(t *testing.T) {
 // checkpoint must re-encode stably (marshal → unmarshal → marshal is a
 // fixed point). Byte-stable serialization is what makes "the checkpoint
 // trajectory is byte-identical" a meaningful cross-process contract.
+// The validator must error or pass on it without panicking, and
+// restoring a checkpoint it accepts must not panic either.
 func FuzzIslandCheckpointRoundTrip(f *testing.F) {
 	seed := &IslandCheckpoint{
 		Format:  IslandCheckpointFormat,
@@ -423,7 +397,7 @@ func FuzzIslandCheckpointRoundTrip(f *testing.F) {
 		States: []*Checkpoint{{
 			Format: CheckpointFormat, Version: CheckpointVersion, Algorithm: "nsga2",
 			Seed: 5, GenotypeLen: 2, RNG: [4]uint64{1, 2, 3, 4}, Evaluations: 40,
-			PopSize: 4, Generations: 10, NextGeneration: 5,
+			PopSize: 2, Generations: 10, NextGeneration: 5,
 			Population: [][]float64{{0.25, 0.5}, {0.1, 1e-9}},
 			Archive:    [][]float64{{0.125, 1}},
 		}},
@@ -456,5 +430,18 @@ func FuzzIslandCheckpointRoundTrip(f *testing.F) {
 		if !bytes.Equal(out, out2) {
 			t.Fatalf("round trip unstable:\n%s\n%s", out, out2)
 		}
+		if cp.validate() != nil {
+			return
+		}
+		st := cp.States[0]
+		if cp.Islands > 8 || st.PopSize > 64 {
+			return // too big to restore here
+		}
+		opt := Options{
+			PopSize: st.PopSize, Generations: st.Generations, Seed: cp.Seed,
+			Islands: cp.Islands, MigrateEvery: cp.MigrateEvery, Migrants: cp.Migrants,
+			ArchiveEpsilon: st.ArchiveEpsilon,
+		}
+		_, _ = MergeIslandCheckpoint(context.Background(), zdt1{n: 2}, opt, cp) // may fail, must not panic
 	})
 }

@@ -2,7 +2,11 @@ package moea
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -23,36 +27,15 @@ func archivesEqual(t *testing.T, a, b []*Individual, label string) {
 	}
 }
 
-// TestIslandsSingleIslandMatchesPlainRun: a 1-island campaign is the
-// plain optimizer run under a different driver — same seed stream, same
-// generation schedule — so the fronts must be bit-identical.
-func TestIslandsSingleIslandMatchesPlainRun(t *testing.T) {
-	p := zdt1{n: 10}
-	opt := Options{PopSize: 24, Generations: 25, Seed: 9}
-	plain, err := Run(context.Background(), p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	isl, err := RunIslands(context.Background(), p, opt, IslandOptions{Islands: 1, MigrateEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	archivesEqual(t, plain.Archive, isl.Archive, "islands=1 vs plain")
-	if plain.Evaluations != isl.Evaluations {
-		t.Fatalf("evaluations %d vs %d", plain.Evaluations, isl.Evaluations)
-	}
-}
-
 // TestIslandsDeterministicAcrossWorkers is the island acceptance gate:
 // for a fixed (seed, islands, migration) tuple the merged front must be
 // bit-identical at every worker count.
 func TestIslandsDeterministicAcrossWorkers(t *testing.T) {
 	p := zdt1{n: 10}
-	iopt := IslandOptions{Islands: 3, MigrateEvery: 5, Migrants: 3}
 	var ref *Result
 	for _, w := range []int{1, 2, 4, 8} {
-		opt := Options{PopSize: 16, Generations: 20, Seed: 5, Workers: w}
-		res, err := RunIslands(context.Background(), p, opt, iopt)
+		opt := Options{PopSize: 16, Generations: 20, Seed: 5, Workers: w, Islands: 3, MigrateEvery: 5, Migrants: 3}
+		res, err := Run(context.Background(), p, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -73,12 +56,13 @@ func TestIslandsDeterministicAcrossWorkers(t *testing.T) {
 // generations for at least one island count/seed combination.
 func TestIslandsMigrationChangesSearch(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := Options{PopSize: 16, Generations: 30, Seed: 3}
-	with, err := RunIslands(context.Background(), p, opt, IslandOptions{Islands: 4, MigrateEvery: 5, Migrants: 4})
+	opt := Options{PopSize: 16, Generations: 30, Seed: 3, Islands: 4, MigrateEvery: 5, Migrants: 4}
+	with, err := Run(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := RunIslands(context.Background(), p, opt, IslandOptions{Islands: 4, MigrateEvery: 30, Migrants: 4})
+	opt.MigrateEvery = 30
+	without, err := Run(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,80 +82,106 @@ func TestIslandsMigrationChangesSearch(t *testing.T) {
 
 // TestIslandCheckpointResume: resuming a campaign from any emitted
 // island checkpoint must reproduce the uninterrupted merged front bit
-// for bit, including across a worker-count change.
+// for bit, including across a worker-count change — for checkpoints at
+// the migration barriers and for a period that does not divide the
+// epoch length, so that snapshots fall mid-epoch.
 func TestIslandCheckpointResume(t *testing.T) {
 	p := zdt1{n: 10}
-	iopt := IslandOptions{Islands: 3, MigrateEvery: 5, Migrants: 2}
-	opt := Options{PopSize: 16, Generations: 20, Seed: 11, Workers: 2}
+	for _, tc := range []struct {
+		migrate, every int
+		want           []int
+	}{
+		{5, 5, []int{5, 10, 15}},
+		{4, 3, []int{3, 6, 9, 12, 15, 18}},
+	} {
+		opt := Options{PopSize: 16, Generations: 20, Seed: 11, Workers: 2, Islands: 3, MigrateEvery: tc.migrate, Migrants: 2}
+		full, cps := runCapturing(t, p, opt, tc.every)
+		var gens []int
+		for _, cp := range cps {
+			gens = append(gens, cp.States[0].NextGeneration)
+		}
+		if !reflect.DeepEqual(gens, tc.want) {
+			t.Fatalf("migrate %d, checkpoint every %d: checkpoints at generations %v, want %v", tc.migrate, tc.every, gens, tc.want)
+		}
+		path := filepath.Join(t.TempDir(), "island-cp.json")
+		for i, cp := range cps {
+			if err := cp.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := ReadIslandCheckpointFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumeOpt := opt
+			resumeOpt.Workers = 4 // resume on a different worker count
+			resumeOpt.Resume = loaded
+			res, err := Run(context.Background(), p, resumeOpt)
+			if err != nil {
+				t.Fatalf("resume from checkpoint %d: %v", i, err)
+			}
+			archivesEqual(t, full.Archive, res.Archive, "resumed campaign")
+			if res.Evaluations != full.Evaluations {
+				t.Fatalf("resume from checkpoint %d: evaluations %d, want %d", i, res.Evaluations, full.Evaluations)
+			}
+		}
+	}
+}
 
-	full, err := RunIslands(context.Background(), p, opt, iopt)
+// runCapturing runs the campaign uninterrupted and once more with a
+// checkpoint every `every` generations, returning the uninterrupted
+// result and the captured checkpoints. The capturing run's front must
+// equal the uninterrupted one: checkpointing is observational.
+func runCapturing(t *testing.T, p Problem, opt Options, every int) (*Result, []*IslandCheckpoint) {
+	t.Helper()
+	full, err := Run(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	var cps []*IslandCheckpoint
-	capture := iopt
+	capture := opt
+	capture.CheckpointEvery = every
 	capture.OnCheckpoint = func(cp *IslandCheckpoint) error { cps = append(cps, cp); return nil }
-	if _, err := RunIslands(context.Background(), p, opt, capture); err != nil {
+	res, err := Run(context.Background(), p, capture)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cps) == 0 {
-		t.Fatal("no island checkpoints emitted")
-	}
-
-	path := filepath.Join(t.TempDir(), "island-cp.json")
-	for i, cp := range cps {
-		if err := cp.WriteFile(path); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := ReadIslandCheckpointFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumeOpt := opt
-		resumeOpt.Workers = 4 // resume on a different worker count
-		resumeIopt := iopt
-		resumeIopt.Resume = loaded
-		res, err := RunIslands(context.Background(), p, resumeOpt, resumeIopt)
-		if err != nil {
-			t.Fatalf("resume from checkpoint %d: %v", i, err)
-		}
-		archivesEqual(t, full.Archive, res.Archive, "resumed campaign")
-		if res.Evaluations != full.Evaluations {
-			t.Fatalf("resume from checkpoint %d: evaluations %d, want %d", i, res.Evaluations, full.Evaluations)
-		}
-	}
+	archivesEqual(t, full.Archive, res.Archive, "checkpointing run")
+	return full, cps
 }
 
 // TestIslandCancellationCheckpointResume: a cancelled campaign emits a
 // final checkpoint; resuming it completes to the uninterrupted front.
 func TestIslandCancellationCheckpointResume(t *testing.T) {
 	p := zdt1{n: 10}
-	iopt := IslandOptions{Islands: 2, MigrateEvery: 4, Migrants: 2}
-	opt := Options{PopSize: 16, Generations: 12, Seed: 7}
+	opt := Options{PopSize: 16, Generations: 12, Seed: 7, Islands: 2, MigrateEvery: 4, Migrants: 2}
 
-	full, err := RunIslands(context.Background(), p, opt, iopt)
+	full, err := Run(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	evals := 0
-	counting := countingProblem{p: p, evals: &evals, cancelAt: 6 * 16, cancel: cancel}
+	counting := countingProblem{p: p, evals: &evals, cancelAt: 7 * 16, cancel: cancel}
 	var final *IslandCheckpoint
-	cancelIopt := iopt
-	cancelIopt.OnCheckpoint = func(cp *IslandCheckpoint) error { final = cp; return nil }
-	_, err = RunIslands(ctx, counting, opt, cancelIopt)
+	cancelOpt := opt
+	cancelOpt.OnCheckpoint = func(cp *IslandCheckpoint) error { final = cp; return nil }
+	_, err = Run(ctx, counting, cancelOpt)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if final == nil {
 		t.Fatal("no final checkpoint on cancellation")
 	}
+	// Cancelled by island 0's generation-2 batch (2·16 initial + 5·16):
+	// island 0 stands one generation ahead of island 1.
+	if g0, g1 := final.States[0].NextGeneration, final.States[1].NextGeneration; g0 != 3 || g1 != 2 {
+		t.Fatalf("final checkpoint at generations %d/%d, want 3/2", g0, g1)
+	}
 
-	resumeIopt := iopt
-	resumeIopt.Resume = final
-	res, err := RunIslands(context.Background(), p, opt, resumeIopt)
+	resumeOpt := opt
+	resumeOpt.Resume = final
+	res, err := Run(context.Background(), p, resumeOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +248,12 @@ func TestSelectMigrantsSpansFront(t *testing.T) {
 // of silently producing a different campaign.
 func TestIslandResumeValidation(t *testing.T) {
 	p := zdt1{n: 10}
-	iopt := IslandOptions{Islands: 2, MigrateEvery: 4, Migrants: 2}
-	opt := Options{PopSize: 16, Generations: 12, Seed: 7}
+	opt := Options{PopSize: 16, Generations: 12, Seed: 7, Islands: 2, MigrateEvery: 4, Migrants: 2}
 	var cp *IslandCheckpoint
-	capture := iopt
+	capture := opt
+	capture.CheckpointEvery = 4
 	capture.OnCheckpoint = func(c *IslandCheckpoint) error { cp = c; return nil }
-	if _, err := RunIslands(context.Background(), p, opt, capture); err != nil {
+	if _, err := Run(context.Background(), p, capture); err != nil {
 		t.Fatal(err)
 	}
 	if cp == nil {
@@ -251,19 +261,60 @@ func TestIslandResumeValidation(t *testing.T) {
 	}
 	bad := []struct {
 		name string
-		opt  Options
-		iopt IslandOptions
+		edit func(o *Options)
 	}{
-		{"islands", opt, IslandOptions{Islands: 3, MigrateEvery: 4, Migrants: 2}},
-		{"migrate-every", opt, IslandOptions{Islands: 2, MigrateEvery: 5, Migrants: 2}},
-		{"migrants", opt, IslandOptions{Islands: 2, MigrateEvery: 4, Migrants: 3}},
-		{"seed", Options{PopSize: 16, Generations: 12, Seed: 8}, iopt},
+		{"islands", func(o *Options) { o.Islands = 3 }},
+		{"migrate-every", func(o *Options) { o.MigrateEvery = 5 }},
+		{"migrants", func(o *Options) { o.Migrants = 3 }},
+		{"seed", func(o *Options) { o.Seed = 8 }},
 	}
 	for _, tc := range bad {
-		ro := tc.iopt
+		ro := opt
+		tc.edit(&ro)
 		ro.Resume = cp
-		if _, err := RunIslands(context.Background(), p, tc.opt, ro); err == nil {
+		if _, err := Run(context.Background(), p, ro); err == nil {
 			t.Fatalf("%s mismatch accepted", tc.name)
+		}
+	}
+}
+
+// TestResumeRejectsBrokenIslandStates: a checkpoint with a null or
+// foreign island state is corrupt. Run must refuse it rather than
+// restart that island from scratch, and EpochStep must refuse it rather
+// than dereference the missing state.
+func TestResumeRejectsBrokenIslandStates(t *testing.T) {
+	p := zdt1{n: 10}
+	opt := Options{PopSize: 8, Generations: 8, Seed: 2, Islands: 3, MigrateEvery: 4, Migrants: 1}
+	_, cps := runCapturing(t, p, opt, 4)
+	valid, err := json.Marshal(cps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		edit func(c *IslandCheckpoint)
+		want string
+	}{
+		{"null state", func(c *IslandCheckpoint) { c.States[1] = nil }, "missing state"},
+		{"foreign seed", func(c *IslandCheckpoint) { c.States[2].Seed = c.States[1].Seed }, "seed"},
+		{"population size", func(c *IslandCheckpoint) { c.States[1].PopSize = 10 }, "population"},
+		{"generation budget", func(c *IslandCheckpoint) { c.States[2].Generations = 9 }, "generations"},
+	}
+	for _, tc := range cases {
+		cp := &IslandCheckpoint{}
+		if err := json.Unmarshal(valid, cp); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(cp)
+		ro := opt
+		ro.Resume = cp
+		_, err := Run(context.Background(), p, ro)
+		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run err = %v, want ErrCheckpointCorrupt with %q", tc.name, err, tc.want)
+		}
+		_, err = EpochStep(context.Background(), p, opt, cp, 0, 3)
+		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: EpochStep err = %v, want ErrCheckpointCorrupt with %q", tc.name, err, tc.want)
 		}
 	}
 }

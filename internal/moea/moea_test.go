@@ -164,23 +164,28 @@ func TestRunRejectsEmptyGenotype(t *testing.T) {
 	}
 }
 
+// TestOnGenerationCallback: the callback fires once per generation, in
+// order, for a single population and for an island campaign alike.
 func TestOnGenerationCallback(t *testing.T) {
-	calls := 0
-	_, err := Run(context.Background(), zdt1{n: 5}, Options{PopSize: 10, Generations: 7, Seed: 1,
-		OnGeneration: func(gen int, archive []*Individual) {
-			if gen != calls {
-				t.Fatalf("generation %d out of order", gen)
-			}
-			if len(archive) == 0 {
-				t.Fatal("empty archive in callback")
-			}
-			calls++
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 7 {
-		t.Fatalf("callback called %d times", calls)
+	for _, islands := range []int{1, 3} {
+		calls := 0
+		_, err := Run(context.Background(), zdt1{n: 5}, Options{PopSize: 10, Generations: 7, Seed: 1,
+			Islands: islands, MigrateEvery: 3,
+			OnGeneration: func(gen int, archive []*Individual) {
+				if gen != calls {
+					t.Fatalf("islands=%d: generation %d out of order", islands, gen)
+				}
+				if len(archive) == 0 {
+					t.Fatal("empty archive in callback")
+				}
+				calls++
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 7 {
+			t.Fatalf("islands=%d: callback called %d times", islands, calls)
+		}
 	}
 }
 

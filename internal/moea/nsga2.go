@@ -3,7 +3,6 @@ package moea
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 	"time"
@@ -48,21 +47,34 @@ type Options struct {
 	// archive the way practical DSE tools do; the paper reports 176
 	// Pareto implementations from 100,000 evaluations.
 	ArchiveEpsilon []float64
+	// Islands is the number of independent populations (default 1). Each
+	// island runs these options with a seed derived from (Seed, island);
+	// island 0 keeps Seed, so one island is the classic single-population
+	// run. All islands share one evaluation pool of Workers goroutines.
+	Islands int
+	// MigrateEvery is the epoch length in generations (default 10): after
+	// every epoch except the final one, each island sends Migrants archive
+	// representatives (default 4, capped at half the receiving
+	// population) to its ring successor.
+	MigrateEvery int
+	Migrants     int
 	// OnGeneration, when non-nil, is called after every generation with
-	// the generation index and the current archive.
+	// the generation index and the current archive (the island-order
+	// merge of the island archives; read-only).
 	OnGeneration func(gen int, archive []*Individual)
 	// OnProgress, when non-nil, receives a telemetry sample after every
 	// generation. It runs on the optimizer goroutine; keep it cheap.
 	OnProgress func(Progress)
-	// Resume, when non-nil, restores the optimizer state from a
-	// checkpoint instead of sampling a fresh initial population. The
-	// checkpoint must match the problem and options (algorithm, genotype
-	// length, population size, generation count, seed, ε-archive).
-	Resume *Checkpoint
-	// OnCheckpoint, when non-nil, receives a state snapshot every
-	// CheckpointEvery generations and once more when the context is
-	// cancelled. A non-nil return aborts the run with that error.
-	OnCheckpoint func(*Checkpoint) error
+	// Resume, when non-nil, restores the campaign from a checkpoint
+	// instead of sampling fresh initial populations. The checkpoint must
+	// match the problem and options (genotype length, island topology,
+	// population size, generation count, seed, ε-archive).
+	Resume *IslandCheckpoint
+	// OnCheckpoint, when non-nil, receives a campaign snapshot every
+	// CheckpointEvery generations (after that generation's migration) and
+	// once more when the context is cancelled. A non-nil return aborts
+	// the run with that error.
+	OnCheckpoint func(*IslandCheckpoint) error
 	// CheckpointEvery is the generation period of OnCheckpoint calls
 	// (0 = only on cancellation).
 	CheckpointEvery int
@@ -92,6 +104,15 @@ func (o Options) withDefaults(genLen int) Options {
 	if o.MutationStep == 0 {
 		o.MutationStep = 0.15
 	}
+	if o.Islands < 1 {
+		o.Islands = 1
+	}
+	if o.MigrateEvery <= 0 {
+		o.MigrateEvery = 10
+	}
+	if o.Migrants <= 0 {
+		o.Migrants = 4
+	}
 	return o
 }
 
@@ -105,11 +126,10 @@ type Result struct {
 	Evaluations int
 }
 
-// nsga2 is the stepping form of the optimizer: construction samples (or
+// nsga2 is one island of the optimizer: construction samples (or
 // resumes) the initial population, step() advances one generation, and
-// snapshot() captures resumable state. Run drives one instance to
-// completion; RunIslands drives several in migration epochs over a
-// shared evaluation pool.
+// snapshot() captures resumable state. Run and EpochStep drive one or
+// more instances over a shared evaluation pool.
 type nsga2 struct {
 	p      Problem
 	opt    Options
@@ -124,11 +144,13 @@ type nsga2 struct {
 	runEvals     int // evaluations performed by this process
 }
 
-// newNSGA2 builds a stepping optimizer. The pool is borrowed, not
-// owned: the caller creates it for the run and closes it afterwards,
-// which is what hoists worker-pool construction out of the per-batch
-// (per-generation) loop. opt must already carry defaults.
-func newNSGA2(p Problem, opt Options, pool *evalPool) (*nsga2, error) {
+// newNSGA2 builds a stepping optimizer, restored from resume when it is
+// non-nil. The pool is borrowed, not owned: the caller creates it for
+// the run and closes it afterwards, which is what hoists worker-pool
+// construction out of the per-batch (per-generation) loop. opt must
+// already carry defaults, and resume must have passed
+// IslandCheckpoint.check against opt.
+func newNSGA2(p Problem, opt Options, resume *Checkpoint, pool *evalPool) (*nsga2, error) {
 	genLen := p.GenotypeLen()
 	if genLen <= 0 {
 		return nil, errEmptyGenotype
@@ -136,21 +158,9 @@ func newNSGA2(p Problem, opt Options, pool *evalPool) (*nsga2, error) {
 	s := &nsga2{p: p, opt: opt, genLen: genLen, src: newPRNG(opt.Seed), pool: pool}
 	s.rng = rand.New(s.src)
 
-	if cp := opt.Resume; cp != nil {
+	if cp := resume; cp != nil {
 		if err := cp.check(AlgorithmNSGA2, genLen); err != nil {
 			return nil, err
-		}
-		if cp.PopSize != opt.PopSize {
-			return nil, fmt.Errorf("moea: resume: checkpoint population size %d does not match PopSize %d", cp.PopSize, opt.PopSize)
-		}
-		if cp.Generations != opt.Generations {
-			return nil, fmt.Errorf("moea: resume: checkpoint targets %d generations, run targets %d", cp.Generations, opt.Generations)
-		}
-		if cp.Seed != opt.Seed {
-			return nil, fmt.Errorf("moea: resume: checkpoint seed %d does not match Seed %d", cp.Seed, opt.Seed)
-		}
-		if !equalEpsilon(cp.ArchiveEpsilon, opt.ArchiveEpsilon) {
-			return nil, fmt.Errorf("moea: resume: checkpoint ε-archive %v does not match ArchiveEpsilon %v", cp.ArchiveEpsilon, opt.ArchiveEpsilon)
 		}
 		if err := s.src.setState(cp.RNG); err != nil {
 			return nil, err
@@ -256,23 +266,12 @@ func (s *nsga2) snapshot() *Checkpoint {
 	}
 }
 
-// result packages the current state as a Result.
-func (s *nsga2) result() *Result {
-	return &Result{Archive: s.archive, FinalPopulation: s.pop, Evaluations: s.evals}
-}
-
-// inject replaces the worst individuals of the population with copies
-// of the migrants (island-model migration).
-func (s *nsga2) inject(migrants []*Individual) {
-	injectMigrants(s.pop, migrants)
-}
-
 // injectMigrants replaces the worst individuals of pop with copies of
 // the migrants (island-model migration). "Worst" is the inverse of the
 // crowded-comparison order — highest rank first, lowest crowding first,
 // ties broken by population index — so the replacement set is a pure
-// function of (genotypes, objectives, population order): the in-process
-// epoch loop and the multi-process orchestrator performing the same
+// function of (genotypes, objectives, population order): Run and the
+// multi-process orchestrator performing the same
 // migration on deserialized state produce identical populations. At
 // most half the population is replaced.
 func injectMigrants(pop, migrants []*Individual) {
@@ -308,12 +307,25 @@ func injectMigrants(pop, migrants []*Individual) {
 	}
 }
 
-// Run executes NSGA-II on the problem. Cancellation of ctx is honored
-// at generation boundaries: the run stops before starting the next
-// generation, emits a final checkpoint through Options.OnCheckpoint (if
-// set), and returns the partial Result together with ctx.Err(). No
-// goroutines outlive the call — the evaluation worker pool is created
-// once for the run and released before returning.
+// Run executes an NSGA-II campaign of opt.Islands populations (one by
+// default), each running opt with its derived seed (IslandSeed). The
+// campaign advances generation by generation: in every generation each
+// island still at that generation steps, in island order. When the next
+// generation is a multiple of MigrateEvery and not the last, each island
+// sends its migrants to its ring successor (migrateRing). Then
+// OnGeneration and OnProgress see the merged archive, and every
+// CheckpointEvery generations OnCheckpoint receives a snapshot.
+//
+// Determinism: islands evolve independently and evaluation is a pure
+// function of the genotype, so for a fixed (Seed, Islands, MigrateEvery,
+// Migrants) tuple the merged front is bit-identical at any worker count.
+//
+// Cancellation is honored before every island step: the run stops,
+// emits a final checkpoint through OnCheckpoint (if set), and returns
+// the partial Result with ctx.Err(). Resuming from any emitted
+// checkpoint continues to a byte-identical front. No goroutines outlive
+// the call — the evaluation pool is created once for the run and
+// released before returning.
 func Run(ctx context.Context, p Problem, opt Options) (*Result, error) {
 	genLen := p.GenotypeLen()
 	if genLen <= 0 {
@@ -323,46 +335,89 @@ func Run(ctx context.Context, p Problem, opt Options) (*Result, error) {
 		ctx = context.Background()
 	}
 	opt = opt.withDefaults(genLen)
+	if opt.Resume != nil {
+		if err := opt.Resume.check(opt); err != nil {
+			return nil, err
+		}
+	}
 	pool := newEvalPool(p, opt.Workers)
 	defer pool.close()
-	s, err := newNSGA2(p, opt, pool)
+	states, err := buildIslandStates(p, opt, opt.Resume, 0, opt.Islands, pool)
 	if err != nil {
 		return nil, err
 	}
+	snapshot := func() *IslandCheckpoint { return snapshotIslands(states, opt) }
 	start := time.Now()
-	finish := func(err error) (*Result, error) { return s.result(), err }
 
-	for s.gen < opt.Generations {
-		if ctx.Err() != nil {
-			if opt.OnCheckpoint != nil {
-				if err := opt.OnCheckpoint(s.snapshot()); err != nil {
-					return finish(err)
-				}
+	err = advance(ctx, states, opt.Generations, func(gen int) error {
+		next := gen + 1
+		if next < opt.Generations && next%opt.MigrateEvery == 0 && opt.Islands > 1 {
+			sp := opt.Obs.Start(obs.StageMigration)
+			pops := make([][]*Individual, len(states))
+			archives := make([][]*Individual, len(states))
+			for i, s := range states {
+				pops[i], archives[i] = s.pop, s.archive
 			}
-			return finish(ctx.Err())
+			migrateRing(pops, archives, opt.Migrants)
+			sp.End()
 		}
-		s.step()
-		if opt.OnGeneration != nil {
-			opt.OnGeneration(s.gen-1, s.archive)
-		}
-		if opt.OnProgress != nil {
-			opt.OnProgress(Progress{
-				Generation:     s.gen - 1,
-				Generations:    opt.Generations,
-				Evaluations:    s.evals,
-				RunEvaluations: s.runEvals,
-				Archive:        s.archive,
-				Elapsed:        time.Since(start),
-			})
+		if opt.OnGeneration != nil || opt.OnProgress != nil {
+			archive := mergeIslandArchives(states, opt.ArchiveEpsilon)
+			if opt.OnGeneration != nil {
+				opt.OnGeneration(gen, archive)
+			}
+			if opt.OnProgress != nil {
+				pr := Progress{Generation: gen, Generations: opt.Generations, Archive: archive, Elapsed: time.Since(start)}
+				for _, s := range states {
+					pr.Evaluations += s.evals
+					pr.RunEvaluations += s.runEvals
+				}
+				opt.OnProgress(pr)
+			}
 		}
 		if opt.OnCheckpoint != nil && opt.CheckpointEvery > 0 &&
-			s.gen%opt.CheckpointEvery == 0 && s.gen < opt.Generations {
-			if err := opt.OnCheckpoint(s.snapshot()); err != nil {
-				return finish(err)
+			next%opt.CheckpointEvery == 0 && next < opt.Generations {
+			return opt.OnCheckpoint(snapshot())
+		}
+		return nil
+	})
+	if err != nil && err == ctx.Err() && opt.OnCheckpoint != nil {
+		if cerr := opt.OnCheckpoint(snapshot()); cerr != nil {
+			err = cerr
+		}
+	}
+	return islandResult(states, opt.ArchiveEpsilon), err
+}
+
+// advance is the generation loop of every driver. It steps the islands
+// until each has reached generation end: for each generation g, every
+// island still at g steps, in island order, with a context check before
+// each step; then after(g) runs. Islands ahead of g (a checkpoint taken
+// mid-generation) wait for the others, so a resumed campaign follows
+// the uninterrupted schedule exactly. It returns ctx.Err() on
+// cancellation or the first error from after.
+func advance(ctx context.Context, states []*nsga2, end int, after func(gen int) error) error {
+	gen := end
+	for _, s := range states {
+		gen = min(gen, s.gen)
+	}
+	for ; gen < end; gen++ {
+		for _, s := range states {
+			if s.gen != gen {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			s.step()
+		}
+		if after != nil {
+			if err := after(gen); err != nil {
+				return err
 			}
 		}
 	}
-	return finish(nil)
+	return nil
 }
 
 // tournament returns the better of two random individuals by

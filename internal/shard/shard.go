@@ -5,14 +5,14 @@
 // campaign checkpoint; it then collects the partial shard checkpoints,
 // performs the synchronous ring migration centrally (moea.MergeShards —
 // the same lexicographic migrant selection, worst-replacement injection
-// and island-order merge the in-process driver uses), atomically writes
+// and island-order merge the in-process moea.Run uses), atomically writes
 // the next full checkpoint as the recovery point, and loops.
 //
 // Determinism: for a fixed (seed, islands, migrate-every, migrants)
 // tuple the campaign's checkpoint trajectory — and therefore the final
-// merged front — is byte-identical to the in-process moea.RunIslands
-// run, at any process count and any per-process worker count. Killing
-// the orchestrator mid-epoch loses nothing: the last written full
+// merged front — is byte-identical to the in-process moea.Run campaign,
+// at any process count and any per-process worker count. Killing the
+// orchestrator mid-epoch loses nothing: the last written full
 // checkpoint is the recovery point, a resumed run recomputes the
 // interrupted epoch bit for bit, and workers write shards atomically so
 // a stale or torn file can never be merged (shards carry their epoch
@@ -217,7 +217,7 @@ func Run(ctx context.Context, cfg Config) (*moea.IslandCheckpoint, bool, error) 
 			}
 			shards[k] = sh
 		}
-		merged, done, err := moea.MergeShards(shards, moea.IslandOptions{
+		merged, done, err := moea.MergeShards(shards, moea.Options{
 			Islands: cfg.Islands, MigrateEvery: cfg.MigrateEvery, Migrants: cfg.Migrants,
 		})
 		if err != nil {

@@ -32,7 +32,7 @@ func (z zdt1) Evaluate(g []float64) (moea.Objectives, any) {
 // inProcessSpawn returns a Spawn hook that performs the epoch step in
 // this process — the worker body without the exec — so orchestrator
 // logic is testable without building the binary.
-func inProcessSpawn(p moea.Problem, opt moea.Options, iopt moea.IslandOptions) func(context.Context, WorkerSpec) error {
+func inProcessSpawn(p moea.Problem, opt moea.Options) func(context.Context, WorkerSpec) error {
 	return func(ctx context.Context, w WorkerSpec) error {
 		var full *moea.IslandCheckpoint
 		if w.ResumePath != "" {
@@ -41,7 +41,7 @@ func inProcessSpawn(p moea.Problem, opt moea.Options, iopt moea.IslandOptions) f
 				return err
 			}
 		}
-		sh, err := moea.EpochStep(ctx, p, opt, iopt, full, w.First, w.Count)
+		sh, err := moea.EpochStep(ctx, p, opt, full, w.First, w.Count)
 		if err != nil {
 			return err
 		}
@@ -49,23 +49,23 @@ func inProcessSpawn(p moea.Problem, opt moea.Options, iopt moea.IslandOptions) f
 	}
 }
 
-func campaignConfig(t *testing.T, p moea.Problem, opt moea.Options, iopt moea.IslandOptions, procs int) Config {
+func campaignConfig(t *testing.T, p moea.Problem, opt moea.Options, procs int) Config {
 	t.Helper()
 	dir := t.TempDir()
 	return Config{
 		Procs:          procs,
-		Islands:        iopt.Islands,
-		MigrateEvery:   iopt.MigrateEvery,
-		Migrants:       iopt.Migrants,
+		Islands:        opt.Islands,
+		MigrateEvery:   opt.MigrateEvery,
+		Migrants:       opt.Migrants,
 		WorkDir:        dir,
 		CheckpointPath: filepath.Join(dir, "campaign.json"),
-		Spawn:          inProcessSpawn(p, opt, iopt),
+		Spawn:          inProcessSpawn(p, opt),
 	}
 }
 
-func frontOf(t *testing.T, p moea.Problem, opt moea.Options, iopt moea.IslandOptions, cp *moea.IslandCheckpoint) *moea.Result {
+func frontOf(t *testing.T, p moea.Problem, opt moea.Options, cp *moea.IslandCheckpoint) *moea.Result {
 	t.Helper()
-	res, err := moea.MergeIslandCheckpoint(context.Background(), p, opt, iopt, cp)
+	res, err := moea.MergeIslandCheckpoint(context.Background(), p, opt, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,29 +91,28 @@ func frontsEqual(t *testing.T, a, b *moea.Result, label string) {
 }
 
 // TestRunMatchesInProcess: the orchestrated campaign must complete and
-// reproduce the in-process RunIslands front exactly — at every process
+// reproduce the in-process moea.Run front exactly — at every process
 // count, including procs > islands (capped to islands).
 func TestRunMatchesInProcess(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := moea.Options{PopSize: 16, Generations: 20, Seed: 5, Workers: 2}
-	iopt := moea.IslandOptions{Islands: 3, MigrateEvery: 5, Migrants: 3}
+	opt := moea.Options{PopSize: 16, Generations: 20, Seed: 5, Workers: 2, Islands: 3, MigrateEvery: 5, Migrants: 3}
 
-	ref, err := moea.RunIslands(context.Background(), p, opt, iopt)
+	ref, err := moea.Run(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, 2, 3, 8} {
-		cfg := campaignConfig(t, p, opt, iopt, procs)
+		cfg := campaignConfig(t, p, opt, procs)
 		var epochs []Epoch
 		cfg.OnEpoch = func(ep Epoch) { epochs = append(epochs, ep) }
 		final, done, err := Run(context.Background(), cfg)
 		if err != nil || !done {
 			t.Fatalf("procs=%d: done=%v err=%v", procs, done, err)
 		}
-		frontsEqual(t, ref, frontOf(t, p, opt, iopt, final), "orchestrated front")
+		frontsEqual(t, ref, frontOf(t, p, opt, final), "orchestrated front")
 		wantProcs := procs
-		if wantProcs > iopt.Islands {
-			wantProcs = iopt.Islands
+		if wantProcs > opt.Islands {
+			wantProcs = opt.Islands
 		}
 		for i, ep := range epochs {
 			if ep.Index != i || ep.Procs != wantProcs || ep.Generations != opt.Generations {
@@ -143,15 +142,14 @@ func TestRunMatchesInProcess(t *testing.T) {
 // of the kill-and-resume smoke test.
 func TestRunMaxEpochsResume(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := moea.Options{PopSize: 16, Generations: 20, Seed: 9, Workers: 2}
-	iopt := moea.IslandOptions{Islands: 3, MigrateEvery: 5, Migrants: 2}
+	opt := moea.Options{PopSize: 16, Generations: 20, Seed: 9, Workers: 2, Islands: 3, MigrateEvery: 5, Migrants: 2}
 
-	ref, err := moea.RunIslands(context.Background(), p, opt, iopt)
+	ref, err := moea.Run(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := campaignConfig(t, p, opt, iopt, 2)
+	cfg := campaignConfig(t, p, opt, 2)
 	cfg.MaxEpochs = 2
 	mid, done, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -165,16 +163,16 @@ func TestRunMaxEpochsResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2 := campaignConfig(t, p, opt, iopt, 3)
+	cfg2 := campaignConfig(t, p, opt, 3)
 	cfg2.Resume = resumed
 	final, done, err := Run(context.Background(), cfg2)
 	if err != nil || !done {
 		t.Fatalf("resume: done=%v err=%v", done, err)
 	}
-	frontsEqual(t, ref, frontOf(t, p, opt, iopt, final), "resumed campaign")
+	frontsEqual(t, ref, frontOf(t, p, opt, final), "resumed campaign")
 
 	// Resuming a finished campaign is a no-op returning it unchanged.
-	cfg3 := campaignConfig(t, p, opt, iopt, 2)
+	cfg3 := campaignConfig(t, p, opt, 2)
 	cfg3.Resume = final
 	again, done, err := Run(context.Background(), cfg3)
 	if err != nil || !done || again != final {
@@ -187,16 +185,15 @@ func TestRunMaxEpochsResume(t *testing.T) {
 // to the identical front (kill-mid-campaign recovery).
 func TestRunCancellation(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := moea.Options{PopSize: 16, Generations: 20, Seed: 13, Workers: 2}
-	iopt := moea.IslandOptions{Islands: 2, MigrateEvery: 5, Migrants: 2}
+	opt := moea.Options{PopSize: 16, Generations: 20, Seed: 13, Workers: 2, Islands: 2, MigrateEvery: 5, Migrants: 2}
 
-	ref, err := moea.RunIslands(context.Background(), p, opt, iopt)
+	ref, err := moea.Run(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cfg := campaignConfig(t, p, opt, iopt, 2)
+	cfg := campaignConfig(t, p, opt, 2)
 	cfg.OnEpoch = func(ep Epoch) {
 		if ep.Index == 0 {
 			cancel() // cancel between epochs: next loop iteration must stop
@@ -210,19 +207,19 @@ func TestRunCancellation(t *testing.T) {
 		t.Fatal("cancelled run lost the merged checkpoint")
 	}
 
-	cfg2 := campaignConfig(t, p, opt, iopt, 2)
+	cfg2 := campaignConfig(t, p, opt, 2)
 	cfg2.Resume = mid
 	final, done, err := Run(context.Background(), cfg2)
 	if err != nil || !done {
 		t.Fatalf("resume after cancel: done=%v err=%v", done, err)
 	}
-	frontsEqual(t, ref, frontOf(t, p, opt, iopt, final), "resume after cancellation")
+	frontsEqual(t, ref, frontOf(t, p, opt, final), "resume after cancellation")
 
 	// Cancelling mid-epoch (inside the workers) must also surface
 	// ctx.Err(), not the collateral worker failure.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	var spawned atomic.Int32
-	cfg3 := campaignConfig(t, p, opt, iopt, 2)
+	cfg3 := campaignConfig(t, p, opt, 2)
 	inner := cfg3.Spawn
 	cfg3.Spawn = func(ctx context.Context, w WorkerSpec) error {
 		if spawned.Add(1) == 2 {
@@ -242,11 +239,10 @@ func TestRunCancellation(t *testing.T) {
 // merged checkpoint.
 func TestRunWorkerFailure(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := moea.Options{PopSize: 8, Generations: 8, Seed: 1}
-	iopt := moea.IslandOptions{Islands: 2, MigrateEvery: 4, Migrants: 1}
+	opt := moea.Options{PopSize: 8, Generations: 8, Seed: 1, Islands: 2, MigrateEvery: 4, Migrants: 1}
 
 	boom := errors.New("boom")
-	cfg := campaignConfig(t, p, opt, iopt, 2)
+	cfg := campaignConfig(t, p, opt, 2)
 	inner := cfg.Spawn
 	cfg.Spawn = func(ctx context.Context, w WorkerSpec) error {
 		if w.Shard == 1 {
@@ -322,8 +318,7 @@ func TestBootstrapWorkDir(t *testing.T) {
 // silent restart from scratch.
 func TestCorruptWorkerOutput(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := moea.Options{PopSize: 8, Generations: 8, Seed: 1}
-	iopt := moea.IslandOptions{Islands: 2, MigrateEvery: 4, Migrants: 1}
+	opt := moea.Options{PopSize: 8, Generations: 8, Seed: 1, Islands: 2, MigrateEvery: 4, Migrants: 1}
 
 	for _, tc := range []struct {
 		name string
@@ -335,7 +330,7 @@ func TestCorruptWorkerOutput(t *testing.T) {
 		{"wrong type", []byte(`{"format":"something-else","version":1}`)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := campaignConfig(t, p, opt, iopt, 2)
+			cfg := campaignConfig(t, p, opt, 2)
 			inner := cfg.Spawn
 			var corrupted string
 			cfg.Spawn = func(ctx context.Context, w WorkerSpec) error {
