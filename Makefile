@@ -52,24 +52,35 @@ robust-smoke:
 	cmp $$tmp/classic.csv $$tmp/zero.csv || { echo "-error-rate 0 front differs from classic run" >&2; exit 1; }; \
 	echo "robust-smoke: -error-rate 0 front identical to classic run"
 
-# Checkpoint/resume determinism through the CLI: a run that checkpoints
-# periodically, resumed from its last on-disk snapshot, must reproduce
-# the uninterrupted run's Pareto front byte for byte — for both
-# optimizers and across worker counts, and for an island campaign whose
-# last checkpoint falls mid-epoch (65 generations, checkpoint every 3,
-# migration every 4: the file holds generation 63).
+# Checkpoint/resume determinism through the CLI: an NSGA-II run that
+# checkpoints periodically, resumed from its last on-disk snapshot, must
+# reproduce the uninterrupted run's Pareto front byte for byte across
+# worker counts, and so must an island campaign whose last checkpoint
+# falls mid-epoch (65 generations, checkpoint every 3, migration every
+# 4: the file holds generation 63). Random search does not checkpoint:
+# its front must be byte-identical across worker counts, and asking it
+# to checkpoint must fail.
 resume-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	for o in nsga2 random; do \
-		$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -optimizer $$o -workers 4 \
-			-summary -csv $$tmp/full-$$o.csv >/dev/null || exit 1; \
-		$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -optimizer $$o -workers 4 \
-			-summary -csv /dev/null -checkpoint $$tmp/cp-$$o.json -checkpoint-every 20 >/dev/null || exit 1; \
-		$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -optimizer $$o -workers 2 \
-			-summary -csv $$tmp/resumed-$$o.csv -resume $$tmp/cp-$$o.json >/dev/null || exit 1; \
-		cmp $$tmp/full-$$o.csv $$tmp/resumed-$$o.csv || { echo "resume front differs ($$o)" >&2; exit 1; }; \
-		echo "resume-smoke: $$o front byte-identical after resume"; \
-	done; \
+	$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -workers 4 \
+		-summary -csv $$tmp/full.csv >/dev/null || exit 1; \
+	$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -workers 4 \
+		-summary -csv /dev/null -checkpoint $$tmp/cp.json -checkpoint-every 20 >/dev/null || exit 1; \
+	$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -workers 2 \
+		-summary -csv $$tmp/resumed.csv -resume $$tmp/cp.json >/dev/null || exit 1; \
+	cmp $$tmp/full.csv $$tmp/resumed.csv || { echo "resume front differs" >&2; exit 1; }; \
+	echo "resume-smoke: nsga2 front byte-identical after resume"; \
+	$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -optimizer random -workers 4 \
+		-summary -csv $$tmp/random-w4.csv >/dev/null || exit 1; \
+	$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -optimizer random -workers 1 \
+		-summary -csv $$tmp/random-w1.csv >/dev/null || exit 1; \
+	cmp $$tmp/random-w4.csv $$tmp/random-w1.csv || { echo "random front differs across worker counts" >&2; exit 1; }; \
+	echo "resume-smoke: random front byte-identical at workers 4 vs 1"; \
+	if $(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -optimizer random \
+		-summary -checkpoint $$tmp/x.json >/dev/null 2>&1; then \
+		echo "-optimizer random accepted -checkpoint" >&2; exit 1; \
+	fi; \
+	echo "resume-smoke: -optimizer random -checkpoint rejected"; \
 	isl="-small -evals 2100 -pop 32 -islands 3 -migrate-every 4"; \
 	$(GO) run ./cmd/eedse $$isl -workers 4 -summary -csv $$tmp/full-isl.csv >/dev/null || exit 1; \
 	$(GO) run ./cmd/eedse $$isl -workers 4 -summary -csv /dev/null \
@@ -135,8 +146,8 @@ bench-gate:
 # Island-model determinism through the CLI: for a fixed (seed, islands,
 # migration) tuple the merged front must be byte-identical at any
 # worker count, an explicit -islands 1 must reproduce the default
-# single-population run exactly, and an island campaign must resume
-# byte-identically.
+# single-population run exactly, an island campaign must resume
+# byte-identically, and -migrants 0 must be rejected.
 island-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -islands 4 -migrate-every 5 \
@@ -158,7 +169,12 @@ island-smoke:
 	$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -islands 3 -migrate-every 4 \
 		-workers 4 -summary -csv $$tmp/ifull.csv >/dev/null || exit 1; \
 	cmp $$tmp/ifull.csv $$tmp/resumed.csv || { echo "island resume front differs" >&2; exit 1; }; \
-	echo "island-smoke: island campaign resumes byte-identically"
+	echo "island-smoke: island campaign resumes byte-identically"; \
+	if $(GO) run ./cmd/eedse -small -evals 1200 -pop 16 -islands 2 -migrate-every 2 -migrants 0 \
+		-summary >/dev/null 2>&1; then \
+		echo "-migrants 0 accepted" >&2; exit 1; \
+	fi; \
+	echo "island-smoke: -migrants 0 rejected"
 
 # Process-sharding determinism through the CLI: the multi-process
 # orchestrator (-procs) must reproduce the in-process island front byte

@@ -242,7 +242,9 @@ func BenchmarkDSEParallel(b *testing.B) {
 // (BenchmarkDSECheckpoint): its cost is one fsync per CheckpointEvery
 // generations, amortized by cadence rather than per-generation.
 func BenchmarkDSETelemetry(b *testing.B) {
-	benchDSERunControl(b, &core.RunControl{OnProgress: func(core.Progress) {}})
+	benchDSEWith(b, func(ex *core.Explorer, _ *moea.Options) {
+		ex.OnProgress = func(core.Progress) {}
+	})
 }
 
 // BenchmarkDSECheckpoint measures periodic checkpointing alone (atomic
@@ -250,13 +252,16 @@ func BenchmarkDSETelemetry(b *testing.B) {
 // aggressive cadence; real campaigns checkpoint far less often relative
 // to generation time).
 func BenchmarkDSECheckpoint(b *testing.B) {
-	benchDSERunControl(b, &core.RunControl{
-		CheckpointPath:  filepath.Join(b.TempDir(), "cp.json"),
-		CheckpointEvery: 5,
+	path := filepath.Join(b.TempDir(), "cp.json")
+	benchDSEWith(b, func(_ *core.Explorer, opt *moea.Options) {
+		opt.CheckpointEvery = 5
+		opt.OnCheckpoint = func(cp *moea.IslandCheckpoint) error { return cp.WriteFile(path) }
 	})
 }
 
-func benchDSERunControl(b *testing.B, rc *core.RunControl) {
+// benchDSEWith runs the all-core 10-generation DSE with run services
+// switched on by setup.
+func benchDSEWith(b *testing.B, setup func(*core.Explorer, *moea.Options)) {
 	spec, err := casestudy.Build(casestudy.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -266,11 +271,13 @@ func benchDSERunControl(b *testing.B, rc *core.RunControl) {
 		b.Fatal(err)
 	}
 	ex := core.NewExplorer(spec, dec)
-	w := runtime.GOMAXPROCS(0)
+	opt := moea.Options{PopSize: 64, Generations: 10, Workers: runtime.GOMAXPROCS(0)}
+	setup(ex, &opt)
 	evals := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ex.RunContext(context.Background(), moea.Options{PopSize: 64, Generations: 10, Seed: int64(i + 1), Workers: w}, rc)
+		opt.Seed = int64(i + 1)
+		res, err := ex.RunContext(context.Background(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -49,11 +49,14 @@
 // (and, with -measured, fault-simulation grading) uses every core;
 // results are deterministic and identical for any worker count.
 //
-// Long campaigns are survivable: -checkpoint periodically snapshots the
-// optimizer state (atomically) to a versioned file, SIGINT/SIGTERM stop
-// the run at the next generation boundary, write a final checkpoint,
-// and still emit the partial Pareto front, and -resume continues a
-// checkpointed run to a byte-identical front. -progress streams one
+// Long campaigns are survivable: -checkpoint snapshots the NSGA-II
+// campaign state (atomically) to a versioned island checkpoint file
+// every -checkpoint-every generations, SIGINT/SIGTERM stop the run at
+// the next generation boundary, write a final checkpoint, and still
+// emit the partial Pareto front, and -resume continues a checkpointed
+// run to a byte-identical front. Random search (-optimizer random) is a
+// plain ablation that does not checkpoint: -checkpoint, -resume and
+// -checkpoint-every are rejected with it. -progress streams one
 // structured line per generation to stderr; -progress-addr additionally
 // serves the same counters as Prometheus text on /metrics, plus the
 // pprof handlers on /debug/pprof.
@@ -137,7 +140,7 @@ func run() (err error) {
 
 		islands      = flag.Int("islands", 1, "NSGA-II populations coupled by ring migration (1 = classic single-population run)")
 		migrateEvery = flag.Int("migrate-every", 10, "island migration period in generations (with -islands > 1)")
-		migrants     = flag.Int("migrants", 4, "archive representatives exchanged per island per migration epoch (with -islands > 1)")
+		migrants     = flag.Int("migrants", 4, "archive representatives exchanged per island per migration epoch (at least 1; with -islands > 1)")
 
 		procs     = flag.Int("procs", 0, "shard the NSGA-II campaign's islands across this many worker processes, merging at migration-epoch boundaries (front byte-identical at any value)")
 		maxEpochs = flag.Int("max-epochs", 0, "with -procs: stop after this many merged migration epochs and keep the checkpoint (0 = run to completion)")
@@ -146,9 +149,9 @@ func run() (err error) {
 		islandShard = flag.String("island-shard", "", "worker mode: contiguous island subset to step, as k/P (shard k of P, requires -epoch-step)")
 		shardOut    = flag.String("shard-out", "", "worker mode: write the partial island shard checkpoint to this file (requires -epoch-step)")
 
-		checkpoint      = flag.String("checkpoint", "", "periodically write optimizer state to this file (atomically); SIGINT writes a final checkpoint before exiting")
-		checkpointEvery = flag.Int("checkpoint-every", 0, "checkpoint period: generations for nsga2 (default 10), evaluations for random (default 2560)")
-		resumePath      = flag.String("resume", "", "resume the run from this checkpoint file (same spec, decoder, seed and budget flags required)")
+		checkpoint      = flag.String("checkpoint", "", "periodically write the NSGA-II campaign state to this file (atomically); SIGINT writes a final checkpoint before exiting")
+		checkpointEvery = flag.Int("checkpoint-every", 10, "checkpoint period in generations (at least 1)")
+		resumePath      = flag.String("resume", "", "resume the NSGA-II campaign from this checkpoint file (same spec, decoder, seed and budget flags required)")
 		progress        = flag.Bool("progress", false, "stream one structured progress line per generation to stderr")
 		progressAddr    = flag.String("progress-addr", "", "serve live run telemetry on this address: Prometheus text on /metrics, pprof on /debug/pprof")
 		traceOut        = flag.String("trace-out", "", "stream per-stage trace events and periodic metric snapshots as JSONL to this file (flight recorder; inspect with cmd/obsdump)")
@@ -174,8 +177,18 @@ func run() (err error) {
 	if *migrateEvery <= 0 {
 		return fmt.Errorf("-migrate-every must be positive, got %d", *migrateEvery)
 	}
-	if *migrants < 0 {
-		return fmt.Errorf("-migrants must be non-negative, got %d", *migrants)
+	if *migrants < 1 {
+		return fmt.Errorf("-migrants must be at least 1, got %d", *migrants)
+	}
+	if *checkpointEvery < 1 {
+		return fmt.Errorf("-checkpoint-every must be at least 1, got %d", *checkpointEvery)
+	}
+	if *optimizer == "random" {
+		checkpointing := *checkpoint != "" || *resumePath != ""
+		flag.Visit(func(f *flag.Flag) { checkpointing = checkpointing || f.Name == "checkpoint-every" })
+		if checkpointing {
+			return fmt.Errorf("-checkpoint, -resume and -checkpoint-every require -optimizer nsga2 (random search does not checkpoint)")
+		}
 	}
 	if *procs < 0 {
 		return fmt.Errorf("-procs must be non-negative, got %d", *procs)
@@ -352,32 +365,23 @@ func run() (err error) {
 		defer pprof.StopCPUProfile()
 	}
 
-	rc := &core.RunControl{
-		CheckpointPath:  *checkpoint,
-		CheckpointEvery: *checkpointEvery,
+	if *checkpoint != "" {
+		mopt.OnCheckpoint = func(cp *moea.IslandCheckpoint) error { return cp.WriteFile(*checkpoint) }
+		mopt.CheckpointEvery = *checkpointEvery
 	}
 	if *resumePath != "" {
-		if *optimizer == "random" {
-			cp, err := moea.ReadCheckpointFile(*resumePath)
-			if err != nil {
-				return err
-			}
-			if cp.Algorithm != *optimizer {
-				return fmt.Errorf("resume: checkpoint is for optimizer %q, run uses -optimizer %s", cp.Algorithm, *optimizer)
-			}
-			rc.Resume = cp
-		} else if mopt.Resume, err = moea.ReadIslandCheckpointFile(*resumePath); err != nil {
+		if mopt.Resume, err = moea.ReadIslandCheckpointFile(*resumePath); err != nil {
 			return err
 		}
 	}
 	tel := newTelemetry(reg)
 	if *progress {
-		rc.OnProgress = tel.observe(func(p core.Progress) { tel.printLine(os.Stderr, p) })
+		ex.OnProgress = tel.observe(func(p core.Progress) { tel.printLine(os.Stderr, p) })
 	}
-	if reg != nil && rc.OnProgress == nil {
+	if reg != nil && ex.OnProgress == nil {
 		// Something scrapes or records telemetry: keep the sample fresh
 		// even without -progress.
-		rc.OnProgress = tel.observe(nil)
+		ex.OnProgress = tel.observe(nil)
 	}
 	if *progressAddr != "" {
 		srv, serr := obs.Serve(*progressAddr, obs.NewMux(reg))
@@ -430,12 +434,12 @@ func run() (err error) {
 	switch *optimizer {
 	case "nsga2":
 		if *procs > 0 {
-			res, runErr = runSharded(ctx, ex, mopt, rc.CheckpointPath, *procs, *maxEpochs, workerArgs, *progress, tracer)
+			res, runErr = runSharded(ctx, ex, mopt, *checkpoint, *procs, *maxEpochs, workerArgs, *progress, tracer)
 		} else {
-			res, runErr = ex.RunContext(ctx, mopt, rc)
+			res, runErr = ex.RunContext(ctx, mopt)
 		}
 	case "random":
-		res, runErr = ex.RunRandomContext(ctx, *pop+*pop*gens, *seed, *workers, rc)
+		res, runErr = ex.RunRandom(ctx, moea.RandomOptions{Evals: *pop + *pop*gens, Seed: *seed, Workers: *workers})
 	default:
 		runErr = fmt.Errorf("unknown optimizer %q", *optimizer)
 	}

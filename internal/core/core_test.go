@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -354,7 +355,7 @@ func TestRunRandomBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := NewExplorer(spec, dec)
-	rnd, err := ex.RunRandom(500, 3)
+	rnd, err := ex.RunRandom(context.Background(), moea.RandomOptions{Evals: 500, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,6 +54,11 @@ type Explorer struct {
 	// migration spans. Purely observational — it never touches RNG state
 	// or evaluation order; nil costs one check per evaluation.
 	Obs *obs.Tracer
+	// OnProgress, when non-nil, receives a telemetry sample per
+	// generation (NSGA-II) or 256-evaluation chunk (random search) on the
+	// optimizer goroutine; it replaces the optimizer options' own
+	// OnProgress for the run.
+	OnProgress func(Progress)
 
 	decodeFailures atomic.Int64
 
@@ -176,8 +181,7 @@ func (e *Explorer) takeRunError() error {
 	return e.verifyErr
 }
 
-// Progress is one explorer telemetry sample, emitted per generation
-// (NSGA-II) or per 256-evaluation chunk (random search).
+// Progress is one explorer telemetry sample (see Explorer.OnProgress).
 type Progress struct {
 	// Generation is the 0-based generation (or chunk) just completed;
 	// Generations the configured total (0 for random search).
@@ -210,63 +214,30 @@ type SolverStatsReporter interface {
 	SolverStats() (conflicts, propagations int64)
 }
 
-// RunControl configures cancellation-adjacent run services:
-// checkpointing and telemetry. The zero value (or a nil pointer)
-// disables both.
-type RunControl struct {
-	// CheckpointPath, when non-empty, periodically writes optimizer
-	// state to this file (atomically: tmp + rename) and once more when
-	// the context is cancelled: a moea.IslandCheckpoint for NSGA-II, a
-	// moea.Checkpoint for random search.
-	CheckpointPath string
-	// CheckpointEvery is the checkpoint period: generations for NSGA-II
-	// (default 10), evaluations for random search (default 2560).
-	CheckpointEvery int
-	// Resume restores a random search from a previously written
-	// checkpoint; the run continues to the configured end and produces a
-	// byte-identical Pareto front to the uninterrupted run. NSGA-II
-	// campaigns resume through moea.Options.Resume.
-	Resume *moea.Checkpoint
-	// OnProgress, when non-nil, receives a telemetry sample per
-	// generation/chunk on the optimizer goroutine.
-	OnProgress func(Progress)
-}
-
 // Run executes the exploration with the given MOEA options.
 func (e *Explorer) Run(opt moea.Options) (*Result, error) {
-	return e.RunContext(context.Background(), opt, nil)
+	return e.RunContext(context.Background(), opt)
 }
 
 // RunContext executes the NSGA-II exploration (opt.Islands populations,
-// one by default; see moea.Run) with cancellation, checkpointing and
-// telemetry. For a fixed (seed, islands, migration) tuple the front is
-// byte-identical at any worker count, and a campaign resumed through
-// opt.Resume matches the uninterrupted one. On context cancellation the
+// one by default; see moea.Run) with cancellation. Checkpointing is
+// opt.OnCheckpoint/CheckpointEvery and resuming opt.Resume; telemetry
+// goes to Explorer.OnProgress. For a fixed (seed, islands, migration)
+// tuple the front is byte-identical at any worker count, and a resumed
+// campaign matches the uninterrupted one. On context cancellation the
 // partial Result collected so far is returned together with ctx.Err();
 // the final checkpoint (if configured) is written before returning, and
 // no worker goroutines outlive the call.
-func (e *Explorer) RunContext(ctx context.Context, opt moea.Options, rc *RunControl) (*Result, error) {
+func (e *Explorer) RunContext(ctx context.Context, opt moea.Options) (*Result, error) {
 	runCtx, cancel, start := e.beginRun(ctx)
 	defer cancel()
 	defer e.endRun()
 
-	mopt := opt
-	mopt.Obs = e.Obs
-	if rc != nil {
-		if rc.CheckpointPath != "" {
-			path := rc.CheckpointPath
-			mopt.OnCheckpoint = func(cp *moea.IslandCheckpoint) error { return cp.WriteFile(path) }
-			mopt.CheckpointEvery = rc.CheckpointEvery
-			if mopt.CheckpointEvery <= 0 {
-				mopt.CheckpointEvery = 10
-			}
-		}
-		if rc.OnProgress != nil {
-			cb := rc.OnProgress
-			mopt.OnProgress = func(mp moea.Progress) { cb(e.progressSample(mp)) }
-		}
+	opt.Obs = e.Obs
+	if e.OnProgress != nil {
+		opt.OnProgress = e.progress
 	}
-	mres, err := moea.Run(runCtx, e, mopt)
+	mres, err := moea.Run(runCtx, e, opt)
 	return e.finishRun(mres, err, start)
 }
 
@@ -305,34 +276,18 @@ func (e *Explorer) CollectIslands(ctx context.Context, opt moea.Options, cp *moe
 }
 
 // RunRandom explores with uniform random sampling instead of NSGA-II —
-// the optimizer ablation baseline (DESIGN.md A2 family).
-func (e *Explorer) RunRandom(evals int, seed int64) (*Result, error) {
-	return e.RunRandomContext(context.Background(), evals, seed, 0, nil)
-}
-
-// RunRandomContext is RunRandom with run control; see RunContext.
-func (e *Explorer) RunRandomContext(ctx context.Context, evals int, seed int64, workers int, rc *RunControl) (*Result, error) {
+// the optimizer ablation baseline (DESIGN.md A2 family). Cancellation
+// and telemetry behave as in RunContext; random search does not
+// checkpoint.
+func (e *Explorer) RunRandom(ctx context.Context, opt moea.RandomOptions) (*Result, error) {
 	runCtx, cancel, start := e.beginRun(ctx)
 	defer cancel()
 	defer e.endRun()
 
-	ropt := moea.RandomOptions{Evals: evals, Seed: seed, Workers: workers}
-	if rc != nil {
-		ropt.Resume = rc.Resume
-		if rc.CheckpointPath != "" {
-			path := rc.CheckpointPath
-			ropt.OnCheckpoint = func(cp *moea.Checkpoint) error { return cp.WriteFile(path) }
-			ropt.CheckpointEvery = rc.CheckpointEvery
-			if ropt.CheckpointEvery <= 0 {
-				ropt.CheckpointEvery = 2560
-			}
-		}
-		if rc.OnProgress != nil {
-			cb := rc.OnProgress
-			ropt.OnProgress = func(mp moea.Progress) { cb(e.progressSample(mp)) }
-		}
+	if e.OnProgress != nil {
+		opt.OnProgress = e.progress
 	}
-	mres, err := moea.RandomSearchOpt(runCtx, e, ropt)
+	mres, err := moea.RandomSearch(runCtx, e, opt)
 	return e.finishRun(mres, err, start)
 }
 
@@ -371,10 +326,10 @@ func (e *Explorer) finishRun(mres *moea.Result, err error, start time.Time) (*Re
 	return e.collect(mres, start), err
 }
 
-// progressSample enriches an optimizer telemetry sample with the
-// explorer-level counters: throughput, hypervolume against the
-// worst-case reference, decode failures and solver work.
-func (e *Explorer) progressSample(mp moea.Progress) Progress {
+// progress forwards an optimizer telemetry sample to OnProgress,
+// enriched with the explorer-level counters: throughput, hypervolume
+// against the worst-case reference, decode failures and solver work.
+func (e *Explorer) progress(mp moea.Progress) {
 	pr := Progress{
 		Generation:     mp.Generation,
 		Generations:    mp.Generations,
@@ -406,7 +361,7 @@ func (e *Explorer) progressSample(mp moea.Progress) Progress {
 		ref = ref[:3]
 	}
 	pr.Hypervolume = moea.Hypervolume3D(front, ref)
-	return pr
+	e.OnProgress(pr)
 }
 
 // collect turns an optimizer result into the exploration Result: it

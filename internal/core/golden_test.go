@@ -71,7 +71,7 @@ func TestGoldenExplorerFronts(t *testing.T) {
 
 	const islandWant = "ecf32afffb34d56877c6ed19d5520c0c84ee5a79201cbb8510c885dff1bb7661"
 	res, err := NewExplorer(spec, dec).RunContext(context.Background(), moea.Options{PopSize: 12, Generations: 12, Seed: 9, Workers: 2,
-		Islands: 3, MigrateEvery: 5, Migrants: 3}, nil)
+		Islands: 3, MigrateEvery: 5, Migrants: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestExplorerIslandsDeterministicAcrossWorkers(t *testing.T) {
 	var ref *Result
 	for _, w := range []int{1, 2, 4} {
 		res, err := ex.RunContext(context.Background(), moea.Options{PopSize: 12, Generations: 9, Seed: 13, Workers: w,
-			Islands: 3, MigrateEvery: 3, Migrants: 2}, nil)
+			Islands: 3, MigrateEvery: 3, Migrants: 2})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -59,8 +59,8 @@ func TestExplorerIslandsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestExplorerIslandsCheckpointResume: an island campaign checkpointed
-// through RunControl resumes byte-identically at a different worker
-// count.
+// to a file on cancellation resumes byte-identically at a different
+// worker count.
 func TestExplorerIslandsCheckpointResume(t *testing.T) {
 	spec := smallSpec(t)
 	dec, err := NewGreedyDecoder(spec)
@@ -70,7 +70,7 @@ func TestExplorerIslandsCheckpointResume(t *testing.T) {
 	ex := NewExplorer(spec, dec)
 	opt := moea.Options{PopSize: 16, Generations: 12, Seed: 5, Workers: 2, Islands: 2, MigrateEvery: 4, Migrants: 2}
 
-	full, err := ex.RunContext(context.Background(), opt, nil)
+	full, err := ex.RunContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,9 @@ func TestExplorerIslandsCheckpointResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	stop := &stopAfterDecoder{Decoder: dec, cancelAt: 16 * 6, cancel: cancel}
 	exCancel := NewExplorer(spec, stop)
-	_, err = exCancel.RunContext(ctx, opt, &RunControl{CheckpointPath: path})
+	cancelOpt := opt
+	cancelOpt.OnCheckpoint = func(cp *moea.IslandCheckpoint) error { return cp.WriteFile(path) }
+	_, err = exCancel.RunContext(ctx, cancelOpt)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -91,7 +93,7 @@ func TestExplorerIslandsCheckpointResume(t *testing.T) {
 	resumeOpt := opt
 	resumeOpt.Workers = 4
 	resumeOpt.Resume = cp
-	res, err := ex.RunContext(context.Background(), resumeOpt, nil)
+	res, err := ex.RunContext(context.Background(), resumeOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestExplorerIslandsObsNonIntrusive(t *testing.T) {
 			t.Fatal(err)
 		}
 		plain := NewExplorer(spec, dec)
-		res, err := plain.RunContext(context.Background(), o, nil)
+		res, err := plain.RunContext(context.Background(), o)
 		if err != nil {
 			t.Fatalf("workers=%d plain: %v", w, err)
 		}
@@ -105,7 +105,7 @@ func TestExplorerIslandsObsNonIntrusive(t *testing.T) {
 		tracer := obs.NewTracer(reg, obs.TracerConfig{Record: true})
 		traced := NewExplorer(spec, dec2)
 		traced.Obs = tracer
-		tres, err := traced.RunContext(context.Background(), o, nil)
+		tres, err := traced.RunContext(context.Background(), o)
 		if err != nil {
 			t.Fatalf("workers=%d traced: %v", w, err)
 		}

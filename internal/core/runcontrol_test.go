@@ -158,8 +158,10 @@ func TestExplorerCheckpointResume(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "cp.json")
-	if _, err := NewExplorer(spec, gd).RunContext(context.Background(), opt,
-		&RunControl{CheckpointPath: path, CheckpointEvery: 2}); err != nil {
+	periodic := opt
+	periodic.CheckpointEvery = 2
+	periodic.OnCheckpoint = func(cp *moea.IslandCheckpoint) error { return cp.WriteFile(path) }
+	if _, err := NewExplorer(spec, gd).RunContext(context.Background(), periodic); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := moea.ReadIslandCheckpointFile(path)
@@ -171,7 +173,7 @@ func TestExplorerCheckpointResume(t *testing.T) {
 	}
 	resumed := opt
 	resumed.Resume = cp
-	got, err := NewExplorer(spec, gd).RunContext(context.Background(), resumed, nil)
+	got, err := NewExplorer(spec, gd).RunContext(context.Background(), resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,36 +182,6 @@ func TestExplorerCheckpointResume(t *testing.T) {
 	}
 	if got.Evaluations != ref.Evaluations {
 		t.Fatalf("resumed evaluations = %d, want %d", got.Evaluations, ref.Evaluations)
-	}
-}
-
-func TestExplorerRandomCheckpointResume(t *testing.T) {
-	spec := smallSpec(t)
-	gd, err := NewGreedyDecoder(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const evals, seed = 700, 9
-
-	ref, err := NewExplorer(spec, gd).RunRandom(evals, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "cp.json")
-	if _, err := NewExplorer(spec, gd).RunRandomContext(context.Background(), evals, seed, 4,
-		&RunControl{CheckpointPath: path, CheckpointEvery: 256}); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := moea.ReadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewExplorer(spec, gd).RunRandomContext(context.Background(), evals, seed, 2, &RunControl{Resume: cp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fronts(got), fronts(ref)) {
-		t.Fatal("resumed random-search front differs from uninterrupted run")
 	}
 }
 
@@ -225,16 +197,14 @@ func TestExplorerCancellation(t *testing.T) {
 	defer cancel()
 	path := filepath.Join(t.TempDir(), "cp.json")
 	n := 0
-	rc := &RunControl{
-		CheckpointPath: path,
-		OnProgress: func(Progress) {
-			if n++; n == 2 {
-				cancel()
-			}
-		},
+	ex := NewExplorer(spec, gd)
+	ex.OnProgress = func(Progress) {
+		if n++; n == 2 {
+			cancel()
+		}
 	}
-	res, err := NewExplorer(spec, gd).RunContext(ctx,
-		moea.Options{PopSize: 16, Generations: 1000, Seed: 1, Workers: 4}, rc)
+	res, err := ex.RunContext(ctx, moea.Options{PopSize: 16, Generations: 1000, Seed: 1, Workers: 4,
+		OnCheckpoint: func(cp *moea.IslandCheckpoint) error { return cp.WriteFile(path) }})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -260,8 +230,8 @@ func TestProgressTelemetrySample(t *testing.T) {
 	}
 	ex := NewExplorer(spec, sd)
 	var samples []Progress
-	rc := &RunControl{OnProgress: func(p Progress) { samples = append(samples, p) }}
-	if _, err := ex.RunContext(context.Background(), moea.Options{PopSize: 8, Generations: 3, Seed: 2}, rc); err != nil {
+	ex.OnProgress = func(p Progress) { samples = append(samples, p) }
+	if _, err := ex.RunContext(context.Background(), moea.Options{PopSize: 8, Generations: 3, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if len(samples) != 3 {

@@ -3,11 +3,7 @@ package moea
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"io/fs"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -49,93 +45,6 @@ func TestPRNGStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckpointFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.json")
-	cp := &Checkpoint{
-		Format:      CheckpointFormat,
-		Version:     CheckpointVersion,
-		Algorithm:   AlgorithmNSGA2,
-		Seed:        7,
-		GenotypeLen: 3,
-		RNG:         [4]uint64{1, 2, 3, 4},
-		Evaluations: 640,
-		PopSize:     64, Generations: 10, NextGeneration: 5,
-		Population: [][]float64{{0.1, 0.2, 0.3}},
-		Archive:    [][]float64{{0.4, 0.5, 0.6}},
-	}
-	if err := cp.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, cp) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, cp)
-	}
-
-	bad := *cp
-	bad.Version = CheckpointVersion + 99
-	if err := bad.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpointFile(path); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future version accepted: %v", err)
-	}
-}
-
-// TestReadCheckpointFileErrors: a random-search checkpoint file that
-// exists but cannot be trusted fails with ErrCheckpointCorrupt, the
-// same corrupt-vs-missing contract as the island and shard readers; a
-// missing file is not corrupt.
-func TestReadCheckpointFileErrors(t *testing.T) {
-	var valid []byte
-	_, err := RandomSearchOpt(context.Background(), zdt1{n: 4}, RandomOptions{
-		Evals: 600, Seed: 1, CheckpointEvery: 256,
-		OnCheckpoint: func(c *Checkpoint) (err error) { valid, err = json.Marshal(c); return err },
-	})
-	if err != nil || valid == nil {
-		t.Fatalf("no checkpoint captured: %v", err)
-	}
-	mutate := func(f func(c *Checkpoint)) []byte {
-		c := &Checkpoint{}
-		if err := json.Unmarshal(valid, c); err != nil {
-			t.Fatal(err)
-		}
-		f(c)
-		data, err := json.Marshal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"wrong format", mutate(func(c *Checkpoint) { c.Format = IslandCheckpointFormat }), "not a checkpoint file"},
-		{"wrong version", mutate(func(c *Checkpoint) { c.Version = 99 }), "unsupported version"},
-		{"truncated json", valid[:len(valid)/2], "unexpected end of JSON"},
-		{"not json", []byte("evaluation 512 of 600\n"), "invalid character"},
-	}
-	dir := t.TempDir()
-	for _, tc := range cases {
-		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".json")
-		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := ReadCheckpointFile(path)
-		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: err = %v, want ErrCheckpointCorrupt with %q", tc.name, err, tc.want)
-		}
-	}
-	_, err = ReadCheckpointFile(filepath.Join(dir, "does-not-exist.json"))
-	if !errors.Is(err, fs.ErrNotExist) || errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("missing file: err = %v, want not-exist and not corrupt", err)
-	}
-}
-
 func TestResumeValidation(t *testing.T) {
 	p := zdt1{n: 6}
 	var cp *IslandCheckpoint
@@ -166,8 +75,32 @@ func TestResumeValidation(t *testing.T) {
 			t.Errorf("%s mismatch accepted on resume", c.name)
 		}
 	}
-	if _, err := RandomSearchOpt(context.Background(), p, RandomOptions{Evals: 100, Seed: 3, Resume: cp.States[0]}); err == nil {
-		t.Error("nsga2 checkpoint accepted by random search")
+	// Every stored island state is checked on its own bytes too.
+	states := []struct {
+		name string
+		edit func(st *Checkpoint)
+		want string
+	}{
+		{"state format", func(st *Checkpoint) { st.Format = IslandCheckpointFormat }, "not a checkpoint file"},
+		{"state version", func(st *Checkpoint) { st.Version = CheckpointVersion + 99 }, "unsupported checkpoint version"},
+		{"genotype length", func(st *Checkpoint) { st.GenotypeLen = 7 }, "genotype length 7"},
+		{"population genotype", func(st *Checkpoint) { st.Population[0] = st.Population[0][1:] }, "population genotype length"},
+		{"archive genotype", func(st *Checkpoint) { st.Archive[0] = st.Archive[0][1:] }, "archive genotype length"},
+	}
+	for _, c := range states {
+		data, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := &IslandCheckpoint{}
+		if err := json.Unmarshal(data, bad); err != nil {
+			t.Fatal(err)
+		}
+		c.edit(bad.States[0])
+		_, err = Run(context.Background(), p, Options{PopSize: 16, Generations: 6, Seed: 3, Resume: bad})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -220,45 +153,27 @@ func TestNSGA2ResumeByteIdentical(t *testing.T) {
 	}
 }
 
-func TestRandomResumeByteIdentical(t *testing.T) {
+// TestRandomSearchDeterministicAcrossWorkers: random search draws its
+// genotypes on one PRNG stream and folds each chunk in order, so the
+// archive — genotypes and objectives — is identical at any worker count.
+func TestRandomSearchDeterministicAcrossWorkers(t *testing.T) {
 	p := zdt1{n: 10}
-	const evals, seed = 1200, 5
-
-	ref, err := RandomSearch(p, evals, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := flatFront(ref.Archive)
-
+	var want [][]float64
 	for _, workers := range []int{1, 4} {
-		var mid *Checkpoint
-		_, err := RandomSearchOpt(context.Background(), p, RandomOptions{
-			Evals: evals, Seed: seed, Workers: workers,
-			CheckpointEvery: 512,
-			OnCheckpoint: func(c *Checkpoint) error {
-				if mid == nil {
-					mid = c
-				}
-				return nil
-			},
-		})
+		res, err := RandomSearch(context.Background(), p, RandomOptions{Evals: 1200, Seed: 5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mid == nil || mid.NextEval != 512 {
-			t.Fatalf("workers=%d: expected a checkpoint at evaluation 512, got %+v", workers, mid)
+		if res.Evaluations != 1200 {
+			t.Fatalf("workers=%d: evaluations = %d, want 1200", workers, res.Evaluations)
 		}
-		got, err := RandomSearchOpt(context.Background(), p, RandomOptions{
-			Evals: evals, Seed: seed, Workers: workers, Resume: mid,
-		})
-		if err != nil {
-			t.Fatal(err)
+		got := flatFront(res.Archive)
+		if want == nil {
+			want = got
+			continue
 		}
-		if !reflect.DeepEqual(flatFront(got.Archive), want) {
-			t.Errorf("workers=%d: resumed front differs from uninterrupted run", workers)
-		}
-		if got.Evaluations != evals {
-			t.Errorf("workers=%d: resumed evaluations = %d, want %d", workers, got.Evaluations, evals)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: archive differs from workers=1", workers)
 		}
 	}
 }
@@ -316,20 +231,22 @@ func TestCancellationPartialResult(t *testing.T) {
 	}
 }
 
+// TestRandomCancellation: cancelling random search stops at the next
+// chunk boundary and returns the partial archive with ctx.Err(),
+// leaking no worker goroutines.
 func TestRandomCancellation(t *testing.T) {
 	p := zdt1{n: 8}
+	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var final *Checkpoint
 	n := 0
-	res, err := RandomSearchOpt(ctx, p, RandomOptions{
+	res, err := RandomSearch(ctx, p, RandomOptions{
 		Evals: 1 << 30, Seed: 9, Workers: 4,
 		OnProgress: func(Progress) {
 			if n++; n == 3 {
 				cancel()
 			}
 		},
-		OnCheckpoint: func(c *Checkpoint) error { final = c; return nil },
 	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -337,8 +254,15 @@ func TestRandomCancellation(t *testing.T) {
 	if res == nil || len(res.Archive) == 0 {
 		t.Fatal("no partial result on cancellation")
 	}
-	if final == nil || final.NextEval != 3*randomChunk {
-		t.Fatalf("final checkpoint = %+v, want NextEval %d", final, 3*randomChunk)
+	if res.Evaluations != 3*randomChunk {
+		t.Fatalf("partial run evaluated %d genotypes, want %d", res.Evaluations, 3*randomChunk)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutine leak after cancellation: %d > %d", n, before)
 	}
 }
 

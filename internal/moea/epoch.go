@@ -85,9 +85,9 @@ func (sh *IslandShard) check() error {
 }
 
 // WriteFile atomically writes the shard checkpoint (see
-// Checkpoint.WriteFile for the durability contract). Workers always
-// write atomically so the orchestrator never reads a torn shard, even
-// across a mid-epoch kill and re-run.
+// IslandCheckpoint.WriteFile for the durability contract). Workers
+// always write atomically so the orchestrator never reads a torn shard,
+// even across a mid-epoch kill and re-run.
 func (sh *IslandShard) WriteFile(path string) error {
 	data, err := json.Marshal(sh)
 	if err == nil {

@@ -314,7 +314,7 @@ func TestReadIslandCheckpointFileErrors(t *testing.T) {
 		{"population count", mutate(func(c *IslandCheckpoint) { c.States[0].Population = c.States[0].Population[1:] }), "island 0: 7 genotypes"},
 		{"generation budget", mutate(func(c *IslandCheckpoint) { c.States[1].Generations = 9 }), "island 1: population"},
 		{"generation past budget", mutate(func(c *IslandCheckpoint) { c.States[0].NextGeneration = 9 }), "island 0: at generation 9 of 8"},
-		{"random-search state", mutate(func(c *IslandCheckpoint) { c.States[0].Algorithm = AlgorithmRandom }), "optimizer"},
+		{"random-search state", mutate(func(c *IslandCheckpoint) { c.States[0].Algorithm = "random" }), "optimizer"},
 		{"zero epoch", mutate(func(c *IslandCheckpoint) { c.MigrateEvery = 0 }), "topology"},
 	}
 	dir := t.TempDir()

@@ -18,8 +18,8 @@ import (
 var ErrCheckpointCorrupt = errors.New("checkpoint corrupt")
 
 // Island checkpoint file format identifiers. The file embeds one
-// standard Checkpoint per island, so every island's state is
-// individually resumable.
+// Checkpoint per island, so every island's state is individually
+// resumable.
 const (
 	IslandCheckpointFormat  = "eedse-dse-island-checkpoint"
 	IslandCheckpointVersion = 1
@@ -109,8 +109,10 @@ func (cp *IslandCheckpoint) check(opt Options) error {
 	return nil
 }
 
-// WriteFile atomically writes the island checkpoint (see
-// Checkpoint.WriteFile for the durability contract).
+// WriteFile atomically writes the island checkpoint through
+// durable.WriteFileAtomic (path+".tmp", fsync, rename, directory
+// fsync), so a crash mid-write never destroys the previous checkpoint
+// and a checkpoint reported as written survives power loss.
 func (cp *IslandCheckpoint) WriteFile(path string) error {
 	data, err := json.Marshal(cp)
 	if err == nil {

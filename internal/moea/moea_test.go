@@ -291,7 +291,7 @@ func TestNSGA2BeatsRandomSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := RandomSearch(zdt1{n: 12}, budget, 7)
+	rnd, err := RandomSearch(context.Background(), zdt1{n: 12}, RandomOptions{Evals: budget, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func frontOf(r *Result) []Objectives {
 }
 
 func TestRandomSearchArchiveNonDominated(t *testing.T) {
-	res, err := RandomSearch(zdt1{n: 6}, 500, 3)
+	res, err := RandomSearch(context.Background(), zdt1{n: 6}, RandomOptions{Evals: 500, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestRandomSearchArchiveNonDominated(t *testing.T) {
 			}
 		}
 	}
-	if _, err := RandomSearch(zdt1{n: 0}, 10, 1); err == nil {
+	if _, err := RandomSearch(context.Background(), zdt1{n: 0}, RandomOptions{Evals: 10, Seed: 1}); err == nil {
 		t.Fatal("empty genotype accepted")
 	}
 }

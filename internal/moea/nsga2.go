@@ -159,7 +159,7 @@ func newNSGA2(p Problem, opt Options, resume *Checkpoint, pool *evalPool) (*nsga
 	s.rng = rand.New(s.src)
 
 	if cp := resume; cp != nil {
-		if err := cp.check(AlgorithmNSGA2, genLen); err != nil {
+		if err := cp.check(genLen); err != nil {
 			return nil, err
 		}
 		if err := s.src.setState(cp.RNG); err != nil {

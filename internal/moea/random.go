@@ -2,7 +2,6 @@ package moea
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"time"
 )
@@ -11,7 +10,7 @@ import (
 // generation stays sequential (one PRNG stream), evaluation of each
 // chunk may run on Workers goroutines, and the non-dominated filter runs
 // once per chunk to bound its quadratic cost. Chunk boundaries are also
-// the cancellation and checkpoint boundaries.
+// the cancellation boundaries.
 const randomChunk = 256
 
 // RandomOptions configure a random-search run.
@@ -25,28 +24,14 @@ type RandomOptions struct {
 	// OnProgress, when non-nil, receives a telemetry sample after every
 	// chunk.
 	OnProgress func(Progress)
-	// Resume restores state from a checkpoint (see Options.Resume).
-	Resume *Checkpoint
-	// OnCheckpoint receives a snapshot every CheckpointEvery evaluations
-	// (rounded up to chunk boundaries) and once more on cancellation.
-	OnCheckpoint func(*Checkpoint) error
-	// CheckpointEvery is the evaluation period of OnCheckpoint calls
-	// (0 = only on cancellation).
-	CheckpointEvery int
 }
 
-// RandomSearch evaluates `evals` uniformly random genotypes and keeps
+// RandomSearch evaluates opt.Evals uniformly random genotypes and keeps
 // the non-dominated archive — the null-hypothesis optimizer against
 // which NSGA-II's selection pressure is measured (optimizer ablation).
-func RandomSearch(p Problem, evals int, seed int64) (*Result, error) {
-	return RandomSearchOpt(context.Background(), p, RandomOptions{Evals: evals, Seed: seed})
-}
-
-// RandomSearchOpt is RandomSearch with run control: context
-// cancellation, parallel chunk evaluation, checkpoint/resume, and
-// telemetry. Cancellation is honored at chunk boundaries and returns
-// the partial Result with ctx.Err() after emitting a final checkpoint.
-func RandomSearchOpt(ctx context.Context, p Problem, opt RandomOptions) (*Result, error) {
+// Cancellation is honored at chunk boundaries and returns the partial
+// Result with ctx.Err(); no goroutines outlive the call.
+func RandomSearch(ctx context.Context, p Problem, opt RandomOptions) (*Result, error) {
 	genLen := p.GenotypeLen()
 	if genLen <= 0 {
 		return nil, errEmptyGenotype
@@ -57,70 +42,21 @@ func RandomSearchOpt(ctx context.Context, p Problem, opt RandomOptions) (*Result
 	if opt.Evals < 1 {
 		opt.Evals = 1
 	}
-	src := newPRNG(opt.Seed)
-	rng := rand.New(src)
+	rng := rand.New(newPRNG(opt.Seed))
 	res := &Result{}
 	start := time.Now()
-	runEvals := 0
 	pool := newEvalPool(p, opt.Workers)
 	defer pool.close()
 
-	var archive []*Individual
-	done := 0
-	if cp := opt.Resume; cp != nil {
-		if err := cp.check(AlgorithmRandom, genLen); err != nil {
-			return nil, err
+	var (
+		archive []*Individual
+		err     error
+	)
+	for chunk := 0; res.Evaluations < opt.Evals; chunk++ {
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		if cp.TotalEvals != opt.Evals {
-			return nil, fmt.Errorf("moea: resume: checkpoint targets %d evaluations, run targets %d", cp.TotalEvals, opt.Evals)
-		}
-		if cp.Seed != opt.Seed {
-			return nil, fmt.Errorf("moea: resume: checkpoint seed %d does not match Seed %d", cp.Seed, opt.Seed)
-		}
-		if err := src.setState(cp.RNG); err != nil {
-			return nil, err
-		}
-		archive = pool.evaluate(cp.Archive)
-		res.Evaluations = cp.Evaluations
-		done = cp.NextEval
-	}
-
-	snapshot := func(nextEval int) *Checkpoint {
-		return &Checkpoint{
-			Format:      CheckpointFormat,
-			Version:     CheckpointVersion,
-			Algorithm:   AlgorithmRandom,
-			Seed:        opt.Seed,
-			GenotypeLen: genLen,
-			RNG:         src.state(),
-			Evaluations: res.Evaluations,
-			TotalEvals:  opt.Evals,
-			NextEval:    nextEval,
-			Archive:     genotypes(archive),
-		}
-	}
-	finish := func(err error) (*Result, error) {
-		res.Archive = archive
-		res.FinalPopulation = archive
-		return res, err
-	}
-
-	chunk := 0
-	lastCheckpoint := done
-	for done < opt.Evals {
-		if ctx.Err() != nil {
-			if opt.OnCheckpoint != nil {
-				if err := opt.OnCheckpoint(snapshot(done)); err != nil {
-					return finish(err)
-				}
-			}
-			return finish(ctx.Err())
-		}
-		n := opt.Evals - done
-		if n > randomChunk {
-			n = randomChunk
-		}
-		genos := make([][]float64, n)
+		genos := make([][]float64, min(opt.Evals-res.Evaluations, randomChunk))
 		for i := range genos {
 			g := make([]float64, genLen)
 			for j := range g {
@@ -128,28 +64,18 @@ func RandomSearchOpt(ctx context.Context, p Problem, opt RandomOptions) (*Result
 			}
 			genos[i] = g
 		}
-		batch := pool.evaluate(genos)
-		res.Evaluations += n
-		runEvals += n
-		archive = updateArchive(archive, batch)
-		done += n
+		archive = updateArchive(archive, pool.evaluate(genos))
+		res.Evaluations += len(genos)
 		if opt.OnProgress != nil {
 			opt.OnProgress(Progress{
 				Generation:     chunk,
 				Evaluations:    res.Evaluations,
-				RunEvaluations: runEvals,
+				RunEvaluations: res.Evaluations,
 				Archive:        archive,
 				Elapsed:        time.Since(start),
 			})
 		}
-		chunk++
-		if opt.OnCheckpoint != nil && opt.CheckpointEvery > 0 &&
-			done-lastCheckpoint >= opt.CheckpointEvery && done < opt.Evals {
-			if err := opt.OnCheckpoint(snapshot(done)); err != nil {
-				return finish(err)
-			}
-			lastCheckpoint = done
-		}
 	}
-	return finish(nil)
+	res.Archive, res.FinalPopulation = archive, archive
+	return res, err
 }
