@@ -135,7 +135,7 @@ func BenchmarkEvalThroughput(b *testing.B) {
 // the exploration — SAT decode (genotype → branching → PB solver →
 // implementation) plus the three-objective evaluation — on the paper's
 // case study encoding (4 profiles per ECU). This is the path the
-// counter-based propagator, the reusable decoder state and the indexed
+// solver's propagation, the reusable decoder state and the indexed
 // objectives optimize; -benchmem shows the allocation trajectory.
 func BenchmarkDecodeEvaluate(b *testing.B) { benchDecodeEvaluate(b, 4) }
 

@@ -2,7 +2,6 @@ package encode
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/pbsat"
@@ -217,22 +216,4 @@ func (e *Encoding) SolveWithGenotype(genotype []float64, maxConflicts int) (*mod
 // genotype layout (read-only).
 func (e *Encoding) MappingOrder() []model.Mapping {
 	return append([]model.Mapping(nil), e.mapOrder...)
-}
-
-// sortedStepKeys is a test helper surface: deterministic iteration of
-// step variables for a message.
-func (e *Encoding) sortedStepKeys(msg model.MessageID) []stepKey {
-	var keys []stepKey
-	for k := range e.stepVar {
-		if k.msg == msg {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].tau != keys[j].tau {
-			return keys[i].tau < keys[j].tau
-		}
-		return keys[i].res < keys[j].res
-	})
-	return keys
 }

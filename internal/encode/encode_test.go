@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -351,6 +352,24 @@ func TestVerifyModelSatisfiesEncoding(t *testing.T) {
 	if bad := e.Problem.Verify(res.Model); len(bad) != 0 {
 		t.Fatalf("model violates %v", bad)
 	}
+}
+
+// sortedStepKeys iterates the step variables of a message
+// deterministically, by (τ, resource).
+func (e *Encoding) sortedStepKeys(msg model.MessageID) []stepKey {
+	var keys []stepKey
+	for k := range e.stepVar {
+		if k.msg == msg {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].tau != keys[j].tau {
+			return keys[i].tau < keys[j].tau
+		}
+		return keys[i].res < keys[j].res
+	})
+	return keys
 }
 
 func TestSortedStepKeysDeterministic(t *testing.T) {

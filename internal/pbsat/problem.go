@@ -1,7 +1,9 @@
 // Package pbsat implements a small pseudo-Boolean constraint solver:
 // linear 0/1 constraints (the ILP of the paper's Section III-C) solved
-// by DPLL search with slack-based unit propagation and an externally
-// supplied decision order.
+// by DPLL search with unit propagation and an externally supplied
+// decision order. Constraints that reduce to clauses propagate through
+// binary implication lists and two watched literals; the remaining
+// cardinality constraints keep slack counters.
 //
 // The external decision order is the heart of SAT-decoding
 // (Lukasiewycz et al.): the evolutionary optimizer evolves variable
@@ -53,15 +55,6 @@ type Constraint struct {
 	Terms []Term
 	Bound int
 	Tag   string // optional origin label for diagnostics
-}
-
-// maxSum returns the sum of all coefficients.
-func (c *Constraint) maxSum() int {
-	s := 0
-	for _, t := range c.Terms {
-		s += t.Coef
-	}
-	return s
 }
 
 // Problem is a conjunction of pseudo-Boolean constraints over numbered

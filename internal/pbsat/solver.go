@@ -3,8 +3,8 @@ package pbsat
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Assignment is a model: value per variable, indexed 1..NumVars.
@@ -30,6 +30,7 @@ type Branching interface {
 type PriorityBranching struct {
 	order []Lit     // sorted by priority desc, then variable asc
 	prio  []float64 // priority per order entry, co-sorted with order
+	keys  []uint64  // sort scratch
 	pos   int
 }
 
@@ -37,15 +38,18 @@ type PriorityBranching struct {
 // and preferred values. Variables missing from the maps are left to the
 // solver's fallback.
 func NewPriorityBranching(priority map[Var]float64, preferTrue map[Var]bool) *PriorityBranching {
-	b := &PriorityBranching{
-		order: make([]Lit, 0, len(priority)),
-		prio:  make([]float64, 0, len(priority)),
-	}
+	vars := make([]Var, 0, len(priority))
 	for v := range priority {
-		b.order = append(b.order, Lit{Var: v, Neg: !preferTrue[v]})
-		b.prio = append(b.prio, priority[v])
+		vars = append(vars, v)
 	}
-	b.sortOrder()
+	slices.Sort(vars)
+	prio := make([]float64, len(vars))
+	pref := make([]bool, len(vars))
+	for i, v := range vars {
+		prio[i], pref[i] = priority[v], preferTrue[v]
+	}
+	b := NewDensePriorityBranching(len(vars))
+	b.set(vars, prio, pref)
 	return b
 }
 
@@ -55,6 +59,7 @@ func NewDensePriorityBranching(n int) *PriorityBranching {
 	return &PriorityBranching{
 		order: make([]Lit, 0, n),
 		prio:  make([]float64, 0, n),
+		keys:  make([]uint64, 0, n),
 	}
 }
 
@@ -64,36 +69,55 @@ func NewDensePriorityBranching(n int) *PriorityBranching {
 // allocate. The resulting order matches NewPriorityBranching on maps
 // with the same contents: priority descending, ties by variable index.
 func (b *PriorityBranching) SetDense(priority []float64, preferTrue []bool) {
-	b.order = b.order[:0]
-	b.prio = b.prio[:0]
+	b.set(nil, priority, preferTrue)
+}
+
+// set establishes the deterministic decision order over entries i, the
+// variable vars[i] (i+1 when vars is nil; either way ascending in i):
+// priority descending, ties broken by ascending variable. One
+// slices.Sort over packed keys does nearly all of it: each key is the
+// priority's bits, mapped so that ascending keys mean descending
+// priorities, with the low bits.Len(n) bits replaced by i. Priorities
+// that differ only in those low bits then tie and fall back to i, so an
+// exact insertion pass finishes the order; it moves only those rare
+// pairs.
+func (b *PriorityBranching) set(vars []Var, priority []float64, preferTrue []bool) {
+	n := len(priority)
+	low := uint64(1)<<bits.Len(uint(n)) - 1
+	b.keys = b.keys[:0]
 	for i, p := range priority {
-		b.order = append(b.order, Lit{Var: Var(i + 1), Neg: !preferTrue[i]})
-		b.prio = append(b.prio, p)
+		key := math.Float64bits(p)
+		if key>>63 == 0 {
+			key = ^key &^ (1 << 63) // non-negative: larger p, smaller key
+		}
+		b.keys = append(b.keys, key&^low|uint64(i))
 	}
-	b.sortOrder()
+	slices.Sort(b.keys)
+	b.order, b.prio = b.order[:0], b.prio[:0]
+	for _, key := range b.keys {
+		i := int(key & low)
+		v := Var(i + 1)
+		if vars != nil {
+			v = vars[i]
+		}
+		b.order = append(b.order, Lit{Var: v, Neg: !preferTrue[i]})
+		b.prio = append(b.prio, priority[i])
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && b.before(j, j-1); j-- {
+			b.order[j], b.order[j-1] = b.order[j-1], b.order[j]
+			b.prio[j], b.prio[j-1] = b.prio[j-1], b.prio[j]
+		}
+	}
 	b.pos = 0
 }
 
-// sortOrder establishes the deterministic decision order: priority
-// descending, ties broken by ascending variable index.
-func (b *PriorityBranching) sortOrder() {
-	sort.Sort((*byPriority)(b))
-}
-
-// byPriority sorts order/prio together; it aliases PriorityBranching so
-// the sorter interface value never allocates per call.
-type byPriority PriorityBranching
-
-func (s *byPriority) Len() int { return len(s.order) }
-func (s *byPriority) Less(i, j int) bool {
-	if s.prio[i] != s.prio[j] {
-		return s.prio[i] > s.prio[j]
+// before reports whether order entry i decides before entry j.
+func (b *PriorityBranching) before(i, j int) bool {
+	if b.prio[i] != b.prio[j] {
+		return b.prio[i] > b.prio[j]
 	}
-	return s.order[i].Var < s.order[j].Var
-}
-func (s *byPriority) Swap(i, j int) {
-	s.order[i], s.order[j] = s.order[j], s.order[i]
-	s.prio[i], s.prio[j] = s.prio[j], s.prio[i]
+	return b.order[i].Var < b.order[j].Var
 }
 
 // Next implements Branching.
@@ -123,7 +147,11 @@ type Result struct {
 	// Propagated counts the implications this call made below the
 	// root. Implications at the root (decision level 0) do not depend
 	// on the branching; they are made once per Problem, when its first
-	// Solver is built, and are not counted here.
+	// Solver is built, and are not counted here. Without a conflict the
+	// implications are a fixpoint and their count is fixed; a conflict
+	// stops a cascade part way, so how many it assigned first depends
+	// on the propagation order and may change with the solver's
+	// internals.
 	Propagated int
 	// Aborted is set when the conflict limit was exceeded before a
 	// verdict; SAT is false in that case but unsatisfiability is NOT
@@ -145,52 +173,69 @@ func litCode(l Lit) int32 {
 	return int32(l.Var)
 }
 
-// occurrence is one (constraint, term) incidence of a variable, carrying
-// everything the counter update needs: which constraint to touch, the
-// term's weight, and the assignment sign under which the term's literal
-// becomes false (-1 for a positive literal, +1 for a negated one).
+// occurrence is one (cardinality, term) incidence of a literal: the
+// cardinality whose counter drops by coef when the literal becomes
+// false.
 type occurrence struct {
-	ci        int32
-	coef      int32
-	falseWhen int8
+	ci   int32
+	coef int32
 }
 
 // index is the read-only half of the solver. One index per Problem is
 // shared by all its Solvers (see Problem.solverIndex); it is presolved
 // at the root:
 //
-//   - assign and maxPossible hold the decision-level-0 propagation
-//     fixpoint, the state every Solve starts from;
+//   - assign holds the decision-level-0 propagation fixpoint, the state
+//     every Solve starts from;
 //   - only the constraints that fixpoint leaves unsatisfied ("live")
-//     are kept, renumbered densely, each with just the terms still
-//     unassigned at the root;
-//   - occurrence lists cover only those terms.
+//     are kept, each with just the terms still unassigned at the root;
+//   - a live constraint that any one of its live terms satisfies is a
+//     clause: with two terms it becomes a pair of implications, longer
+//     ones are watched; every other live constraint is a cardinality
+//     and keeps a slack counter, renumbered densely.
 //
 // The search below the root never unassigns a root-fixed variable, and a
 // constraint already satisfied at the root can never force a literal or
 // conflict, so dropping both changes no decision, conflict or model.
+//
+// Per-literal tables are indexed by the literal's slot, lit + nVars.
 type index struct {
 	// rootConflict is set when propagation at the root already
 	// conflicts: the problem is UNSAT and nothing else is kept.
 	rootConflict bool
 
-	assign      []int8  // per variable (var-1): 1=true, -1=false, 0=free
-	maxPossible []int64 // per constraint: Σ coef over terms not false
-	bounds      []int64 // per constraint
-	maxCoef     []int64 // per constraint: largest indexed term weight, to skip no-op scans
+	assign []int8 // per variable (var-1): 1=true, -1=false, 0=free
 
-	// Constraint ci's terms are terms[termStart[ci]:termStart[ci+1]].
+	// binLits[binStart[k]:binStart[k+1]] are the literals implied when
+	// the literal of slot k becomes true, one per binary clause holding
+	// its complement.
+	binStart []int32
+	binLits  []int32
+	// Long clause ci is clauseLits[clauseStart[ci]:clauseStart[ci+1]].
+	// Each Solver watches the first two literals of its own copy; the
+	// watch list of slot k starts at watchStart[k] in the Solver's
+	// arena, with room for every long-clause position of that literal.
+	clauseStart []int32
+	clauseLits  []int32
+	watchStart  []int32
+
+	maxPossible []int64 // per cardinality: Σ coef over terms not false
+	bounds      []int64 // per cardinality
+	maxCoef     []int64 // per cardinality: largest indexed term weight, to skip no-op scans
+
+	// Cardinality ci's terms are terms[termStart[ci]:termStart[ci+1]].
 	termStart []int32
 	terms     []term
-	// Variable v's incidences are occs[occStart[v-1]:occStart[v]], in
-	// constraint order, so an assignment updates exactly the counters it
-	// affects — and wakes only constraints whose slack shrank.
+	// The cardinality terms of the literal of slot k are
+	// occs[occStart[k]:occStart[k+1]], in cardinality order, so an
+	// assignment updates exactly the counters whose slack it shrinks, and
+	// wakes only those cardinalities.
 	occStart []int32
 	occs     []occurrence
 }
 
-// rawIndex indexes every constraint of p with every variable free: the
-// unpresolved input of the root pass.
+// rawIndex indexes every constraint of p as a cardinality with every
+// variable free: the unpresolved input of the root pass.
 func rawIndex(p *Problem) *index {
 	n := len(p.constraints)
 	ix := &index{
@@ -213,7 +258,7 @@ func rawIndex(p *Problem) *index {
 		}
 		ix.termStart = append(ix.termStart, int32(len(ix.terms)))
 	}
-	ix.indexOccurrences()
+	ix.indexLiterals(nil)
 	return ix
 }
 
@@ -231,90 +276,131 @@ func presolve(p *Problem) *index {
 		return &index{rootConflict: true}
 	}
 	ix := &index{
-		assign:    root.assign,
-		termStart: []int32{0},
+		assign:      root.assign,
+		clauseStart: []int32{0},
+		termStart:   []int32{0},
 	}
+	var binaries [][2]int32
+	var live []term
 	for ci, bound := range raw.bounds {
-		ts := raw.terms[raw.termStart[ci]:raw.termStart[ci+1]]
-		var sat int64
-		for _, t := range ts {
-			if root.value(t.lit) > 0 {
-				sat += int64(t.coef)
+		need := bound
+		live = live[:0]
+		for _, t := range raw.terms[raw.termStart[ci]:raw.termStart[ci+1]] {
+			switch root.value(t.lit) {
+			case 1:
+				need -= int64(t.coef)
+			case 0:
+				live = append(live, t)
 			}
 		}
-		if sat >= bound {
+		if need <= 0 {
 			continue // satisfied at the root
 		}
-		var maxCoef int64
-		for _, t := range ts {
-			if root.value(t.lit) == 0 {
-				ix.terms = append(ix.terms, t)
-				maxCoef = max(maxCoef, int64(t.coef))
-			}
+		minCoef, maxCoef := int64(math.MaxInt64), int64(0)
+		for _, t := range live {
+			minCoef = min(minCoef, int64(t.coef))
+			maxCoef = max(maxCoef, int64(t.coef))
 		}
-		ix.bounds = append(ix.bounds, bound)
-		ix.maxPossible = append(ix.maxPossible, root.maxPossible[ci])
-		ix.maxCoef = append(ix.maxCoef, maxCoef)
-		ix.termStart = append(ix.termStart, int32(len(ix.terms)))
+		switch {
+		case minCoef >= need && len(live) == 2:
+			binaries = append(binaries, [2]int32{live[0].lit, live[1].lit})
+		case minCoef >= need:
+			// The root fixpoint forces a clause's last live term, so a
+			// clause left live has at least two.
+			for _, t := range live {
+				ix.clauseLits = append(ix.clauseLits, t.lit)
+			}
+			ix.clauseStart = append(ix.clauseStart, int32(len(ix.clauseLits)))
+		default:
+			ix.terms = append(ix.terms, live...)
+			ix.bounds = append(ix.bounds, bound)
+			ix.maxPossible = append(ix.maxPossible, root.maxPossible[ci])
+			ix.maxCoef = append(ix.maxCoef, maxCoef)
+			ix.termStart = append(ix.termStart, int32(len(ix.terms)))
+		}
 	}
-	ix.indexOccurrences()
+	ix.indexLiterals(binaries)
 	return ix
 }
 
-// indexOccurrences builds the per-variable occurrence lists of the
-// indexed terms.
-func (ix *index) indexOccurrences() {
-	n := len(ix.assign)
-	ix.occStart = make([]int32, n+1)
+// indexLiterals builds the per-literal tables: the implication lists of
+// the binary clauses, the watch-list offsets of the long clauses and the
+// occurrence lists of the cardinality terms.
+func (ix *index) indexLiterals(binaries [][2]int32) {
+	n := int32(len(ix.assign))
+	slots := 2*int(n) + 1
+	ix.binStart = make([]int32, slots+1)
+	ix.watchStart = make([]int32, slots+1)
+	ix.occStart = make([]int32, slots+1)
+	for _, b := range binaries {
+		ix.binStart[-b[0]+n+1]++
+		ix.binStart[-b[1]+n+1]++
+	}
+	for _, l := range ix.clauseLits {
+		ix.watchStart[l+n+1]++
+	}
 	for _, t := range ix.terms {
-		ix.occStart[abs32(t.lit)]++
+		ix.occStart[t.lit+n+1]++
 	}
-	for v := 1; v <= n; v++ {
-		ix.occStart[v] += ix.occStart[v-1]
+	for k := 1; k <= slots; k++ {
+		ix.binStart[k] += ix.binStart[k-1]
+		ix.watchStart[k] += ix.watchStart[k-1]
+		ix.occStart[k] += ix.occStart[k-1]
 	}
-	next := slices.Clone(ix.occStart[:n])
+	next := slices.Clone(ix.binStart[:slots])
+	ix.binLits = make([]int32, 2*len(binaries))
+	for _, b := range binaries {
+		ix.binLits[next[-b[0]+n]] = b[1]
+		next[-b[0]+n]++
+		ix.binLits[next[-b[1]+n]] = b[0]
+		next[-b[1]+n]++
+	}
+	next = slices.Clone(ix.occStart[:slots])
 	ix.occs = make([]occurrence, len(ix.terms))
 	for ci := 0; ci+1 < len(ix.termStart); ci++ {
 		for _, t := range ix.terms[ix.termStart[ci]:ix.termStart[ci+1]] {
-			v, falseWhen := t.lit, int8(-1)
-			if v < 0 {
-				v, falseWhen = -v, 1
-			}
-			ix.occs[next[v-1]] = occurrence{ci: int32(ci), coef: t.coef, falseWhen: falseWhen}
-			next[v-1]++
+			ix.occs[next[t.lit+n]] = occurrence{ci: int32(ci), coef: t.coef}
+			next[t.lit+n]++
 		}
 	}
 }
 
-func abs32(x int32) int32 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// Solver runs chronological DPLL with counter-based pseudo-Boolean unit
-// propagation: each constraint's maximum achievable sum is maintained
-// incrementally on assign/unassign instead of being recomputed from its
-// terms on every visit. A Solver owns only mutable search state over
-// its Problem's shared, root-presolved index, and every Solve starts
-// from the root fixpoint, so one Solver serves many Solve calls (the
-// SAT-decoding hot loop). It is not safe for concurrent use; Solvers of
-// one Problem may run concurrently.
+// Solver runs chronological DPLL with unit propagation over its
+// Problem's shared, root-presolved index: binary clauses through
+// implication lists, longer clauses under two watched literals, and
+// cardinalities through slack counters maintained incrementally on
+// assign and unassign. A Solver owns only mutable search state, and
+// every Solve starts from the root fixpoint, so one Solver serves many
+// Solve calls (the SAT-decoding hot loop). It is not safe for
+// concurrent use; Solvers of one Problem may run concurrently.
 type Solver struct {
 	// MaxConflicts bounds the search (0 = 1,000,000).
 	MaxConflicts int
 
 	ix *index
 
-	assign []int8  // 1=true, -1=false, 0=unassigned; index var-1
-	trail  []int32 // variables assigned below the root, in order
+	nVars int32
+	// vals holds each literal's value by slot: 1=true, -1=false,
+	// 0=unassigned. assign aliases its positive half, indexed var-1.
+	vals   []int8
+	assign []int8
+	trail  []int32 // literals made true below the root, in order
+	// qhead is how much of the trail has had its clauses propagated.
+	qhead int
 
-	// maxPossible[ci] is the current Σ coef over constraint ci's terms
+	// clauseLits is this Solver's copy of the long clauses; the first
+	// two literals of each are its watches. Slot k's watch list is
+	// watches[ix.watchStart[k]:][:watchLen[k]], holding clause numbers.
+	// Watches stay valid across backtracking, so nothing restores them.
+	clauseLits []int32
+	watchLen   []int32
+	watches    []int32
+
+	// maxPossible[ci] is the current Σ coef over cardinality ci's terms
 	// whose literal is not yet false.
 	maxPossible []int64
 
-	inQueue []bool  // constraint index -> queued for recheck
+	inQueue []bool  // cardinality index -> queued for recheck
 	queue   []int32 // recheck worklist
 
 	// free is the fallback decision cursor: every variable below it is
@@ -331,37 +417,50 @@ type Solver struct {
 func NewSolver(p *Problem) *Solver { return newSolver(p.solverIndex()) }
 
 func newSolver(ix *index) *Solver {
-	return &Solver{
+	n := len(ix.assign)
+	s := &Solver{
 		MaxConflicts: 1_000_000,
 		ix:           ix,
-		assign:       slices.Clone(ix.assign),
+		nVars:        int32(n),
+		vals:         make([]int8, 2*n+1),
+		clauseLits:   slices.Clone(ix.clauseLits),
+		watchLen:     make([]int32, len(ix.watchStart)),
+		watches:      make([]int32, len(ix.clauseLits)),
 		maxPossible:  slices.Clone(ix.maxPossible),
 		inQueue:      make([]bool, len(ix.bounds)),
 	}
-}
-
-func (s *Solver) value(lit int32) int8 {
-	if lit < 0 {
-		return -s.assign[-lit-1]
+	s.assign = s.vals[n+1:]
+	for i, a := range ix.assign {
+		s.vals[n+1+i], s.vals[n-1-i] = a, -a
 	}
-	return s.assign[lit-1]
+	for ci := 0; ci+1 < len(ix.clauseStart); ci++ {
+		first := ix.clauseStart[ci]
+		s.watch(int32(ci), s.clauseLits[first])
+		s.watch(int32(ci), s.clauseLits[first+1])
+	}
+	return s
 }
 
-// assignLit records the assignment, updates the slack counters of every
-// constraint a falsified term belongs to, and wakes those constraints.
-// Constraints where the literal became true are not queued: their slack
-// is unchanged, so no new propagation or conflict can arise from them.
+// watch appends long clause ci to the watch list of lit.
+func (s *Solver) watch(ci, lit int32) {
+	k := lit + s.nVars
+	s.watches[s.ix.watchStart[k]+s.watchLen[k]] = ci
+	s.watchLen[k]++
+}
+
+func (s *Solver) value(lit int32) int8 { return s.vals[lit+s.nVars] }
+
+// assignLit records the assignment on the trail, updates the slack
+// counters of every cardinality a falsified term belongs to, and wakes
+// those cardinalities. Cardinalities where the literal became true are
+// not queued: their slack is unchanged, so no new propagation or
+// conflict can arise from them. Clauses see the literal when propagate
+// reaches it on the trail.
 func (s *Solver) assignLit(lit int32) {
-	v, val := lit, int8(1)
-	if lit < 0 {
-		v, val = -lit, -1
-	}
-	s.assign[v-1] = val
-	s.trail = append(s.trail, v)
-	for _, o := range s.ix.occs[s.ix.occStart[v-1]:s.ix.occStart[v]] {
-		if o.falseWhen != val {
-			continue
-		}
+	s.vals[s.nVars+lit], s.vals[s.nVars-lit] = 1, -1
+	s.trail = append(s.trail, lit)
+	k := s.nVars - lit
+	for _, o := range s.ix.occs[s.ix.occStart[k]:s.ix.occStart[k+1]] {
 		s.maxPossible[o.ci] -= int64(o.coef)
 		if !s.inQueue[o.ci] {
 			s.inQueue[o.ci] = true
@@ -371,43 +470,60 @@ func (s *Solver) assignLit(lit int32) {
 }
 
 // backtrack undoes the trail down to length n, restoring the slack
-// counters.
+// counters. Watched clauses need no undo: only the propagation head
+// moves back.
 func (s *Solver) backtrack(n int) {
 	for len(s.trail) > n {
-		v := s.trail[len(s.trail)-1]
+		lit := s.trail[len(s.trail)-1]
 		s.trail = s.trail[:len(s.trail)-1]
-		val := s.assign[v-1]
-		s.assign[v-1] = 0
-		for _, o := range s.ix.occs[s.ix.occStart[v-1]:s.ix.occStart[v]] {
-			if o.falseWhen == val {
-				s.maxPossible[o.ci] += int64(o.coef)
-			}
+		s.vals[s.nVars+lit], s.vals[s.nVars-lit] = 0, 0
+		k := s.nVars - lit
+		for _, o := range s.ix.occs[s.ix.occStart[k]:s.ix.occStart[k+1]] {
+			s.maxPossible[o.ci] += int64(o.coef)
 		}
-		s.free = min(s.free, int(v-1))
+		s.free = min(s.free, int(max(lit, -lit)-1))
 	}
+	s.qhead = min(s.qhead, n)
 }
 
-// propagate runs slack-based unit propagation over the recheck
-// worklist: only constraints whose slack shrank are revisited, and a
-// constraint's terms are scanned only when its largest weight exceeds
-// the current slack (otherwise nothing can be forced). It returns false
-// on conflict; the queue is drained either way (a conflict clears it,
-// since backtracking re-seeds from the flipped decision's occurrences).
+// propagate runs unit propagation to a fixpoint or a conflict. It first
+// drains the trail from qhead: each literal made true fires the binary
+// clauses of its complement through the implication list, then visits
+// the long clauses watching its complement. Once the trail is drained
+// it rechecks one queued cardinality: only cardinalities whose slack
+// shrank are queued, and a cardinality's terms are scanned only when
+// its largest weight exceeds the current slack (otherwise nothing can
+// be forced). It returns false on conflict, with the queue cleared,
+// since backtracking re-seeds from the flipped decision's assignment.
 func (s *Solver) propagate(res *Result) bool {
 	ix := s.ix
-	for len(s.queue) > 0 {
+	for {
+		for s.qhead < len(s.trail) {
+			lit := s.trail[s.qhead]
+			s.qhead++
+			k := lit + s.nVars
+			for _, l := range ix.binLits[ix.binStart[k]:ix.binStart[k+1]] {
+				switch s.value(l) {
+				case 0:
+					s.assignLit(l)
+					res.Propagated++
+				case -1:
+					return s.conflict()
+				}
+			}
+			if !s.visitWatches(-lit, res) {
+				return s.conflict()
+			}
+		}
+		if len(s.queue) == 0 {
+			return true
+		}
 		ci := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
 		s.inQueue[ci] = false
 		slack := s.maxPossible[ci] - ix.bounds[ci]
 		if slack < 0 {
-			// Conflict: clear the queue; the caller backtracks and
-			// re-seeds via assignLit of the flipped decision.
-			for _, qi := range s.queue {
-				s.inQueue[qi] = false
-			}
-			s.queue = s.queue[:0]
-			return false
+			return s.conflict()
 		}
 		if ix.maxCoef[ci] <= slack {
 			continue // no term outweighs the slack; nothing to force
@@ -419,7 +535,55 @@ func (s *Solver) propagate(res *Result) bool {
 			}
 		}
 	}
+}
+
+// visitWatches visits the long clauses watching falseLit, a literal
+// that just became false. A clause whose other watch is true stays put; one
+// with another non-false literal moves this watch there; otherwise its
+// other watch is forced, or, if that is false too, the clause
+// conflicts and visitWatches returns false.
+func (s *Solver) visitWatches(falseLit int32, res *Result) bool {
+	ix := s.ix
+	k := falseLit + s.nVars
+	ws := s.watches[ix.watchStart[k]:][:s.watchLen[k]]
+	kept := 0
+next:
+	for i, ci := range ws {
+		lits := s.clauseLits[ix.clauseStart[ci]:ix.clauseStart[ci+1]]
+		if lits[0] == falseLit {
+			lits[0], lits[1] = lits[1], lits[0]
+		}
+		other := lits[0]
+		if s.value(other) <= 0 {
+			for j := 2; j < len(lits); j++ {
+				if s.value(lits[j]) >= 0 {
+					lits[1], lits[j] = lits[j], falseLit
+					s.watch(ci, lits[1])
+					continue next
+				}
+			}
+			if s.value(other) < 0 {
+				kept += copy(ws[kept:], ws[i:])
+				s.watchLen[k] = int32(kept)
+				return false
+			}
+			s.assignLit(other)
+			res.Propagated++
+		}
+		ws[kept] = ci
+		kept++
+	}
+	s.watchLen[k] = int32(kept)
 	return true
+}
+
+// conflict clears the cardinality queue and reports the conflict.
+func (s *Solver) conflict() bool {
+	for _, qi := range s.queue {
+		s.inQueue[qi] = false
+	}
+	s.queue = s.queue[:0]
+	return false
 }
 
 // decision is one entry of the chronological decision stack.
@@ -442,7 +606,11 @@ func (s *Solver) Solve(branch Branching) Result {
 	res := Result{}
 	s.backtrack(0)
 	if pb, ok := branch.(*PriorityBranching); ok {
-		pb.Reset()
+		if pb == nil {
+			branch = nil // a typed nil is no branching
+		} else {
+			pb.Reset()
+		}
 	}
 	isAssigned := func(v Var) bool { return s.assign[v-1] != 0 }
 
@@ -504,8 +672,8 @@ func (s *Solver) nextDecision(branch Branching, isAssigned func(Var) bool) (Lit,
 	if branch != nil {
 		if l, ok := branch.Next(isAssigned); ok {
 			if s.assign[l.Var-1] != 0 {
-				// Branching returned an assigned var despite the filter;
-				// defensive fallback below.
+				// Branching returned an assigned var despite the filter:
+				// a broken Branching, not a search state to recover from.
 				panic(fmt.Sprintf("pbsat: branching returned assigned variable x%d", int(l.Var)))
 			}
 			return l, true

@@ -2,6 +2,7 @@ package pbsat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -11,8 +12,9 @@ import (
 // refSolver is the pre-counter propagation engine kept verbatim as a
 // test oracle: propagate recomputes every touched constraint's
 // maxPossible from its terms, and every constraint mentioning a freshly
-// assigned variable is re-queued. The counter-based Solver must agree
-// with it verdict-for-verdict, model-for-model and count-for-count —
+// assigned variable is re-queued. The Solver, with its watched clauses
+// and cardinality counters, must agree with it verdict-for-verdict,
+// model-for-model and count-for-count —
 // that equivalence is what makes the optimization invisible to the
 // deterministic decode pipeline.
 type refSolver struct {
@@ -214,43 +216,123 @@ func randomProblem(rng *rand.Rand) (*Problem, *PriorityBranching) {
 	}
 	var br *PriorityBranching
 	if rng.Intn(2) == 0 {
-		prio := make(map[Var]float64, nVars)
-		pref := make(map[Var]bool, nVars)
-		for _, v := range vars {
-			prio[v] = rng.Float64()
-			pref[v] = rng.Intn(2) == 0
-		}
-		br = NewPriorityBranching(prio, pref)
+		br = randomBranching(rng, nVars)
 	}
 	return p, br
 }
 
-// TestCounterPropagationMatchesReference is the differential test: the
-// counter-based solver and the recompute-from-scratch oracle must agree
-// on verdict, model, and search statistics across randomized problems,
-// with and without priority branching.
-func TestCounterPropagationMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for round := 0; round < 500; round++ {
-		p, br := randomProblem(rng)
-		// Avoid a typed-nil Branching interface when no branching rolled.
-		var branch Branching
-		if br != nil {
-			branch = br
+// randomClauseProblem builds a random clause-heavy problem: binary,
+// ternary and 3–8-literal clauses, some with a duplicated (x∨x) or
+// complementary (x∨¬x) literal, AtMostOne and ExactlyOne groups,
+// x+y+z ≥ 2 cardinalities that a root-true term turns into clauses,
+// and a few unit clauses. It is dense enough that most searches
+// conflict and backtrack, which moves watches and rewinds the
+// propagation head.
+func randomClauseProblem(rng *rand.Rand) (*Problem, *PriorityBranching) {
+	nVars := 4 + rng.Intn(11)
+	p := NewProblem()
+	for i := 0; i < nVars; i++ {
+		p.NewVar("v")
+	}
+	lit := func() Lit { return Lit{Var: Var(1 + rng.Intn(nVars)), Neg: rng.Intn(2) == 0} }
+	lits := func(n int) []Lit {
+		ls := make([]Lit, n)
+		for i := range ls {
+			switch r := rng.Intn(12); {
+			case i > 0 && r == 0:
+				ls[i] = ls[rng.Intn(i)]
+			case i > 0 && r == 1:
+				ls[i] = ls[rng.Intn(i)].Negated()
+			default:
+				ls[i] = lit()
+			}
 		}
-		got := NewSolver(p).Solve(branch)
-		if err := agreeWithRef(p, branch, got); err != nil {
-			t.Fatalf("round %d: %v", round, err)
+		return ls
+	}
+	nCons := nVars + rng.Intn(2*nVars)
+	for c := 0; c < nCons; c++ {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			p.AddClause("unit", lit())
+		case r < 7:
+			p.AddClause("binary", lits(2)...)
+		case r < 11:
+			p.AddClause("ternary", lits(3)...)
+		case r < 15:
+			p.AddClause("long", lits(3+rng.Intn(6))...)
+		case r < 17:
+			p.AtMostOne("amo", lits(2+rng.Intn(4))...)
+		case r < 18:
+			p.ExactlyOne("exactly-one", lits(2+rng.Intn(4))...)
+		default:
+			var terms []Term
+			for _, l := range lits(3 + rng.Intn(3)) {
+				terms = append(terms, Term{Coef: 1, Lit: l})
+			}
+			p.AddGE(terms, 2, "at-least-two")
+		}
+	}
+	var br *PriorityBranching
+	if rng.Intn(2) == 0 {
+		br = randomBranching(rng, nVars)
+	}
+	return p, br
+}
+
+// randomBranching draws a priority and a preferred polarity for each of
+// the variables 1..nVars.
+func randomBranching(rng *rand.Rand, nVars int) *PriorityBranching {
+	prio := make(map[Var]float64, nVars)
+	pref := make(map[Var]bool, nVars)
+	for v := Var(1); v <= Var(nVars); v++ {
+		prio[v] = rng.Float64()
+		pref[v] = rng.Intn(2) == 0
+	}
+	return NewPriorityBranching(prio, pref)
+}
+
+// problemGenerators are the random problem families of the
+// differential tests: general PB constraints, and clause-heavy problems
+// for the implication lists and watched clauses. Each test seeds family
+// i with its own seed + i, so the general rounds stay what they were.
+var problemGenerators = []struct {
+	name string
+	gen  func(*rand.Rand) (*Problem, *PriorityBranching)
+}{
+	{"pb", randomProblem},
+	{"clauses", randomClauseProblem},
+}
+
+// TestCounterPropagationMatchesReference is the differential test: the
+// solver and the recompute-from-scratch oracle must agree on verdict,
+// model, and search statistics across randomized problems of both
+// families, with and without priority branching.
+func TestCounterPropagationMatchesReference(t *testing.T) {
+	for gi, g := range problemGenerators {
+		rng := rand.New(rand.NewSource(77 + int64(gi)))
+		for round := 0; round < 500; round++ {
+			p, br := g.gen(rng)
+			// Avoid a typed-nil Branching interface when no branching rolled.
+			var branch Branching
+			if br != nil {
+				branch = br
+			}
+			got := NewSolver(p).Solve(branch)
+			if err := agreeWithRef(p, branch, got); err != nil {
+				t.Fatalf("%s round %d: %v", g.name, round, err)
+			}
 		}
 	}
 }
 
 // agreeWithRef solves p with the oracle and reports how got differs
 // from it. Propagated is not compared: how many literals a conflicting
-// cascade assigns before the conflict is detected depends on the queue
-// order (and is rewound anyway), and the Solver does not count the
-// root implications; the search trajectory — decisions and conflicts —
-// is the deterministic invariant.
+// cascade assigns before the conflict is detected depends on the
+// propagation order (the oracle's queue against the Solver's
+// implication lists, watches and cardinality queue) and is rewound
+// anyway, and the Solver does not count the root implications; the
+// search trajectory — decisions and conflicts — is the deterministic
+// invariant.
 func agreeWithRef(p *Problem, branch Branching, got Result) error {
 	want := newRefSolver(p).solve(branch)
 	if got.SAT != want.SAT || got.Aborted != want.Aborted {
@@ -365,38 +447,34 @@ func TestProblemChangeAfterNewSolver(t *testing.T) {
 // race to build the shared index, and every Solve must still match the
 // oracle. Run under -race.
 func TestConcurrentSolversShareIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 20; round++ {
-		p, _ := randomProblem(rng)
-		branches := make([]*PriorityBranching, 8)
-		for i := range branches {
-			prio := make(map[Var]float64)
-			pref := make(map[Var]bool)
-			for v := 1; v <= p.NumVars(); v++ {
-				prio[Var(v)] = rng.Float64()
-				pref[Var(v)] = rng.Intn(2) == 0
+	for gi, g := range problemGenerators {
+		rng := rand.New(rand.NewSource(3 + int64(gi)))
+		for round := 0; round < 20; round++ {
+			p, _ := g.gen(rng)
+			branches := make([]*PriorityBranching, 8)
+			for i := range branches {
+				branches[i] = randomBranching(rng, p.NumVars())
 			}
-			branches[i] = NewPriorityBranching(prio, pref)
-		}
-		results := make([][2]Result, len(branches))
-		var wg sync.WaitGroup
-		for i, br := range branches {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := NewSolver(p)
-				results[i][0] = s.Solve(nil)
-				results[i][0].Model = slices.Clone(results[i][0].Model)
-				results[i][1] = s.Solve(br)
-			}()
-		}
-		wg.Wait()
-		for i, br := range branches {
-			if err := agreeWithRef(p, nil, results[i][0]); err != nil {
-				t.Fatalf("round %d goroutine %d, no branching: %v", round, i, err)
+			results := make([][2]Result, len(branches))
+			var wg sync.WaitGroup
+			for i, br := range branches {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s := NewSolver(p)
+					results[i][0] = s.Solve(nil)
+					results[i][0].Model = slices.Clone(results[i][0].Model)
+					results[i][1] = s.Solve(br)
+				}()
 			}
-			if err := agreeWithRef(p, br, results[i][1]); err != nil {
-				t.Fatalf("round %d goroutine %d, branching: %v", round, i, err)
+			wg.Wait()
+			for i, br := range branches {
+				if err := agreeWithRef(p, nil, results[i][0]); err != nil {
+					t.Fatalf("%s round %d goroutine %d, no branching: %v", g.name, round, i, err)
+				}
+				if err := agreeWithRef(p, br, results[i][1]); err != nil {
+					t.Fatalf("%s round %d goroutine %d, branching: %v", g.name, round, i, err)
+				}
 			}
 		}
 	}
@@ -404,33 +482,34 @@ func TestConcurrentSolversShareIndex(t *testing.T) {
 
 // TestSolverReuseMatchesFresh pins the state-reset contract: a single
 // Solver solving a sequence of problems-with-branchings must return
-// exactly what a fresh Solver returns at every step.
+// exactly what a fresh Solver returns at every step, and what the
+// oracle returns. A reused Solver starts each search from the watches
+// the previous searches left behind.
 func TestSolverReuseMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for round := 0; round < 50; round++ {
-		p, _ := randomProblem(rng)
-		reused := NewSolver(p)
-		for i := 0; i < 4; i++ {
-			var br Branching
-			if i%2 == 1 {
-				prio := make(map[Var]float64)
-				pref := make(map[Var]bool)
-				for v := 1; v <= p.NumVars(); v++ {
-					prio[Var(v)] = rng.Float64()
-					pref[Var(v)] = rng.Intn(2) == 0
+	for gi, g := range problemGenerators {
+		rng := rand.New(rand.NewSource(99 + int64(gi)))
+		for round := 0; round < 50; round++ {
+			p, _ := g.gen(rng)
+			reused := NewSolver(p)
+			for i := 0; i < 4; i++ {
+				var br Branching
+				if i%2 == 1 {
+					br = randomBranching(rng, p.NumVars())
 				}
-				br = NewPriorityBranching(prio, pref)
-			}
-			got := reused.Solve(br)
-			want := NewSolver(p).Solve(br)
-			if got.SAT != want.SAT || got.Decisions != want.Decisions || got.Conflicts != want.Conflicts {
-				t.Fatalf("round %d call %d: reused (SAT=%v d=%d c=%d), fresh (SAT=%v d=%d c=%d)",
-					round, i, got.SAT, got.Decisions, got.Conflicts, want.SAT, want.Decisions, want.Conflicts)
-			}
-			if got.SAT {
-				for j := range got.Model {
-					if got.Model[j] != want.Model[j] {
-						t.Fatalf("round %d call %d: model differs at x%d", round, i, j+1)
+				got := reused.Solve(br)
+				if err := agreeWithRef(p, br, got); err != nil {
+					t.Fatalf("%s round %d call %d: reused: %v", g.name, round, i, err)
+				}
+				want := NewSolver(p).Solve(br)
+				if got.SAT != want.SAT || got.Decisions != want.Decisions || got.Conflicts != want.Conflicts {
+					t.Fatalf("%s round %d call %d: reused (SAT=%v d=%d c=%d), fresh (SAT=%v d=%d c=%d)",
+						g.name, round, i, got.SAT, got.Decisions, got.Conflicts, want.SAT, want.Decisions, want.Conflicts)
+				}
+				if got.SAT {
+					for j := range got.Model {
+						if got.Model[j] != want.Model[j] {
+							t.Fatalf("%s round %d call %d: model differs at x%d", g.name, round, i, j+1)
+						}
 					}
 				}
 			}
@@ -439,31 +518,77 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 }
 
 // TestSetDenseMatchesMapConstructor pins the dense-branching rebuild
-// against the map-based constructor on random priorities.
+// against the map-based constructor and against an exact comparison
+// sort (priority descending, ties by variable): first on small coarse
+// priorities that force ties, then up to 4,096 variables, including
+// priorities that differ only in the low mantissa bits the packed sort
+// keys give over to the variable index.
 func TestSetDenseMatchesMapConstructor(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dense := NewDensePriorityBranching(0)
-	for round := 0; round < 100; round++ {
+	for round := 0; round < 160; round++ {
 		n := 1 + rng.Intn(20)
+		if round >= 100 {
+			n = 1 + rng.Intn(4096)
+		}
 		prio := make([]float64, n)
 		pref := make([]bool, n)
 		mp := make(map[Var]float64, n)
 		mb := make(map[Var]bool, n)
 		for i := 0; i < n; i++ {
-			prio[i] = float64(rng.Intn(4)) // coarse: force ties
+			switch {
+			case round < 100 || round%3 == 0:
+				prio[i] = float64(rng.Intn(4)) // coarse: force ties
+			case round%3 == 1:
+				prio[i] = rng.Float64()
+			default:
+				// One of 0.5's nearest 64 neighbours, apart only in the
+				// low mantissa bits; some signed to cover the whole key.
+				prio[i] = math.Float64frombits(math.Float64bits(0.5) + uint64(rng.Intn(64)))
+				if rng.Intn(8) == 0 {
+					prio[i] = -prio[i]
+				}
+			}
 			pref[i] = rng.Intn(2) == 0
 			mp[Var(i+1)] = prio[i]
 			mb[Var(i+1)] = pref[i]
 		}
 		dense.SetDense(prio, pref)
 		ref := NewPriorityBranching(mp, mb)
-		if len(dense.order) != len(ref.order) {
-			t.Fatalf("round %d: order lengths %d vs %d", round, len(dense.order), len(ref.order))
+		want := make([]Lit, n)
+		for i := range want {
+			want[i] = Lit{Var: Var(i + 1), Neg: !pref[i]}
 		}
-		for i := range dense.order {
-			if dense.order[i] != ref.order[i] {
-				t.Fatalf("round %d: order[%d] = %v vs %v", round, i, dense.order[i], ref.order[i])
+		slices.SortFunc(want, func(a, b Lit) int {
+			if pa, pb := prio[a.Var-1], prio[b.Var-1]; pa != pb {
+				if pa > pb {
+					return -1
+				}
+				return 1
 			}
+			return int(a.Var) - int(b.Var)
+		})
+		if !slices.Equal(dense.order, want) {
+			t.Fatalf("round %d (n=%d): dense order differs from the exact sort", round, n)
+		}
+		if !slices.Equal(ref.order, want) {
+			t.Fatalf("round %d (n=%d): map order differs from the exact sort", round, n)
+		}
+	}
+}
+
+// TestSolveTypedNilBranching: a nil *PriorityBranching passed as a
+// Branching means no branching, exactly like Solve(nil).
+func TestSolveTypedNilBranching(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 50; round++ {
+		p, _ := randomClauseProblem(rng)
+		var pb *PriorityBranching
+		got := NewSolver(p).Solve(pb)
+		want := NewSolver(p).Solve(nil)
+		if got.SAT != want.SAT || got.Aborted != want.Aborted || got.Decisions != want.Decisions ||
+			got.Conflicts != want.Conflicts || got.Propagated != want.Propagated || !slices.Equal(got.Model, want.Model) {
+			t.Fatalf("round %d: Solve(typed nil) = %+v, Solve(nil) = %+v", round, got, want)
 		}
 	}
 }
