@@ -22,9 +22,8 @@ func (e *Encoding) Branching(genotype []float64) (pbsat.Branching, error) {
 	}
 	prio := make(map[pbsat.Var]float64, len(genotype))
 	pref := make(map[pbsat.Var]bool, len(genotype))
-	for i, m := range e.mapOrder {
-		v := e.mapVars[m]
-		g := genotype[i]
+	for i, g := range genotype {
+		v := pbsat.Var(i + 1)
 		// Distance from 0.5 is decision confidence; decide confident
 		// genes first so the decode follows the genotype closely.
 		d := g - 0.5
@@ -58,14 +57,6 @@ type DecoderState struct {
 // returned state owns its solver; Decode results remain valid after the
 // next call except for Result.Model, which aliases solver memory.
 func (e *Encoding) NewDecoderState() *DecoderState {
-	// The dense branching addresses mapping variables as 1..len(mapOrder);
-	// allocMappingVars allocates them first, so this holds by
-	// construction — verify once rather than trusting it silently.
-	for i, m := range e.mapOrder {
-		if e.mapVars[m] != pbsat.Var(i+1) {
-			panic(fmt.Sprintf("encode: mapping variable %v is x%d, want x%d", m, e.mapVars[m], i+1))
-		}
-	}
 	return &DecoderState{
 		enc:    e,
 		solver: pbsat.NewSolver(e.Problem),
@@ -120,12 +111,16 @@ func (e *Encoding) Decode(a pbsat.Assignment) (*model.Implementation, error) {
 // explicitly rather than silently assuming Dst[0].
 func (e *Encoding) decodeAssignment(a pbsat.Assignment, byTau []model.ResourceID, tauSet []bool) (*model.Implementation, error) {
 	x := model.NewImplementation(e.Spec)
-	for _, m := range e.mapOrder {
-		if a.Get(e.mapVars[m]) {
+	for i, m := range e.mapOrder {
+		if a.Get(pbsat.Var(i + 1)) {
 			x.Bind(m.Task, m.Resource)
 		}
 	}
-	for _, msg := range e.Spec.App.Messages() {
+	msgs := e.Spec.App.Messages()
+	if len(msgs) != len(e.msgSteps) {
+		return nil, fmt.Errorf("encode: specification has %d messages, the encoding %d", len(msgs), len(e.msgSteps))
+	}
+	for mi, msg := range msgs {
 		if !x.Bound(msg.Src) {
 			continue
 		}
@@ -133,7 +128,7 @@ func (e *Encoding) decodeAssignment(a pbsat.Assignment, byTau []model.ResourceID
 			if !x.Bound(dst) {
 				continue
 			}
-			route, err := e.extractRoute(a, msg, x.Binding[msg.Src], x.Binding[dst], byTau, tauSet)
+			route, err := extractRoute(a, msg, e.msgSteps[mi], x.Binding[msg.Src], x.Binding[dst], byTau, tauSet)
 			if err != nil {
 				return nil, err
 			}
@@ -143,15 +138,15 @@ func (e *Encoding) decodeAssignment(a pbsat.Assignment, byTau []model.ResourceID
 	return x, nil
 }
 
-// extractRoute walks the c_rτ assignment from the sender resource until
-// the receiver resource is reached, reading the per-message step index
-// (sorted by τ) instead of scanning the global step-variable map.
-func (e *Encoding) extractRoute(a pbsat.Assignment, msg *model.Message, srcRes, dstRes model.ResourceID, byTau []model.ResourceID, tauSet []bool) (model.Route, error) {
+// extractRoute walks the c_rτ assignment of msg, whose step index
+// (sorted by τ) is steps, from the sender resource until the receiver
+// resource is reached.
+func extractRoute(a pbsat.Assignment, msg *model.Message, steps []stepEntry, srcRes, dstRes model.ResourceID, byTau []model.ResourceID, tauSet []bool) (model.Route, error) {
 	for i := range tauSet {
 		tauSet[i] = false
 	}
 	maxTau := -1
-	for _, se := range e.msgSteps[msg.ID] {
+	for _, se := range steps {
 		if !a.Get(se.v) {
 			continue
 		}

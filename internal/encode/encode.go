@@ -11,7 +11,9 @@
 package encode
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -25,17 +27,21 @@ type Encoding struct {
 	Problem *pbsat.Problem
 	TMax    int // number of time steps τ ∈ {0, …, TMax−1}
 
-	opts     buildOptions
+	opts buildOptions
+	// mapVars[mapOrder[i]] is pbsat.Var(i+1): the mapping variables are
+	// the problem's first ones, in genotype order, so decoding reads
+	// mapping edge i as variable i+1 without a map lookup.
 	mapVars  map[model.Mapping]pbsat.Var
 	mapOrder []model.Mapping // deterministic genotype order
 	routeVar map[routeKey]pbsat.Var
 	stepVar  map[stepKey]pbsat.Var
 
-	// msgSteps groups the step variables of each message, sorted by
-	// (tau, resource), so constraint emission and route extraction walk
-	// a short dense slice in a fixed order instead of scanning the whole
-	// stepVar map per message.
-	msgSteps map[model.MessageID][]stepEntry
+	// msgSteps[i] holds the step variables of message i, the message at
+	// position i of Spec.App.Messages(), sorted by (tau, resource), so
+	// constraint emission and route extraction walk a short dense slice
+	// in a fixed order instead of scanning the whole stepVar map or
+	// hashing the message ID.
+	msgSteps [][]stepEntry
 }
 
 // stepEntry is one (resource, time-step) routing variable of a message
@@ -103,7 +109,6 @@ func Build(spec *model.Specification, tmax int, opts ...Option) (*Encoding, erro
 	}
 	e.allocMappingVars()
 	e.allocRoutingVars()
-	e.indexSteps()
 	e.addTaskConstraints()
 	e.addRoutingConstraints()
 	e.addDiagnosisConstraints()
@@ -129,8 +134,12 @@ func diameter(arch *model.ArchitectureGraph) int {
 }
 
 func (e *Encoding) allocMappingVars() {
-	for _, m := range e.Spec.Mappings() {
+	for i, m := range e.Spec.Mappings() {
 		v := e.Problem.NewVar("m:" + m.String())
+		if v != pbsat.Var(i+1) {
+			// Decoding and the dense branching rely on this layout.
+			panic(fmt.Sprintf("encode: mapping variable %v is x%d, want x%d", m, v, i+1))
+		}
 		e.mapVars[m] = v
 		e.mapOrder = append(e.mapOrder, m)
 	}
@@ -138,9 +147,14 @@ func (e *Encoding) allocMappingVars() {
 
 // allocRoutingVars creates c_r and c_rτ variables, pruned by
 // reachability: (c, r, τ) exists only if r is within τ hops of some
-// sender option and within TMax−1−τ hops of the receiver options.
+// sender option and within TMax−1−τ hops of the receiver options. It
+// indexes each message's step variables in msgSteps, sorted by (tau,
+// resource) so decode-time route walks are deterministic and
+// allocation-free.
 func (e *Encoding) allocRoutingVars() {
-	for _, msg := range e.Spec.App.Messages() {
+	msgs := e.Spec.App.Messages()
+	e.msgSteps = make([][]stepEntry, len(msgs))
+	for mi, msg := range msgs {
 		srcOpts := e.Spec.MappingTargets(msg.Src)
 		dstOpts := e.Spec.MappingTargets(msg.Dst[0])
 		distFromSrc := multiSourceDist(e.Spec.Arch, srcOpts)
@@ -153,26 +167,13 @@ func (e *Encoding) allocRoutingVars() {
 			}
 			e.routeVar[routeKey{msg.ID, r.ID}] = e.Problem.NewVar(fmt.Sprintf("c:%s@%s", msg.ID, r.ID))
 			for tau := ds; tau <= e.TMax-1-dd; tau++ {
-				e.stepVar[stepKey{msg.ID, r.ID, tau}] = e.Problem.NewVar(fmt.Sprintf("c:%s@%s.t%d", msg.ID, r.ID, tau))
+				v := e.Problem.NewVar(fmt.Sprintf("c:%s@%s.t%d", msg.ID, r.ID, tau))
+				e.stepVar[stepKey{msg.ID, r.ID, tau}] = v
+				e.msgSteps[mi] = append(e.msgSteps[mi], stepEntry{res: r.ID, tau: tau, v: v})
 			}
 		}
-	}
-}
-
-// indexSteps builds the per-message step-variable index from the
-// allocated stepVar map, sorted by (tau, resource) so decode-time route
-// walks are deterministic and allocation-free.
-func (e *Encoding) indexSteps() {
-	e.msgSteps = make(map[model.MessageID][]stepEntry, len(e.Spec.App.Messages()))
-	for key, v := range e.stepVar {
-		e.msgSteps[key.msg] = append(e.msgSteps[key.msg], stepEntry{res: key.res, tau: key.tau, v: v})
-	}
-	for _, entries := range e.msgSteps {
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].tau != entries[j].tau {
-				return entries[i].tau < entries[j].tau
-			}
-			return entries[i].res < entries[j].res
+		slices.SortFunc(e.msgSteps[mi], func(a, b stepEntry) int {
+			return cmp.Or(cmp.Compare(a.tau, b.tau), cmp.Compare(a.res, b.res))
 		})
 	}
 }
@@ -234,7 +235,7 @@ func (e *Encoding) boundLits(t model.TaskID) []pbsat.Lit {
 }
 
 func (e *Encoding) addRoutingConstraints() {
-	for _, msg := range e.Spec.App.Messages() {
+	for mi, msg := range e.Spec.App.Messages() {
 		dst := msg.Dst[0]
 		// Eq. 2b: the route starts at the sender's resource at τ = 0:
 		// c_{r,0} = m_{src,r} for every sender option r, and c_{r,0} = 0
@@ -252,7 +253,7 @@ func (e *Encoding) addRoutingConstraints() {
 			e.Problem.Equiv(pbsat.Pos(sv), pbsat.Pos(e.mapVars[model.Mapping{Task: msg.Src, Resource: r}]),
 				"2b:"+string(msg.ID))
 		}
-		for _, se := range e.msgSteps[msg.ID] {
+		for _, se := range e.msgSteps[mi] {
 			if se.tau != 0 {
 				break // τ-sorted: the τ = 0 steps come first
 			}
@@ -316,7 +317,7 @@ func (e *Encoding) addRoutingConstraints() {
 		}
 
 		// Eq. 2g: a step-τ+1 hop needs an adjacent step-τ hop.
-		for _, se := range e.msgSteps[msg.ID] {
+		for _, se := range e.msgSteps[mi] {
 			if se.tau == 0 {
 				continue
 			}

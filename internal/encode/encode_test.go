@@ -389,6 +389,54 @@ func TestSortedStepKeysDeterministic(t *testing.T) {
 	}
 }
 
+// TestMessageStepIndex pins the dense per-message step index: entry i
+// holds the step variables of the message at position i of
+// Spec.App.Messages(), in (τ, resource) order.
+func TestMessageStepIndex(t *testing.T) {
+	e, err := Build(buildSpec(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := e.Spec.App.Messages()
+	if len(e.msgSteps) != len(msgs) {
+		t.Fatalf("%d step lists for %d messages", len(e.msgSteps), len(msgs))
+	}
+	for i, msg := range msgs {
+		keys := e.sortedStepKeys(msg.ID)
+		if len(e.msgSteps[i]) != len(keys) {
+			t.Fatalf("message %q: %d indexed steps, want %d", msg.ID, len(e.msgSteps[i]), len(keys))
+		}
+		for j, k := range keys {
+			se := e.msgSteps[i][j]
+			if se.res != k.res || se.tau != k.tau || se.v != e.stepVar[k] {
+				t.Fatalf("message %q step %d: %+v, want %v as x%d", msg.ID, j, se, k, e.stepVar[k])
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsMessageAddedAfterBuild: the step index is by
+// message position, so a specification that gained a message after
+// Build no longer matches its encoding; Decode says so instead of
+// reading another message's steps.
+func TestDecodeRejectsMessageAddedAfterBuild(t *testing.T) {
+	spec := buildSpec(t)
+	e, err := Build(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.App.AddMessage(&model.Message{ID: "a0", Src: "t1", Dst: []model.TaskID{"t2"}, SizeBytes: 1, PeriodMS: 10}); err != nil {
+		t.Fatal(err)
+	}
+	g := make([]float64, e.GenotypeLen())
+	for i := range g {
+		g[i] = 0.5
+	}
+	if _, _, err := e.SolveWithGenotype(g, 0); err == nil || !strings.Contains(err.Error(), "messages") {
+		t.Fatalf("decode after adding a message: err = %v, want a message-count mismatch", err)
+	}
+}
+
 // TestMemoryCapacityEncoded: a gateway too small for the big profile's
 // pattern data forces the solver to either store locally or pick the
 // smaller profile — never to overflow the capacity.

@@ -28,10 +28,10 @@ type Branching interface {
 // stored preferred polarity. A zero PriorityBranching is empty; (re)fill
 // it with SetDense to reuse its buffers across decodes.
 type PriorityBranching struct {
-	order []Lit     // sorted by priority desc, then variable asc
-	prio  []float64 // priority per order entry, co-sorted with order
-	keys  []uint64  // sort scratch
-	pos   int
+	order   []Lit    // sorted by priority desc, then variable asc
+	keys    []uint64 // packed sort keys
+	scratch []uint64 // radix sort's second buffer
+	pos     int
 }
 
 // NewPriorityBranching builds a branching from per-variable priorities
@@ -57,9 +57,9 @@ func NewPriorityBranching(priority map[Var]float64, preferTrue map[Var]bool) *Pr
 // sized for n variables, ready for SetDense.
 func NewDensePriorityBranching(n int) *PriorityBranching {
 	return &PriorityBranching{
-		order: make([]Lit, 0, n),
-		prio:  make([]float64, 0, n),
-		keys:  make([]uint64, 0, n),
+		order:   make([]Lit, 0, n),
+		keys:    make([]uint64, 0, n),
+		scratch: make([]uint64, 0, n),
 	}
 }
 
@@ -74,13 +74,13 @@ func (b *PriorityBranching) SetDense(priority []float64, preferTrue []bool) {
 
 // set establishes the deterministic decision order over entries i, the
 // variable vars[i] (i+1 when vars is nil; either way ascending in i):
-// priority descending, ties broken by ascending variable. One
-// slices.Sort over packed keys does nearly all of it: each key is the
-// priority's bits, mapped so that ascending keys mean descending
-// priorities, with the low bits.Len(n) bits replaced by i. Priorities
-// that differ only in those low bits then tie and fall back to i, so an
-// exact insertion pass finishes the order; it moves only those rare
-// pairs.
+// priority descending, ties broken by ascending variable. A radix sort
+// of packed keys does nearly all of it: each key is the priority's
+// bits, mapped so that ascending keys mean descending priorities, with
+// the low bits.Len(n) bits replaced by i. Priorities that differ only in
+// those low bits then tie and fall back to i, and +0 and −0 get
+// different keys though they tie, so an exact insertion pass finishes
+// the order; it moves only those rare pairs.
 func (b *PriorityBranching) set(vars []Var, priority []float64, preferTrue []bool) {
 	n := len(priority)
 	low := uint64(1)<<bits.Len(uint(n)) - 1
@@ -92,32 +92,62 @@ func (b *PriorityBranching) set(vars []Var, priority []float64, preferTrue []boo
 		}
 		b.keys = append(b.keys, key&^low|uint64(i))
 	}
-	slices.Sort(b.keys)
-	b.order, b.prio = b.order[:0], b.prio[:0]
-	for _, key := range b.keys {
+	b.radixSort()
+	keys := b.keys
+	for i := 1; i < n; i++ {
+		for j := i; j > 0; j-- {
+			x, y := keys[j]&low, keys[j-1]&low
+			if priority[x] < priority[y] || priority[x] == priority[y] && x > y {
+				break
+			}
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+	b.order = b.order[:0]
+	for _, key := range keys {
 		i := int(key & low)
 		v := Var(i + 1)
 		if vars != nil {
 			v = vars[i]
 		}
 		b.order = append(b.order, Lit{Var: v, Neg: !preferTrue[i]})
-		b.prio = append(b.prio, priority[i])
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && b.before(j, j-1); j-- {
-			b.order[j], b.order[j-1] = b.order[j-1], b.order[j]
-			b.prio[j], b.prio[j-1] = b.prio[j-1], b.prio[j]
-		}
 	}
 	b.pos = 0
 }
 
-// before reports whether order entry i decides before entry j.
-func (b *PriorityBranching) before(i, j int) bool {
-	if b.prio[i] != b.prio[j] {
-		return b.prio[i] > b.prio[j]
+// radixSort sorts b.keys ascending: a least-significant-digit radix
+// sort over 8-bit digits that skips every digit all keys share. Each
+// pass scatters into b.scratch and the two buffers swap roles.
+func (b *PriorityBranching) radixSort() {
+	if len(b.keys) == 0 {
+		return
 	}
-	return b.order[i].Var < b.order[j].Var
+	b.scratch = slices.Grow(b.scratch[:0], len(b.keys))[:len(b.keys)]
+	var differ uint64
+	for _, k := range b.keys {
+		differ |= k ^ b.keys[0]
+	}
+	var start [256]int
+	for shift := 0; shift < 64; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		start = [256]int{}
+		for _, k := range b.keys {
+			start[byte(k>>shift)]++
+		}
+		sum := 0
+		for d, c := range start {
+			start[d] = sum
+			sum += c
+		}
+		for _, k := range b.keys {
+			d := byte(k >> shift)
+			b.scratch[start[d]] = k
+			start[d]++
+		}
+		b.keys, b.scratch = b.scratch, b.keys
+	}
 }
 
 // Next implements Branching.
@@ -185,8 +215,8 @@ type occurrence struct {
 // shared by all its Solvers (see Problem.solverIndex); it is presolved
 // at the root:
 //
-//   - assign holds the decision-level-0 propagation fixpoint, the state
-//     every Solve starts from;
+//   - rootVals, rootFree and maxPossible hold the decision-level-0
+//     propagation fixpoint, the state every Solve starts from by copy;
 //   - only the constraints that fixpoint leaves unsatisfied ("live")
 //     are kept, each with just the terms still unassigned at the root;
 //   - a live constraint that any one of its live terms satisfies is a
@@ -204,7 +234,12 @@ type index struct {
 	// conflicts: the problem is UNSAT and nothing else is kept.
 	rootConflict bool
 
-	assign []int8 // per variable (var-1): 1=true, -1=false, 0=free
+	// rootVals holds each literal's root value by slot, laid out like
+	// Solver.vals: 1=true, -1=false, 0=free. Its positive half,
+	// rootVals[nVars+1:], is the root assignment indexed var-1.
+	rootVals []int8
+	// rootFree is the first variable (var-1) free at the root, or nVars.
+	rootFree int
 
 	// binLits[binStart[k]:binStart[k+1]] are the literals implied when
 	// the literal of slot k becomes true, one per binary clause holding
@@ -219,7 +254,7 @@ type index struct {
 	clauseLits  []int32
 	watchStart  []int32
 
-	maxPossible []int64 // per cardinality: Σ coef over terms not false
+	maxPossible []int64 // per cardinality: Σ coef over terms not false at the root
 	bounds      []int64 // per cardinality
 	maxCoef     []int64 // per cardinality: largest indexed term weight, to skip no-op scans
 
@@ -239,7 +274,7 @@ type index struct {
 func rawIndex(p *Problem) *index {
 	n := len(p.constraints)
 	ix := &index{
-		assign:      make([]int8, p.NumVars()),
+		rootVals:    make([]int8, 2*p.NumVars()+1),
 		maxPossible: make([]int64, n),
 		bounds:      make([]int64, n),
 		maxCoef:     make([]int64, n),
@@ -273,12 +308,18 @@ func presolve(p *Problem) *index {
 		root.queue = append(root.queue, int32(ci))
 	}
 	if !root.propagate(&Result{}) {
-		return &index{rootConflict: true}
+		// Nothing is searched, so the index covers no variable: its
+		// rootVals is the slot-0 sentinel alone.
+		return &index{rootConflict: true, rootVals: []int8{0}}
 	}
 	ix := &index{
-		assign:      root.assign,
+		rootVals:    root.vals,
+		rootFree:    len(root.assign),
 		clauseStart: []int32{0},
 		termStart:   []int32{0},
+	}
+	if i := slices.Index(root.assign, 0); i >= 0 {
+		ix.rootFree = i
 	}
 	var binaries [][2]int32
 	var live []term
@@ -327,7 +368,7 @@ func presolve(p *Problem) *index {
 // the binary clauses, the watch-list offsets of the long clauses and the
 // occurrence lists of the cardinality terms.
 func (ix *index) indexLiterals(binaries [][2]int32) {
-	n := int32(len(ix.assign))
+	n := int32(ix.numVars())
 	slots := 2*int(n) + 1
 	ix.binStart = make([]int32, slots+1)
 	ix.watchStart = make([]int32, slots+1)
@@ -365,14 +406,18 @@ func (ix *index) indexLiterals(binaries [][2]int32) {
 	}
 }
 
+// numVars returns the number of variables the index covers.
+func (ix *index) numVars() int { return len(ix.rootVals) / 2 }
+
 // Solver runs chronological DPLL with unit propagation over its
 // Problem's shared, root-presolved index: binary clauses through
 // implication lists, longer clauses under two watched literals, and
 // cardinalities through slack counters maintained incrementally on
 // assign and unassign. A Solver owns only mutable search state, and
-// every Solve starts from the root fixpoint, so one Solver serves many
-// Solve calls (the SAT-decoding hot loop). It is not safe for
-// concurrent use; Solvers of one Problem may run concurrently.
+// every Solve starts from the root fixpoint, copied in from the index,
+// so one Solver serves many Solve calls (the SAT-decoding hot loop).
+// It is not safe for concurrent use; Solvers of one Problem may run
+// concurrently.
 type Solver struct {
 	// MaxConflicts bounds the search (0 = 1,000,000).
 	MaxConflicts int
@@ -404,7 +449,8 @@ type Solver struct {
 	queue   []int32 // recheck worklist
 
 	// free is the fallback decision cursor: every variable below it is
-	// assigned. backtrack lowers it.
+	// assigned. Solve starts it at the root's first free variable, and
+	// backtrack lowers it.
 	free int
 
 	stack    []decision // reusable decision stack
@@ -417,22 +463,20 @@ type Solver struct {
 func NewSolver(p *Problem) *Solver { return newSolver(p.solverIndex()) }
 
 func newSolver(ix *index) *Solver {
-	n := len(ix.assign)
+	n := ix.numVars()
 	s := &Solver{
 		MaxConflicts: 1_000_000,
 		ix:           ix,
 		nVars:        int32(n),
-		vals:         make([]int8, 2*n+1),
+		vals:         slices.Clone(ix.rootVals),
 		clauseLits:   slices.Clone(ix.clauseLits),
 		watchLen:     make([]int32, len(ix.watchStart)),
 		watches:      make([]int32, len(ix.clauseLits)),
 		maxPossible:  slices.Clone(ix.maxPossible),
 		inQueue:      make([]bool, len(ix.bounds)),
+		free:         ix.rootFree,
 	}
 	s.assign = s.vals[n+1:]
-	for i, a := range ix.assign {
-		s.vals[n+1+i], s.vals[n-1-i] = a, -a
-	}
 	for ci := 0; ci+1 < len(ix.clauseStart); ci++ {
 		first := ix.clauseStart[ci]
 		s.watch(int32(ci), s.clauseLits[first])
@@ -495,6 +539,8 @@ func (s *Solver) backtrack(n int) {
 // its largest weight exceeds the current slack (otherwise nothing can
 // be forced). It returns false on conflict, with the queue cleared,
 // since backtracking re-seeds from the flipped decision's assignment.
+// Either way the queue is empty when it returns, which is what lets
+// Solve reset to the root without touching it.
 func (s *Solver) propagate(res *Result) bool {
 	ix := s.ix
 	for {
@@ -595,16 +641,25 @@ type decision struct {
 
 // Solve searches for a model, deciding variables in the order supplied
 // by branch (nil uses plain first-unassigned/false-first). The search
-// starts from the root fixpoint: the previous call's assignments are
-// undone, so the same Solver can serve many Solve calls without
-// reallocating its state.
+// starts from the root fixpoint, so the same Solver can serve many
+// Solve calls without reallocating its state.
+//
+// The reset copies the root values and counters in. That is the state
+// backtrack(0) would reach, since nothing else needs restoring: every
+// Solve returns with the cardinality queue empty (propagate drains it
+// or clears it on conflict), and the watches stay valid under any
+// backtrack.
 func (s *Solver) Solve(branch Branching) Result {
 	if s.ix.rootConflict {
 		// The first propagation, before any decision, conflicts.
 		return Result{Conflicts: 1}
 	}
 	res := Result{}
-	s.backtrack(0)
+	copy(s.vals, s.ix.rootVals)
+	copy(s.maxPossible, s.ix.maxPossible)
+	s.trail = s.trail[:0]
+	s.qhead = 0
+	s.free = s.ix.rootFree
 	if pb, ok := branch.(*PriorityBranching); ok {
 		if pb == nil {
 			branch = nil // a typed nil is no branching

@@ -517,39 +517,99 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestSolverReuseAfterAbortAndUNSAT pins what Solve's reset by copy
+// relies on: every Solve returns with the cardinality queue drained,
+// aborted and UNSAT calls included, since the reset does not touch the
+// queue. Each round solves once under a one-conflict limit, which
+// aborts any search reaching a second conflict, and then twice with
+// the default limit on the same Solver; those two calls must match a
+// fresh Solver and the oracle. Both families abort and prove UNSAT
+// often enough that every case precedes a checked call.
+func TestSolverReuseAfterAbortAndUNSAT(t *testing.T) {
+	for gi, g := range problemGenerators {
+		rng := rand.New(rand.NewSource(41 + int64(gi)))
+		aborted, unsat := 0, 0
+		for round := 0; round < 300; round++ {
+			p, br := g.gen(rng)
+			s := NewSolver(p)
+			s.MaxConflicts = 1
+			var branch Branching
+			if br != nil {
+				branch = br
+			}
+			first := s.Solve(branch)
+			fresh := NewSolver(p)
+			fresh.MaxConflicts = 1
+			want := fresh.Solve(branch)
+			if first.SAT != want.SAT || first.Aborted != want.Aborted ||
+				first.Decisions != want.Decisions || first.Conflicts != want.Conflicts {
+				t.Fatalf("%s round %d: limited solve %+v, fresh %+v", g.name, round, first, want)
+			}
+			if err := queueDrained(s); err != nil {
+				t.Fatalf("%s round %d: after the limited solve: %v", g.name, round, err)
+			}
+			if first.Aborted {
+				aborted++
+			}
+			s.MaxConflicts = 0
+			prev := first
+			for call := 1; call <= 2; call++ {
+				if !prev.SAT && !prev.Aborted {
+					unsat++
+				}
+				next := randomBranching(rng, p.NumVars())
+				got := s.Solve(next)
+				if err := queueDrained(s); err != nil {
+					t.Fatalf("%s round %d call %d: %v", g.name, round, call, err)
+				}
+				if err := agreeWithRef(p, next, got); err != nil {
+					t.Fatalf("%s round %d call %d: %v", g.name, round, call, err)
+				}
+				want := NewSolver(p).Solve(next)
+				if got.SAT != want.SAT || got.Decisions != want.Decisions || got.Conflicts != want.Conflicts ||
+					!slices.Equal(got.Model, want.Model) {
+					t.Fatalf("%s round %d call %d: reused (SAT=%v d=%d c=%d), fresh (SAT=%v d=%d c=%d)",
+						g.name, round, call, got.SAT, got.Decisions, got.Conflicts, want.SAT, want.Decisions, want.Conflicts)
+				}
+				prev = got
+			}
+		}
+		if aborted == 0 || unsat == 0 {
+			t.Fatalf("%s: %d aborted and %d UNSAT calls preceded a checked call; want both", g.name, aborted, unsat)
+		}
+	}
+}
+
+// queueDrained reports a cardinality left queued or marked queued.
+func queueDrained(s *Solver) error {
+	if len(s.queue) != 0 {
+		return fmt.Errorf("%d cardinalities left queued", len(s.queue))
+	}
+	if ci := slices.Index(s.inQueue, true); ci >= 0 {
+		return fmt.Errorf("cardinality %d still marked queued", ci)
+	}
+	return nil
+}
+
 // TestSetDenseMatchesMapConstructor pins the dense-branching rebuild
 // against the map-based constructor and against an exact comparison
-// sort (priority descending, ties by variable): first on small coarse
-// priorities that force ties, then up to 4,096 variables, including
-// priorities that differ only in the low mantissa bits the packed sort
-// keys give over to the variable index.
+// sort (priority descending, ties by variable). Fixed cases come first:
+// zero, one and two variables; all priorities equal (with fewer than
+// 256 variables their keys differ only in the lowest byte); priorities
+// that differ in a single byte, so the radix sort skips every other
+// digit; and negative priorities mixed with non-negative ones. Random
+// rounds follow: small coarse priorities that force ties, then up to
+// 4,096 variables, including priorities that differ only in the low
+// mantissa bits the packed sort keys give over to the variable index.
 func TestSetDenseMatchesMapConstructor(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dense := NewDensePriorityBranching(0)
-	for round := 0; round < 160; round++ {
-		n := 1 + rng.Intn(20)
-		if round >= 100 {
-			n = 1 + rng.Intn(4096)
-		}
-		prio := make([]float64, n)
-		pref := make([]bool, n)
+	check := func(name string, prio []float64, pref []bool) {
+		t.Helper()
+		n := len(prio)
 		mp := make(map[Var]float64, n)
 		mb := make(map[Var]bool, n)
-		for i := 0; i < n; i++ {
-			switch {
-			case round < 100 || round%3 == 0:
-				prio[i] = float64(rng.Intn(4)) // coarse: force ties
-			case round%3 == 1:
-				prio[i] = rng.Float64()
-			default:
-				// One of 0.5's nearest 64 neighbours, apart only in the
-				// low mantissa bits; some signed to cover the whole key.
-				prio[i] = math.Float64frombits(math.Float64bits(0.5) + uint64(rng.Intn(64)))
-				if rng.Intn(8) == 0 {
-					prio[i] = -prio[i]
-				}
-			}
-			pref[i] = rng.Intn(2) == 0
+		for i := range prio {
 			mp[Var(i+1)] = prio[i]
 			mb[Var(i+1)] = pref[i]
 		}
@@ -569,11 +629,93 @@ func TestSetDenseMatchesMapConstructor(t *testing.T) {
 			return int(a.Var) - int(b.Var)
 		})
 		if !slices.Equal(dense.order, want) {
-			t.Fatalf("round %d (n=%d): dense order differs from the exact sort", round, n)
+			t.Fatalf("%s (n=%d): dense order differs from the exact sort", name, n)
 		}
 		if !slices.Equal(ref.order, want) {
-			t.Fatalf("round %d (n=%d): map order differs from the exact sort", round, n)
+			t.Fatalf("%s (n=%d): map order differs from the exact sort", name, n)
 		}
+	}
+	fill := func(n int, p func(i int) float64) ([]float64, []bool) {
+		prio := make([]float64, n)
+		pref := make([]bool, n)
+		for i := range prio {
+			prio[i] = p(i)
+			pref[i] = rng.Intn(2) == 0
+		}
+		return prio, pref
+	}
+
+	for n := 0; n <= 2; n++ {
+		prio, pref := fill(n, func(int) float64 { return rng.Float64() })
+		check(fmt.Sprintf("%d variables", n), prio, pref)
+		prio, pref = fill(n, func(int) float64 { return 0.25 })
+		check(fmt.Sprintf("%d equal", n), prio, pref)
+	}
+	for _, n := range []int{200, 1716} {
+		prio, pref := fill(n, func(int) float64 { return 0.25 })
+		check("all equal", prio, pref)
+	}
+	base := math.Float64bits(0.3)
+	for shift := 8; shift < 64; shift += 8 {
+		prio, pref := fill(200, func(int) float64 {
+			return math.Float64frombits(base&^(0xff<<shift) | uint64(rng.Intn(256))<<shift)
+		})
+		check(fmt.Sprintf("one byte at bit %d", shift), prio, pref)
+	}
+	for _, n := range []int{3, 200, 1716} {
+		prio, pref := fill(n, func(i int) float64 {
+			if i%7 == 0 {
+				return 0 // and some negative zeros, which tie with it
+			}
+			return rng.NormFloat64()
+		})
+		for i := 14; i < n; i += 28 {
+			prio[i] = math.Copysign(0, -1)
+		}
+		check("mixed signs", prio, pref)
+	}
+
+	for round := 0; round < 160; round++ {
+		n := 1 + rng.Intn(20)
+		if round >= 100 {
+			n = 1 + rng.Intn(4096)
+		}
+		prio, pref := fill(n, func(int) float64 {
+			switch {
+			case round < 100 || round%3 == 0:
+				return float64(rng.Intn(4)) // coarse: force ties
+			case round%3 == 1:
+				return rng.Float64()
+			default:
+				// One of 0.5's nearest 64 neighbours, apart only in the
+				// low mantissa bits; some signed to cover the whole key.
+				p := math.Float64frombits(math.Float64bits(0.5) + uint64(rng.Intn(64)))
+				if rng.Intn(8) == 0 {
+					p = -p
+				}
+				return p
+			}
+		})
+		check(fmt.Sprintf("round %d", round), prio, pref)
+	}
+}
+
+// TestSetDenseSteadyStateAllocs: rebuilding the order of a branching
+// sized for the problem, the per-decode path, allocates nothing.
+func TestSetDenseSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 1716
+	prio := make([]float64, n)
+	pref := make([]bool, n)
+	b := NewDensePriorityBranching(n)
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := range prio {
+			prio[i], pref[i] = rng.Float64(), rng.Intn(2) == 0
+		}
+		b.SetDense(prio, pref)
+	})
+	if allocs != 0 {
+		t.Fatalf("SetDense allocates %.1f times per call, want 0", allocs)
 	}
 }
 
