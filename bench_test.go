@@ -125,6 +125,7 @@ func BenchmarkEvalThroughput(b *testing.B) {
 		}
 		genotypes[i] = g
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex.Evaluate(genotypes[i%len(genotypes)])

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/casestudy"
 	"repro/internal/moea"
 )
 
@@ -45,5 +46,36 @@ func TestExplorerRunSteadyStateAllocs(t *testing.T) {
 	// channel ops) exceeds.
 	if parallel > serial+600 {
 		t.Fatalf("parallel run allocates %.0f vs serial %.0f — per-batch pool construction is back", parallel, serial)
+	}
+}
+
+// TestGreedyDecodeSteadyStateAllocs pins the greedy decoder's
+// allocations on the full case study: a decode allocates the
+// implementation (its three maps, one routing map per active message)
+// and nothing per specification entity. A decode that rescans the
+// specification (the per-ECU profile lists, the mapping targets, the
+// message list) fails the bound: the per-call decoder allocated 9,616
+// times for these 16 decodes.
+func TestGreedyDecodeSteadyStateAllocs(t *testing.T) {
+	spec, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewGreedyDecoder(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genotypes := identityGenotypes(spec, dec.GenotypeLen())[:16]
+	got := testing.AllocsPerRun(20, func() {
+		for _, g := range genotypes {
+			if _, err := dec.Decode(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%.0f allocs per 16 decodes", got)
+	const want = 2300
+	if got > want {
+		t.Fatalf("16 decodes allocate %.0f times, want at most %d", got, want)
 	}
 }

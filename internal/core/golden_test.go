@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/casestudy"
 	"repro/internal/moea"
 )
 
@@ -40,7 +41,9 @@ func frontDigest(t *testing.T, res *Result) string {
 // case study (greedy decoder) to digests recorded before the
 // single-population and island drivers were unified: the optimizer
 // archive and the exploration front of a default run at workers 1 and
-// 4, and the front of a 3-island, migrate-5 campaign.
+// 4, and the front of a 3-island, migrate-5 campaign. It also pins a
+// greedy front on the full case study at workers 1 and 4, recorded
+// before the greedy decoder compiled its gene layout into tables.
 func TestGoldenExplorerFronts(t *testing.T) {
 	spec := smallSpec(t)
 	dec, err := NewGreedyDecoder(spec)
@@ -66,6 +69,27 @@ func TestGoldenExplorerFronts(t *testing.T) {
 		}
 		if got := frontDigest(t, res); got != frontWant {
 			t.Errorf("workers=%d: front digest %s, want %s", w, got, frontWant)
+		}
+	}
+
+	// The full case study (36 profiles per ECU), where the greedy
+	// decoder's compiled tables carry the most entries.
+	full, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullDec, err := NewGreedyDecoder(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fullWant = "c94d593777f2ca557ae8b5dc5a42e932b5441ccb837d14d29b0f8149f06db4f4"
+	for _, w := range []int{1, 4} {
+		res, err := NewExplorer(full, fullDec).Run(moea.Options{PopSize: 64, Generations: 10, Seed: 3, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := frontDigest(t, res); got != fullWant {
+			t.Errorf("full case study, workers=%d: front digest %s, want %s", w, got, fullWant)
 		}
 	}
 

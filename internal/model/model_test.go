@@ -312,6 +312,56 @@ func TestPairingHelpers(t *testing.T) {
 	}
 }
 
+// TestPairingLowestMessageID pins the pairing helpers on adjacency
+// inserted out of message-ID order: the pair is decided by the lowest
+// message ID that qualifies, as when the helpers scanned a sorted copy,
+// and a lookup allocates nothing.
+func TestPairingLowestMessageID(t *testing.T) {
+	app := NewApplicationGraph()
+	for _, task := range []*Task{
+		{ID: "f", Kind: KindFunctional},
+		{ID: "bTa", Kind: KindBISTTest, TestedECU: "ecu1"},
+		{ID: "bTb", Kind: KindBISTTest, TestedECU: "ecu1"},
+		{ID: "bDa", Kind: KindBISTData, TestedECU: "ecu1"},
+		{ID: "bDb", Kind: KindBISTData, TestedECU: "ecu1"},
+	} {
+		if err := app.AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range []*Message{
+		{ID: "c9", Src: "bDb", Dst: []TaskID{"bTa"}},
+		{ID: "c5", Src: "bDa", Dst: []TaskID{"bTb"}},
+		{ID: "c2", Src: "bDa", Dst: []TaskID{"f", "bTa"}},
+		{ID: "c1", Src: "f", Dst: []TaskID{"bTa", "bDb"}},
+		{ID: "c7", Src: "bDb", Dst: []TaskID{"bTb", "bTa"}},
+		{ID: "c3", Src: "bDb", Dst: []TaskID{"f"}},
+	} {
+		if err := app.AddMessage(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := NewSpecification(app, NewArchitectureGraph())
+	task := app.Task
+	for _, tc := range []struct {
+		name string
+		get  func() *Task
+		want TaskID
+	}{
+		{"DataTaskFor(bTa): c2 beats c9, c1 has no data sender", func() *Task { return spec.DataTaskFor(task("bTa")) }, "bDa"},
+		{"DataTaskFor(bTb): c5 beats c7", func() *Task { return spec.DataTaskFor(task("bTb")) }, "bDa"},
+		{"TestTaskFor(bDa): first test receiver of c2", func() *Task { return spec.TestTaskFor(task("bDa")) }, "bTa"},
+		{"TestTaskFor(bDb): c7 beats c9, c3 has no test receiver", func() *Task { return spec.TestTaskFor(task("bDb")) }, "bTb"},
+	} {
+		if got := tc.get(); got == nil || got.ID != tc.want {
+			t.Errorf("%s: got %v, want %s", tc.name, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { tc.get() }); n != 0 {
+			t.Errorf("%s: %.0f allocs per lookup, want 0", tc.name, n)
+		}
+	}
+}
+
 // TestJSONRoundTrip serializes the tiny spec and parses it back: the
 // result must validate and preserve every entity.
 func TestJSONRoundTrip(t *testing.T) {

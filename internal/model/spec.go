@@ -186,35 +186,46 @@ func (s *Specification) BISTTasksForECU(r ResourceID) []*Task {
 
 // DataTaskFor returns the BIST data task b^D paired with the given BIST
 // test task b^T, i.e. the data task whose outgoing message is received
-// by bT. Returns nil if none exists.
+// by bT; of several, the one sending the lowest message ID. Returns nil
+// if none exists. It scans the adjacency in place and allocates
+// nothing, so the objectives may call it once per selected ECU.
 func (s *Specification) DataTaskFor(bT *Task) *Task {
 	if bT == nil || bT.Kind != KindBISTTest {
 		return nil
 	}
-	for _, mid := range s.App.Incoming(bT.ID) {
-		m := s.App.Message(mid)
-		src := s.App.Task(m.Src)
-		if src != nil && src.Kind == KindBISTData {
-			return src
+	var best *Task
+	var bestID MessageID
+	for _, mid := range s.App.incoming[bT.ID] {
+		if best != nil && mid >= bestID {
+			continue
+		}
+		if src := s.App.tasks[s.App.messages[mid].Src]; src != nil && src.Kind == KindBISTData {
+			best, bestID = src, mid
 		}
 	}
-	return nil
+	return best
 }
 
 // TestTaskFor returns the BIST test task b^T paired with the given data
-// task b^D. Returns nil if none exists.
+// task b^D: the first test-task receiver of bD's lowest-ID message that
+// has one. Returns nil if none exists. Like DataTaskFor it allocates
+// nothing.
 func (s *Specification) TestTaskFor(bD *Task) *Task {
 	if bD == nil || bD.Kind != KindBISTData {
 		return nil
 	}
-	for _, mid := range s.App.Outgoing(bD.ID) {
-		m := s.App.Message(mid)
-		for _, d := range m.Dst {
-			t := s.App.Task(d)
-			if t != nil && t.Kind == KindBISTTest {
-				return t
+	var best *Task
+	var bestID MessageID
+	for _, mid := range s.App.outgoing[bD.ID] {
+		if best != nil && mid >= bestID {
+			continue
+		}
+		for _, d := range s.App.messages[mid].Dst {
+			if t := s.App.tasks[d]; t != nil && t.Kind == KindBISTTest {
+				best, bestID = t, mid
+				break
 			}
 		}
 	}
-	return nil
+	return best
 }
