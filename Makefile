@@ -135,11 +135,14 @@ bench-json:
 MAX_REGRESS ?= 15%
 # The gate needs multi-iteration samples: a 1x benchtime measures the
 # first iteration, which pays one-time warm-up (solver construction,
-# decoder state) and reads ~2x the steady state.
+# decoder state) and reads ~2x the steady state. It takes five samples
+# of each benchmark and gates their per-metric median (cmd/benchjson
+# folds repeated results), so one sample slowed by host load does not
+# fail it.
 GATE_BENCHTIME ?= 1s
 bench-gate:
 	$(GO) test -run=NONE -bench 'DecodeEvaluate$$|DecodeEvaluateFull$$|DSEParallel|IslandEpoch|FleetIngest' \
-		-benchmem -benchtime=$(GATE_BENCHTIME) . | \
+		-benchmem -benchtime=$(GATE_BENCHTIME) -count 5 . | \
 		$(GO) run ./cmd/benchjson -out bench-current.json \
 			-compare BENCH_BASELINE.json -max-regress $(MAX_REGRESS)
 

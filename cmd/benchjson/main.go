@@ -8,7 +8,9 @@
 //	go test -run=NONE -bench 'Decode|DSE' -benchmem . | benchjson -out BENCH_2.json
 //
 // Non-benchmark lines are ignored, so the full `go test` output can be
-// piped through unfiltered.
+// piped through unfiltered. Repeated results of one benchmark (from
+// `-count N`) fold into one entry holding the per-metric medians, so a
+// report and a gate read the median of the samples rather than any one.
 //
 // Compare mode turns the report into a CI regression gate:
 //
@@ -31,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -145,7 +148,85 @@ func parseBench(r io.Reader) Report {
 	if err := sc.Err(); err != nil {
 		fatal(err)
 	}
+	rep.Benchmarks = foldRepeats(rep.Benchmarks)
 	return rep
+}
+
+// foldRepeats merges the results sharing a name and GOMAXPROCS into one
+// entry at the position of the first, holding the median of every
+// metric over the samples: ns/op, B/op, allocs/op, each custom unit and
+// the iteration count. A metric missing from some samples takes the
+// median of the samples that report it.
+func foldRepeats(bs []Benchmark) []Benchmark {
+	type key struct {
+		name  string
+		procs int
+	}
+	groups := map[key][]Benchmark{}
+	var order []key
+	for _, b := range bs {
+		k := key{b.Name, b.Procs}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		if len(g) == 1 {
+			out = append(out, g[0])
+			continue
+		}
+		m := Benchmark{Name: k.name, Procs: k.procs}
+		var iters, ns, bytes, allocs []float64
+		custom := map[string][]float64{}
+		for _, b := range g {
+			iters = append(iters, float64(b.Iterations))
+			ns = append(ns, b.NsPerOp)
+			if b.BytesPerOp != nil {
+				bytes = append(bytes, float64(*b.BytesPerOp))
+			}
+			if b.AllocsPerOp != nil {
+				allocs = append(allocs, float64(*b.AllocsPerOp))
+			}
+			for u, v := range b.Custom {
+				custom[u] = append(custom[u], v)
+			}
+		}
+		m.Iterations = int64(math.Round(median(iters)))
+		m.NsPerOp = median(ns)
+		m.BytesPerOp = medianCount(bytes)
+		m.AllocsPerOp = medianCount(allocs)
+		for u, vs := range custom {
+			if m.Custom == nil {
+				m.Custom = make(map[string]float64)
+			}
+			m.Custom[u] = median(vs)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// median returns the middle value of vs, or the mean of the two middle
+// values for an even count. It sorts vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
+// medianCount is median for a per-op count, rounded; nil without samples.
+func medianCount(vs []float64) *int64 {
+	if len(vs) == 0 {
+		return nil
+	}
+	v := int64(math.Round(median(vs)))
+	return &v
 }
 
 // readReport loads a JSON report written by this tool.
@@ -158,6 +239,7 @@ func readReport(path string) (*Report, error) {
 	if err := json.Unmarshal(data, rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	rep.Benchmarks = foldRepeats(rep.Benchmarks)
 	return rep, nil
 }
 

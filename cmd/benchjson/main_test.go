@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -141,5 +142,53 @@ func TestCompareDisjointBenchmarksOnlyNote(t *testing.T) {
 	}
 	if len(notes) != 2 {
 		t.Fatalf("notes = %v, want baseline-only + new-benchmark", notes)
+	}
+}
+
+// TestFoldRepeatedSamples reads a `-count 3` run: the three samples of
+// each benchmark fold into one entry holding per-metric medians, so one
+// slow sample neither fails the gate nor hides a slowdown that every
+// sample shows.
+func TestFoldRepeatedSamples(t *testing.T) {
+	rep := parseBench(strings.NewReader(`pkg: repro
+BenchmarkDecodeEvaluateFull-2   	     500	   2000000 ns/op	   90000 B/op	     111 allocs/op
+BenchmarkDSEParallel/workers=1-2	       8	 140000000 ns/op	      2674 evals/s	 1000000 B/op	   30000 allocs/op
+BenchmarkDecodeEvaluateFull-2   	     400	   3100000 ns/op	   90010 B/op	     111 allocs/op
+BenchmarkDSEParallel/workers=1-2	       9	 120000000 ns/op	      3100 evals/s	 1000200 B/op	   30002 allocs/op
+BenchmarkDecodeEvaluateFull-2   	     600	   2100000 ns/op	   90020 B/op	     112 allocs/op
+BenchmarkDSEParallel/workers=1-2	       7	 130000000 ns/op	      2900 evals/s	 1000100 B/op	   30001 allocs/op
+`))
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("folded into %d benchmarks, want 2: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	full, dse := rep.Benchmarks[0], rep.Benchmarks[1]
+	if full.Name != "BenchmarkDecodeEvaluateFull" || full.Procs != 2 || full.Iterations != 500 ||
+		full.NsPerOp != 2100000 || *full.BytesPerOp != 90010 || *full.AllocsPerOp != 111 {
+		t.Fatalf("DecodeEvaluateFull folded to %+v", full)
+	}
+	if dse.NsPerOp != 130000000 || dse.Custom["evals/s"] != 2900 || *dse.AllocsPerOp != 30001 {
+		t.Fatalf("DSEParallel folded to %+v", dse)
+	}
+
+	// Against a 2.0 ms baseline the 3.1 ms outlier alone would read
+	// +55 %; the median reads +5 %. Every sample 20 % slower than the
+	// baseline still fails.
+	base := parseBench(strings.NewReader("BenchmarkDecodeEvaluateFull-2 500 2000000 ns/op 90000 B/op 111 allocs/op\n"))
+	for _, tc := range []struct {
+		samples []int
+		fail    bool
+	}{
+		{[]int{2000000, 3100000, 2100000}, false},
+		{[]int{2400000, 2450000, 2380000}, true},
+	} {
+		var in strings.Builder
+		for _, ns := range tc.samples {
+			fmt.Fprintf(&in, "BenchmarkDecodeEvaluateFull-2 500 %d ns/op 90000 B/op 111 allocs/op\n", ns)
+		}
+		cur := parseBench(strings.NewReader(in.String()))
+		regs, _ := compareReports(&base, &cur, 0.15)
+		if fail := len(regs) == 1 && strings.Contains(regs[0], "ns/op"); fail != tc.fail || (!tc.fail && len(regs) != 0) {
+			t.Fatalf("samples %v: regressions %v, want failure=%v", tc.samples, regs, tc.fail)
+		}
 	}
 }

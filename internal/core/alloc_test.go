@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/casestudy"
+	"repro/internal/model"
 	"repro/internal/moea"
+	"repro/internal/objective"
 )
 
 // TestExplorerRunSteadyStateAllocs pins the dispatch overhead of the
@@ -51,11 +53,12 @@ func TestExplorerRunSteadyStateAllocs(t *testing.T) {
 
 // TestGreedyDecodeSteadyStateAllocs pins the greedy decoder's
 // allocations on the full case study: a decode allocates the
-// implementation (its three maps, one routing map per active message)
-// and nothing per specification entity. A decode that rescans the
-// specification (the per-ECU profile lists, the mapping targets, the
-// message list) fails the bound: the per-call decoder allocated 9,616
-// times for these 16 decodes.
+// implementation (its allocation and binding maps and one routing
+// list sized up front) and nothing per specification entity or per
+// message. A decode that rescans the specification (the per-ECU profile
+// lists, the mapping targets, the message list) fails the bound: the
+// per-call decoder allocated 9,616 times for these 16 decodes, and the
+// decoder that built one routing map per active message 2,300.
 func TestGreedyDecodeSteadyStateAllocs(t *testing.T) {
 	spec, err := casestudy.Build(casestudy.Options{})
 	if err != nil {
@@ -74,8 +77,45 @@ func TestGreedyDecodeSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocs per 16 decodes", got)
-	const want = 2300
+	const want = 160
 	if got > want {
 		t.Fatalf("16 decodes allocate %.0f times, want at most %d", got, want)
+	}
+}
+
+// TestEvaluateSteadyStateAllocs pins objective.Evaluate on decoded
+// full-case-study implementations: the per-evaluation working memory
+// comes from a pool and the cost pass visits only the bound BIST data
+// tasks, so a warmed-up evaluation allocates nothing. A scratch that
+// is rebuilt per call, or a sort that boxes its slice, fails the bound.
+func TestEvaluateSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled evaluation scratch at random")
+	}
+	spec, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewGreedyDecoder(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var impls []*model.Implementation
+	for _, g := range identityGenotypes(spec, dec.GenotypeLen())[:16] {
+		x, err := dec.Decode(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		impls = append(impls, x)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		for _, x := range impls {
+			objective.Evaluate(x)
+		}
+	})
+	t.Logf("%.0f allocs per 16 evaluations", got)
+	const want = 0
+	if got > want {
+		t.Fatalf("16 evaluations allocate %.0f times, want at most %d", got, want)
 	}
 }

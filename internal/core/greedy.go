@@ -60,7 +60,7 @@ type GreedyDecoder struct {
 	hopIdx    []int32
 
 	// bindHint and routeHint bound the entries of a decoded
-	// implementation's Binding and Routing maps.
+	// implementation's Binding map and Routing list.
 	bindHint, routeHint int
 }
 
@@ -137,10 +137,10 @@ func NewGreedyDecoder(spec *model.Specification) (*GreedyDecoder, error) {
 		pos[m.ID] = int32(i)
 		if src := spec.App.Task(m.Src); src != nil && !src.Kind.Diagnostic() {
 			d.mandatoryMsgs = append(d.mandatoryMsgs, int32(i))
+			d.routeHint += len(m.Dst)
 		}
 	}
 	d.bindHint = len(d.fixedTasks) + len(d.choiceTasks) + 2*len(d.ecus)
-	d.routeHint = len(d.mandatoryMsgs)
 	storageFor := func(bD *model.Task, r model.ResourceID) int32 {
 		if !spec.HasMapping(bD.ID, r) {
 			r = spec.MappingTargets(bD.ID)[0]
@@ -150,7 +150,7 @@ func NewGreedyDecoder(spec *model.Specification) (*GreedyDecoder, error) {
 	d.bist = make([][]bistOption, len(d.ecus))
 	for k, ecu := range d.ecus {
 		opts := make([]bistOption, len(profiles[k]))
-		most := 0
+		most := 0 // the most route entries one option adds
 		for j, bT := range profiles[k] {
 			o := bistOption{test: bT, data: spec.DataTaskFor(bT), lo: int32(len(d.bistMsgs))}
 			out := spec.App.Outgoing(bT.ID)
@@ -159,11 +159,13 @@ func NewGreedyDecoder(spec *model.Specification) (*GreedyDecoder, error) {
 				o.gateway = storageFor(o.data, spec.Gateway)
 				out = append(out, spec.App.Outgoing(o.data.ID)...)
 			}
+			entries := 0
 			for _, mid := range out {
 				d.bistMsgs = append(d.bistMsgs, pos[mid])
+				entries += len(d.messages[pos[mid]].Dst)
 			}
 			o.hi = int32(len(d.bistMsgs))
-			most = max(most, len(out))
+			most = max(most, entries)
 			opts[j] = o
 		}
 		d.bist[k] = opts
@@ -260,7 +262,7 @@ func (d *GreedyDecoder) Decode(genotype []float64) (*model.Implementation, error
 		Spec:       d.Spec,
 		Allocation: make(map[model.ResourceID]bool, len(d.resources)),
 		Binding:    make(map[model.TaskID]model.ResourceID, d.bindHint),
-		Routing:    make(map[model.MessageID]map[model.TaskID]model.Route, d.routeHint),
+		Routing:    make(model.Routing, 0, d.routeHint),
 	}
 	// Allocation is collected densely and written once at the end. This
 	// scratch, the host flags and the chosen options below live on the
@@ -350,8 +352,8 @@ func (d *GreedyDecoder) Decode(genotype []float64) (*model.Implementation, error
 	return x, nil
 }
 
-// route sets msg's route to each bound receiver along the shortest path
-// and marks the hops allocated. The routes share the hop table; the
+// route appends msg's route to each bound receiver along the shortest
+// path and marks the hops allocated. The routes share the hop table; the
 // capped slices keep an append from writing into a neighbor.
 func (d *GreedyDecoder) route(x *model.Implementation, alloc []bool, msg *model.Message) error {
 	srcRes, ok := x.Binding[msg.Src]
@@ -359,7 +361,6 @@ func (d *GreedyDecoder) route(x *model.Implementation, alloc []bool, msg *model.
 		return nil
 	}
 	row := int(d.resIdx[srcRes]) * len(d.resources)
-	var per map[model.TaskID]model.Route
 	for _, dst := range msg.Dst {
 		dstRes, bound := x.Binding[dst]
 		if !bound {
@@ -370,11 +371,7 @@ func (d *GreedyDecoder) route(x *model.Implementation, alloc []bool, msg *model.
 		if lo == hi {
 			return fmt.Errorf("core: no route for %s from %s to %s", msg.ID, srcRes, dstRes)
 		}
-		if per == nil {
-			per = make(map[model.TaskID]model.Route, len(msg.Dst))
-			x.Routing[msg.ID] = per
-		}
-		per[dst] = model.Route{Hops: d.hops[lo:hi:hi]}
+		x.Routing = append(x.Routing, model.RouteEntry{Msg: msg.ID, Dst: dst, Route: model.Route{Hops: d.hops[lo:hi:hi]}})
 		for _, h := range d.hopIdx[lo:hi] {
 			alloc[h] = true
 		}

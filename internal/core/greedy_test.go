@@ -7,6 +7,7 @@ import (
 	"hash"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -99,24 +100,15 @@ func writeImpl(h hash.Hash, x *model.Implementation) {
 	for _, t := range tasks {
 		fmt.Fprintf(h, "B %s %s\n", t, x.Binding[model.TaskID(t)])
 	}
-	type edge struct {
-		m model.MessageID
-		d model.TaskID
-	}
-	var routes []edge
-	for m, per := range x.Routing {
-		for d := range per {
-			routes = append(routes, edge{m, d})
-		}
-	}
+	routes := slices.Clone(x.Routing)
 	sort.Slice(routes, func(i, j int) bool {
-		if routes[i].m != routes[j].m {
-			return routes[i].m < routes[j].m
+		if routes[i].Msg != routes[j].Msg {
+			return routes[i].Msg < routes[j].Msg
 		}
-		return routes[i].d < routes[j].d
+		return routes[i].Dst < routes[j].Dst
 	})
 	for _, e := range routes {
-		fmt.Fprintf(h, "W %s %s %v\n", e.m, e.d, x.Routing[e.m][e.d].Hops)
+		fmt.Fprintf(h, "W %s %s %v\n", e.Msg, e.Dst, e.Route.Hops)
 	}
 	fmt.Fprintln(h, "--")
 }
@@ -339,7 +331,7 @@ func TestGreedyStorageFallback(t *testing.T) {
 		if x.Binding["bD1"] != "gw" || x.Binding["bD2"] != "ecu2" {
 			t.Errorf("storage %+d, genes %v: bD1 on %s, bD2 on %s; want gw and ecu2", tc.storage, tc.genes, x.Binding["bD1"], x.Binding["bD2"])
 		}
-		if got := x.Routing["cD1"]["bT1"].String(); got != "gw->can->ecu1" {
+		if got, _ := x.RouteTo("cD1", "bT1"); got.String() != "gw->can->ecu1" {
 			t.Errorf("storage %+d, genes %v: cD1 routed %s", tc.storage, tc.genes, got)
 		}
 	}

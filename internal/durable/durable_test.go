@@ -746,3 +746,54 @@ func TestSnapshotInstallFault(t *testing.T) {
 		})
 	}
 }
+
+// TestTornSegmentBeforeContinuousSegment covers a tear in a segment that
+// is not the newest: garbage after its last valid frame loses nothing
+// when the next segment starts at the following LSN, so recovery cuts
+// the garbage and replays on. A tear that loses a frame leaves a gap,
+// and everything past it is dropped.
+func TestTornSegmentBeforeContinuousSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cutFrame bool // also cut the first segment's last frame short
+		wantLast uint64
+	}{
+		{"garbage tail", false, 20},
+		{"lost frame", true, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := NewMemFS()
+			st, o, _ := openOwner(t, fs, "d", Options{SnapshotEvery: 1 << 30})
+			// Snapshots at LSN 2 and 10 leave segments based at 3 and 11;
+			// the older snapshot keeps the first from being pruned.
+			var want []string
+			for _, n := range []int{2, 8} {
+				want = append(want, appendN(t, st, o, len(want), n)...)
+				if err := st.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want = append(want, appendN(t, st, o, len(want), 10)...)
+			st.Kill()
+			fs.Remove("d/" + snapName(10)) // recover from snapshot 2 and the WAL
+			segs := segmentFiles(t, fs, "d")
+			if len(segs) != 2 || segs[0] != segName(3) || segs[1] != segName(11) {
+				t.Fatalf("segments %v, want those based at 3 and 11", segs)
+			}
+			for i, n := range segs {
+				raw, _ := fs.ReadFile("d/" + n)
+				if i == 0 && tc.cutFrame {
+					raw = raw[:len(raw)-3]
+				}
+				fs.WriteFile("d/"+n, append(raw, 0xde, 0xad, 0xbe, 0xef))
+			}
+
+			st2, o2, rec := openOwner(t, fs, "d", Options{SnapshotEvery: 1 << 30})
+			defer st2.Close()
+			if rec.LastLSN != tc.wantLast {
+				t.Fatalf("recovery %+v, want LastLSN %d", rec, tc.wantLast)
+			}
+			wantEntries(t, o2, want[:tc.wantLast])
+		})
+	}
+}

@@ -216,7 +216,10 @@ func (s *Store) recover() (Recovery, error) {
 	}
 	s.snapLSN.Store(rec.SnapshotLSN)
 
-	// Replay segments in base-LSN order, stopping at the first tear.
+	// Replay segments in base-LSN order, stopping at the first tear
+	// that leaves a gap. A torn segment is cut to its valid frames; when
+	// the next segment starts right after everything recovered so far,
+	// no LSN is missing and replay goes on.
 	last := rec.SnapshotLSN
 	highest := rec.SnapshotLSN
 	for i, base := range segs {
@@ -248,6 +251,10 @@ func (s *Store) recover() (Recovery, error) {
 				rec.RemovedSegments++
 			} else if err := fs.Truncate(name, res.validBytes); err != nil {
 				return rec, fmt.Errorf("durable: truncate torn segment %d: %w", base, err)
+			}
+			if end := max(last, res.lastLSN); i+1 < len(segs) && segs[i+1] == end+1 {
+				last = end
+				continue
 			}
 			for _, later := range segs[i+1:] {
 				if err := fs.Remove(s.path(segName(later))); err != nil {

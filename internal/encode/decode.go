@@ -132,7 +132,12 @@ func (e *Encoding) decodeAssignment(a pbsat.Assignment, byTau []model.ResourceID
 			if err != nil {
 				return nil, err
 			}
-			x.SetRoute(msg.ID, dst, route)
+			// Each (message, destination) is visited once: append
+			// instead of SetRoute's search for an earlier entry.
+			x.Routing = append(x.Routing, model.RouteEntry{Msg: msg.ID, Dst: dst, Route: route})
+			for _, h := range route.Hops {
+				x.Allocation[h] = true
+			}
 		}
 	}
 	return x, nil

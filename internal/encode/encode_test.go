@@ -152,7 +152,7 @@ func TestDecodeRoutesEveryDestination(t *testing.T) {
 			if !x.Bound(dst) {
 				continue
 			}
-			route, ok := x.Routing[msg.ID][dst]
+			route, ok := x.RouteTo(msg.ID, dst)
 			if !ok {
 				t.Fatalf("message %q has no route towards %q", msg.ID, dst)
 			}
@@ -266,7 +266,7 @@ func TestGenotypeSteersBISTSelection(t *testing.T) {
 		t.Fatalf("bD1b bound to %q, want gw", got)
 	}
 	// The test-pattern message must be routed gw -> bus1 -> ecu1.
-	rt := x.Routing["cD1b"]["bT1b"]
+	rt, _ := x.RouteTo("cD1b", "bT1b")
 	if rt.String() != "gw->bus1->ecu1" {
 		t.Fatalf("route = %v", rt)
 	}

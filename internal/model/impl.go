@@ -1,7 +1,10 @@
 package model
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -45,6 +48,57 @@ func (rt Route) String() string {
 	return strings.Join(parts, "->")
 }
 
+// RouteEntry is the route of message Msg towards destination task Dst.
+type RouteEntry struct {
+	Msg   MessageID
+	Dst   TaskID
+	Route Route
+}
+
+// Routing is the routing W of an implementation: one entry per active
+// message and bound receiver, in the order the decoder produced them.
+// A flat list costs a decode one append per route instead of one map
+// per message; lookups go through Implementation.RouteTo.
+type Routing []RouteEntry
+
+// MarshalJSON encodes the routing as the nested object
+// {message: {destination: route}} with keys sorted, the encoding of
+// the message-keyed map of destination-keyed maps it replaces, so
+// serialized implementations do not depend on the entry order. A
+// repeated (message, destination) pair encodes its first entry, the
+// one RouteTo returns (Check flags the repetition).
+func (w Routing) MarshalJSON() ([]byte, error) {
+	es := slices.Clone(w)
+	slices.SortStableFunc(es, func(a, b RouteEntry) int {
+		return cmp.Or(cmp.Compare(a.Msg, b.Msg), cmp.Compare(a.Dst, b.Dst))
+	})
+	buf := []byte{'{'}
+	for i, e := range es {
+		switch {
+		case i == 0:
+			buf = append(appendJSON(buf, e.Msg), ':', '{')
+		case es[i-1].Msg != e.Msg:
+			buf = append(appendJSON(append(buf, '}', ','), e.Msg), ':', '{')
+		case es[i-1].Dst == e.Dst:
+			continue
+		default:
+			buf = append(buf, ',')
+		}
+		buf = appendJSON(append(appendJSON(buf, e.Dst), ':'), e.Route)
+	}
+	if len(es) > 0 {
+		buf = append(buf, '}')
+	}
+	return append(buf, '}'), nil
+}
+
+// appendJSON appends the JSON encoding of v, a string-kinded ID or a
+// Route, neither of which can fail to encode.
+func appendJSON(buf []byte, v any) []byte {
+	b, _ := json.Marshal(v)
+	return append(buf, b...)
+}
+
 // Implementation is one solution x = (A, B, W) of the design space
 // exploration problem: the allocation A ⊆ R, the binding B ⊆ M, and for
 // each bound communication c the routing W_c.
@@ -58,8 +112,8 @@ type Implementation struct {
 	// diagnosis tasks that are not selected are absent.
 	Binding map[TaskID]ResourceID
 
-	// Routing holds, per active message, one route per destination task.
-	Routing map[MessageID]map[TaskID]Route
+	// Routing holds, per active message, one route per bound receiver.
+	Routing Routing
 }
 
 // NewImplementation returns an empty implementation for the given
@@ -69,7 +123,6 @@ func NewImplementation(spec *Specification) *Implementation {
 		Spec:       spec,
 		Allocation: make(map[ResourceID]bool),
 		Binding:    make(map[TaskID]ResourceID),
-		Routing:    make(map[MessageID]map[TaskID]Route),
 	}
 }
 
@@ -79,18 +132,34 @@ func (x *Implementation) Bind(t TaskID, r ResourceID) {
 	x.Allocation[r] = true
 }
 
-// SetRoute records the route of message m towards destination task dst
-// and allocates every hop.
+// SetRoute records the route of message m towards destination task dst,
+// replacing an earlier route of the pair, and allocates every hop.
 func (x *Implementation) SetRoute(m MessageID, dst TaskID, route Route) {
-	per := x.Routing[m]
-	if per == nil {
-		per = make(map[TaskID]Route)
-		x.Routing[m] = per
+	if i := x.routeIndex(m, dst); i >= 0 {
+		x.Routing[i].Route = route
+	} else {
+		x.Routing = append(x.Routing, RouteEntry{Msg: m, Dst: dst, Route: route})
 	}
-	per[dst] = route
 	for _, h := range route.Hops {
 		x.Allocation[h] = true
 	}
+}
+
+// RouteTo returns the route of message m towards destination task dst.
+func (x *Implementation) RouteTo(m MessageID, dst TaskID) (Route, bool) {
+	if i := x.routeIndex(m, dst); i >= 0 {
+		return x.Routing[i].Route, true
+	}
+	return Route{}, false
+}
+
+func (x *Implementation) routeIndex(m MessageID, dst TaskID) int {
+	for i, e := range x.Routing {
+		if e.Msg == m && e.Dst == dst {
+			return i
+		}
+	}
+	return -1
 }
 
 // Bound reports whether task t is bound.
@@ -159,6 +228,8 @@ func (e *CheckError) Error() string { return "model: " + e.Rule + ": " + e.Msg }
 //
 //   - every mandatory task is bound, to a resource of one of its mapping
 //     edges; optional diagnostic tasks are bound at most once (Eq. 2a);
+//   - every route entry belongs to an active message and leads to one
+//     of its bound receivers, at most once per receiver;
 //   - every active message has a route per bound receiver, the route
 //     starts at the sender's resource (Eq. 2b), ends at the receiver's
 //     resource (Eq. 2c), is cycle-free (Eq. 2d), and follows adjacent
@@ -231,12 +302,33 @@ func (x *Implementation) Check() []error {
 		}
 	}
 
+	// Route entries: each belongs to an active message, leads to one of
+	// its bound receivers, and is the only entry of its pair.
+	type pair struct {
+		m MessageID
+		d TaskID
+	}
+	routes := make(map[pair]Route, len(x.Routing))
+	for _, e := range x.Routing {
+		switch m := spec.App.Message(e.Msg); {
+		case m == nil || !x.Bound(m.Src):
+			fail("route-entry", "inactive message %q has a route to %q", e.Msg, e.Dst)
+		case !slices.Contains(m.Dst, e.Dst):
+			fail("route-entry", "message %q routed to %q, which is not a receiver", e.Msg, e.Dst)
+		case !x.Bound(e.Dst):
+			fail("route-entry", "message %q routed to unbound receiver %q", e.Msg, e.Dst)
+		}
+		k := pair{e.Msg, e.Dst}
+		if _, dup := routes[k]; dup {
+			fail("route-entry", "message %q has two routes to %q", e.Msg, e.Dst)
+			continue
+		}
+		routes[k] = e.Route
+	}
+
 	// Routing checks.
 	for _, m := range spec.App.Messages() {
 		if !x.Active(m.ID) {
-			if len(x.Routing[m.ID]) != 0 {
-				fail("routing", "inactive message %q has routes", m.ID)
-			}
 			continue
 		}
 		srcRes := x.Binding[m.Src]
@@ -250,7 +342,7 @@ func (x *Implementation) Check() []error {
 				fail("routing", "message %q: receiver %q unbound", m.ID, dst)
 				continue
 			}
-			rt, ok := x.Routing[m.ID][dst]
+			rt, ok := routes[pair{m.ID, dst}]
 			if !ok {
 				fail("routing", "active message %q has no route to %q", m.ID, dst)
 				continue
@@ -306,12 +398,12 @@ func (x *Implementation) Clone() *Implementation {
 	for t, r := range x.Binding {
 		c.Binding[t] = r
 	}
-	for m, per := range x.Routing {
-		cp := make(map[TaskID]Route, len(per))
-		for d, rt := range per {
-			cp[d] = Route{Hops: append([]ResourceID(nil), rt.Hops...)}
+	if x.Routing != nil {
+		c.Routing = make(Routing, len(x.Routing))
+		for i, e := range x.Routing {
+			e.Route.Hops = slices.Clone(e.Route.Hops)
+			c.Routing[i] = e
 		}
-		c.Routing[m] = cp
 	}
 	return c
 }

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -175,7 +177,7 @@ func TestCheckDetectsEq3b(t *testing.T) {
 	spec := buildTinySpec(t)
 	x := bindTiny(spec)
 	delete(x.Binding, "bD1")
-	delete(x.Routing, "cD1")
+	x.Routing = slices.DeleteFunc(x.Routing, func(e RouteEntry) bool { return e.Msg == "cD1" })
 	wantRuleViolated(t, x, "3b")
 }
 
@@ -249,12 +251,16 @@ func TestCloneIsDeep(t *testing.T) {
 	x := bindTiny(spec)
 	c := x.Clone()
 	c.Bind("t2", "ecu1")
-	c.Routing["c1"]["t2"] = Route{Hops: []ResourceID{"ecu1"}}
+	c.SetRoute("c1", "t2", Route{Hops: []ResourceID{"ecu1"}})
+	c.Routing[1].Route.Hops[0] = "ecu2"
 	if x.Binding["t2"] != "ecu2" {
 		t.Fatal("clone shares binding map")
 	}
-	if len(x.Routing["c1"]["t2"].Hops) != 3 {
-		t.Fatal("clone shares routing map")
+	if rt, _ := x.RouteTo("c1", "t2"); len(rt.Hops) != 3 {
+		t.Fatal("clone shares routing list")
+	}
+	if rt, _ := x.RouteTo("cD1", "bT1"); rt.Hops[0] != "gw" {
+		t.Fatal("clone shares route hops")
 	}
 }
 
@@ -410,5 +416,91 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 		if _, err := ReadJSON(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// TestCheckRouteEntries covers the route entries a flat routing list
+// can hold but a decoder never writes: each must be flagged.
+func TestCheckRouteEntries(t *testing.T) {
+	hops := []ResourceID{"ecu1", "bus1", "ecu2"}
+	for _, tc := range []struct {
+		name, want string
+		setup      func(x *Implementation)
+	}{
+		{"inactive message", "inactive message \"cR1\"", func(x *Implementation) {
+			// bT1 no longer sends cR1; bD1 keeps its own route.
+			delete(x.Binding, "bT1")
+		}},
+		{"unknown message", "inactive message \"c9\"", func(x *Implementation) {
+			x.SetRoute("c9", "t2", Route{Hops: hops})
+		}},
+		{"not a receiver", "not a receiver", func(x *Implementation) {
+			x.SetRoute("c1", "bR", Route{Hops: []ResourceID{"ecu1", "bus1", "gw"}})
+		}},
+		{"unbound receiver", "unbound receiver \"t3\"", func(x *Implementation) {
+			x.SetRoute("c1", "t3", Route{Hops: hops})
+			x.Spec.App.Message("c1").Dst = []TaskID{"t2", "t3"}
+		}},
+		{"repeated pair", "two routes", func(x *Implementation) {
+			x.Routing = append(x.Routing, RouteEntry{Msg: "c1", Dst: "t2", Route: Route{Hops: hops}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := buildTinySpec(t)
+			if err := spec.App.AddTask(&Task{ID: "t3", Kind: KindFunctional}); err != nil {
+				t.Fatal(err)
+			}
+			x := bindTiny(spec)
+			tc.setup(x)
+			errs := x.Check()
+			for _, e := range errs {
+				if ce, ok := e.(*CheckError); ok && ce.Rule == "route-entry" && strings.Contains(ce.Msg, tc.want) {
+					return
+				}
+			}
+			t.Fatalf("Check = %v, want a route-entry violation mentioning %s", errs, tc.want)
+		})
+	}
+	if errs := bindTiny(buildTinySpec(t)).Check(); len(errs) != 0 {
+		t.Fatalf("untouched implementation: %v", errs)
+	}
+}
+
+// TestRoutingJSON pins the routing's encoding to that of the nested
+// message → destination → route map it replaced: keys sorted whatever
+// the entry order, and an empty object without routes.
+func TestRoutingJSON(t *testing.T) {
+	x := bindTiny(buildTinySpec(t))
+	x.SetRoute("c1", "t0", Route{Hops: []ResourceID{"ecu1"}})
+	slices.Reverse(x.Routing)
+	nested := func(w Routing) map[MessageID]map[TaskID]Route {
+		out := make(map[MessageID]map[TaskID]Route)
+		for _, e := range w {
+			if out[e.Msg] == nil {
+				out[e.Msg] = make(map[TaskID]Route)
+			}
+			out[e.Msg][e.Dst] = e.Route
+		}
+		return out
+	}
+	for _, w := range []Routing{x.Routing, nil, {}, {{Msg: "a<b", Dst: "d&e"}}} {
+		want, err := json.Marshal(nested(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("routing %v encodes %s, want %s", w, got, want)
+		}
+	}
+	// A repeated pair encodes the entry RouteTo returns.
+	x.Routing = append(x.Routing, RouteEntry{Msg: "c1", Dst: "t2", Route: Route{Hops: []ResourceID{"gw"}}})
+	got, _ := json.Marshal(x.Routing)
+	rt, _ := x.RouteTo("c1", "t2")
+	if want, _ := json.Marshal(rt); !strings.Contains(string(got), `"t2":`+string(want)+"}") {
+		t.Errorf("repeated pair encodes %s, want the route %s", got, want)
 	}
 }

@@ -85,20 +85,40 @@ func equalObjectives(a, b Objectives) bool {
 	return true
 }
 
+// dominance compares a and b once in both directions: aDom reports
+// Dominates(a, b) and bDom reports Dominates(b, a). A NaN compares
+// neither better nor worse, as in Dominates.
+func dominance(a, b Objectives) (aDom, bDom bool) {
+	better, worse := false, false // some a[k] < b[k], some a[k] > b[k]
+	for k := range a {
+		if a[k] < b[k] {
+			better = true
+		} else if a[k] > b[k] {
+			worse = true
+		}
+		if better && worse {
+			return false, false
+		}
+	}
+	return better && !worse, worse && !better
+}
+
 // sortFronts performs the fast non-dominated sort, assigning ranks and
-// returning the fronts in order.
+// returning the fronts in order. Each unordered pair is compared once.
+// Rows run in ascending i, so every dominatedBy list is filled in
+// ascending index order, as a scan of all ordered pairs fills it.
 func sortFronts(pop []*Individual) [][]*Individual {
 	n := len(pop)
 	dominatedBy := make([][]int, n) // i dominates these
 	domCount := make([]int, n)      // number of individuals dominating i
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if Dominates(pop[i].Objectives, pop[j].Objectives) {
+		for j := i + 1; j < n; j++ {
+			switch iDom, jDom := dominance(pop[i].Objectives, pop[j].Objectives); {
+			case iDom:
 				dominatedBy[i] = append(dominatedBy[i], j)
-			} else if Dominates(pop[j].Objectives, pop[i].Objectives) {
+				domCount[j]++
+			case jDom:
+				dominatedBy[j] = append(dominatedBy[j], i)
 				domCount[i]++
 			}
 		}

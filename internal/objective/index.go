@@ -1,7 +1,8 @@
 package objective
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -22,8 +23,6 @@ type specIndex struct {
 	// the old filtered rescan, in the same order, so the floating-point
 	// sums are bit-identical.
 	funcMsgs []funcMsg
-	// bistData snapshots the BIST data tasks, sorted by task ID.
-	bistData []*model.Task
 	// isECU marks the resources of ECU kind, replacing a Resource()
 	// lookup plus kind check per allocated resource.
 	isECU map[model.ResourceID]bool
@@ -62,7 +61,6 @@ func indexOf(s *model.Specification) *specIndex {
 			period: m.PeriodMS,
 		})
 	}
-	idx.bistData = s.App.TasksOfKind(model.KindBISTData)
 	for _, r := range s.Arch.Resources() {
 		if r.Kind == model.KindECU {
 			idx.isECU[r.ID] = true
@@ -86,6 +84,7 @@ type evalScratch struct {
 	gwShared map[int]int64                // gateway-stored bytes per profile
 	alloc    []model.ResourceID
 	sel      []bistSel
+	data     []*model.Task // bound BIST data tasks
 	profiles []int
 }
 
@@ -105,6 +104,7 @@ func putScratch(sc *evalScratch) {
 	clear(sc.gwShared)
 	sc.alloc = sc.alloc[:0]
 	sc.sel = sc.sel[:0]
+	sc.data = sc.data[:0]
 	sc.profiles = sc.profiles[:0]
 	scratchPool.Put(sc)
 }
@@ -120,22 +120,28 @@ func fillBandwidths(x *model.Implementation, idx *specIndex, bw map[model.Resour
 	}
 }
 
-// fillSelected collects the selected BIST test tasks sorted by tested
-// ECU — the deterministic iteration order the old SelectedBIST-plus-
-// sorted-keys code established — without allocating a fresh map.
-func fillSelected(x *model.Implementation, sc *evalScratch) []bistSel {
+// fillSelected collects, in one pass over the bindings, the selected
+// BIST test tasks sorted by tested ECU — the deterministic iteration
+// order the old SelectedBIST-plus-sorted-keys code established — and
+// the bound BIST data tasks sorted by task ID, without allocating a
+// fresh map. The data tasks are the bound subsequence of the
+// specification's ID-sorted BIST data tasks, so pricing them visits the
+// same tasks in the same order as a probe of every data task would.
+func fillSelected(x *model.Implementation, sc *evalScratch) ([]bistSel, []*model.Task) {
 	for tid, r := range x.Binding {
 		t := x.Spec.App.Task(tid)
-		if t != nil && t.Kind == model.KindBISTTest {
+		switch {
+		case t == nil:
+		case t.Kind == model.KindBISTTest:
 			sc.sel = append(sc.sel, bistSel{r: r, t: t})
+		case t.Kind == model.KindBISTData:
+			sc.data = append(sc.data, t)
 		}
 	}
-	sort.Slice(sc.sel, func(i, j int) bool {
-		if sc.sel[i].r != sc.sel[j].r {
-			return sc.sel[i].r < sc.sel[j].r
-		}
-		return sc.sel[i].t.ID < sc.sel[j].t.ID
+	slices.SortFunc(sc.sel, func(a, b bistSel) int {
+		return cmp.Or(cmp.Compare(a.r, b.r), cmp.Compare(a.t.ID, b.t.ID))
 	})
+	slices.SortFunc(sc.data, func(a, b *model.Task) int { return cmp.Compare(a.ID, b.ID) })
 	// The encoding selects at most one test task per ECU; if an
 	// unconstrained implementation carries more, keep the last per ECU
 	// (deterministically, unlike the map-based code it replaces).
@@ -147,7 +153,7 @@ func fillSelected(x *model.Implementation, sc *evalScratch) []bistSel {
 		out = append(out, s)
 	}
 	sc.sel = out
-	return out
+	return out, sc.data
 }
 
 // fillAllocated collects the allocated resources sorted by ID into the
@@ -158,6 +164,6 @@ func fillAllocated(x *model.Implementation, sc *evalScratch) []model.ResourceID 
 			sc.alloc = append(sc.alloc, r)
 		}
 	}
-	sort.Slice(sc.alloc, func(i, j int) bool { return sc.alloc[i] < sc.alloc[j] })
+	slices.Sort(sc.alloc)
 	return sc.alloc
 }

@@ -14,7 +14,7 @@ package objective
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/can"
 	"repro/internal/model"
@@ -75,9 +75,10 @@ func (c Costs) Total() float64 { return c.Hardware + c.BIST + c.Memory }
 // (same CUT type, identical pattern set) are therefore priced once,
 // while ECU-local storage is paid per ECU.
 func MonetaryCosts(x *model.Implementation) Costs {
-	idx := indexOf(x.Spec)
 	sc := getScratch()
-	c := monetaryCosts(x, idx, fillAllocated(x, sc), fillSelected(x, sc), sc)
+	alloc := fillAllocated(x, sc)
+	sel, data := fillSelected(x, sc)
+	c := monetaryCosts(x, alloc, sel, data, sc)
 	putScratch(sc)
 	return c
 }
@@ -86,7 +87,7 @@ func MonetaryCosts(x *model.Implementation) Costs {
 // views. Iteration stays in sorted orders throughout: floating-point
 // accumulation must not depend on map iteration order, or identical
 // implementations would score unequal costs between runs.
-func monetaryCosts(x *model.Implementation, idx *specIndex, alloc []model.ResourceID, sel []bistSel, sc *evalScratch) Costs {
+func monetaryCosts(x *model.Implementation, alloc []model.ResourceID, sel []bistSel, data []*model.Task, sc *evalScratch) Costs {
 	var c Costs
 	arch := x.Spec.Arch
 	for _, r := range alloc {
@@ -99,11 +100,8 @@ func monetaryCosts(x *model.Implementation, idx *specIndex, alloc []model.Resour
 			c.BIST += res.BISTCost
 		}
 	}
-	for _, t := range idx.bistData {
-		r, bound := x.Binding[t.ID]
-		if !bound {
-			continue
-		}
+	for _, t := range data {
+		r := x.Binding[t.ID]
 		if r == x.Spec.Gateway {
 			sc.gwShared[t.Profile] = t.MemBytes // stored once per profile
 			continue
@@ -116,7 +114,7 @@ func monetaryCosts(x *model.Implementation, idx *specIndex, alloc []model.Resour
 		for p := range sc.gwShared {
 			sc.profiles = append(sc.profiles, p)
 		}
-		sort.Ints(sc.profiles)
+		slices.Sort(sc.profiles)
 		for _, p := range sc.profiles {
 			c.Memory += float64(sc.gwShared[p]) / 1024 * gw.MemCostPerKB
 		}
@@ -132,7 +130,7 @@ func TestQuality(x *model.Implementation) float64 {
 	idx := indexOf(x.Spec)
 	sc := getScratch()
 	alloc := fillAllocated(x, sc)
-	sel := fillSelected(x, sc)
+	sel, _ := fillSelected(x, sc)
 	fillUsed(x, sc.used)
 	q := testQuality(idx, alloc, sel, sc.used)
 	putScratch(sc)
@@ -227,7 +225,7 @@ func TransferTimeMS(x *model.Implementation, bD *model.Task, r model.ResourceID)
 func ShutOffTimeMS(x *model.Implementation) float64 {
 	idx := indexOf(x.Spec)
 	sc := getScratch()
-	sel := fillSelected(x, sc)
+	sel, _ := fillSelected(x, sc)
 	fillBandwidths(x, idx, sc.bw)
 	worst := shutOffTimeMS(x, sel, sc.bw)
 	putScratch(sc)
@@ -261,11 +259,11 @@ func Evaluate(x *model.Implementation) Vector {
 	idx := indexOf(x.Spec)
 	sc := getScratch()
 	alloc := fillAllocated(x, sc)
-	sel := fillSelected(x, sc)
+	sel, data := fillSelected(x, sc)
 	fillUsed(x, sc.used)
 	fillBandwidths(x, idx, sc.bw)
 	v := Vector{
-		CostTotal:   monetaryCosts(x, idx, alloc, sel, sc).Total(),
+		CostTotal:   monetaryCosts(x, alloc, sel, data, sc).Total(),
 		TestQuality: testQuality(idx, alloc, sel, sc.used),
 		ShutOffMS:   shutOffTimeMS(x, sel, sc.bw),
 	}

@@ -99,7 +99,7 @@ func robustScore(x *model.Implementation, cfg RobustConfig) (scoreMS, missProb f
 		varRate[r] += float64(fm.size) * float64(fm.size) * p * (1 - p) / fm.period
 	}
 	sc := getScratch()
-	sel := fillSelected(x, sc)
+	sel, _ := fillSelected(x, sc)
 	worst, worstMiss := 0.0, 0.0
 	for _, s := range sel {
 		t := s.t.WCETms
