@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 
 	"repro/internal/casestudy"
 	"repro/internal/core"
@@ -54,9 +55,16 @@ func main() {
 	fmt.Printf("\nimplementation with %.1f%% test quality at cost %.0f:\n",
 		best.Objectives.TestQuality*100, best.Objectives.CostTotal)
 	x := best.Impl
-	for ecu, bT := range x.SelectedBIST() {
+	selected := x.SelectedBIST()
+	ecus := make([]model.ResourceID, 0, len(selected))
+	for ecu := range selected {
+		ecus = append(ecus, ecu)
+	}
+	slices.Sort(ecus)
+	for _, ecu := range ecus {
+		bT := selected[ecu]
 		bD := spec.DataTaskFor(bT)
-		storage := x.Binding[bD.ID]
+		storage := x.Binding.Get(bD.ID)
 		where := "locally"
 		if storage == spec.Gateway {
 			where = "at the gateway"
@@ -71,7 +79,7 @@ func main() {
 	}
 	for _, r := range x.AllocatedResources() {
 		if spec.Arch.Resource(r).Kind == model.KindECU {
-			if _, tested := x.SelectedBIST()[r]; !tested {
+			if _, tested := selected[r]; !tested {
 				fmt.Printf("  %s: no BIST selected\n", r)
 			}
 		}

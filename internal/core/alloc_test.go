@@ -52,13 +52,15 @@ func TestExplorerRunSteadyStateAllocs(t *testing.T) {
 }
 
 // TestGreedyDecodeSteadyStateAllocs pins the greedy decoder's
-// allocations on the full case study: a decode allocates the
-// implementation (its allocation and binding maps and one routing
-// list sized up front) and nothing per specification entity or per
-// message. A decode that rescans the specification (the per-ECU profile
-// lists, the mapping targets, the message list) fails the bound: the
-// per-call decoder allocated 9,616 times for these 16 decodes, and the
-// decoder that built one routing map per active message 2,300.
+// allocations on the full case study exactly: a decode allocates the
+// implementation, its binding slice and allocation bitset, and one
+// routing list sized up front — four per decode — and nothing per
+// specification entity or per message. A decode that rescans the
+// specification (the per-ECU profile lists, the mapping targets, the
+// message list) fails the bound: the per-call decoder allocated 9,616
+// times for these 16 decodes, the decoder that built one routing map
+// per active message 2,300, and the one that built binding and
+// allocation maps 160.
 func TestGreedyDecodeSteadyStateAllocs(t *testing.T) {
 	spec, err := casestudy.Build(casestudy.Options{})
 	if err != nil {
@@ -77,7 +79,7 @@ func TestGreedyDecodeSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocs per 16 decodes", got)
-	const want = 160
+	const want = 64
 	if got > want {
 		t.Fatalf("16 decodes allocate %.0f times, want at most %d", got, want)
 	}

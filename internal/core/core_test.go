@@ -60,9 +60,9 @@ func TestGreedyDecoderDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := dec.Decode(g)
-	for tid, r := range a.Binding {
-		if b.Binding[tid] != r {
-			t.Fatalf("binding of %s differs", tid)
+	for _, m := range a.Binding.Mappings() {
+		if b.Binding.Get(m.Task) != m.Resource {
+			t.Fatalf("binding of %s differs", m.Task)
 		}
 	}
 }
@@ -94,7 +94,8 @@ func TestGreedyStorageOverride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for tid, r := range x.Binding {
+		for _, m := range x.Binding.Mappings() {
+			tid, r := m.Task, m.Resource
 			task := spec.App.Task(tid)
 			if task == nil || task.Kind != model.KindBISTData {
 				continue

@@ -469,13 +469,14 @@ func MemorySplitOf(s Solution) MemorySplit {
 		TestQuality: s.Objectives.TestQuality,
 	}
 	x := s.Impl
+	ix := x.Index()
 	gwShared := make(map[int]int64)
-	for tid, r := range x.Binding {
-		t := x.Spec.App.Task(tid)
-		if t == nil || t.Kind != model.KindBISTData {
+	for tp, t := range ix.Tasks {
+		r := x.Binding.At(int32(tp))
+		if r < 0 || t.Kind != model.KindBISTData {
 			continue
 		}
-		if r == x.Spec.Gateway {
+		if r == ix.Gateway {
 			gwShared[t.Profile] = t.MemBytes
 		} else {
 			ms.DistributedBytes += t.MemBytes

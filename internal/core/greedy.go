@@ -32,52 +32,52 @@ type GreedyDecoder struct {
 	// +1 forces local storage, -1 forces gateway storage (ablation A1).
 	StorageChoice int
 
-	fixedTasks  []model.TaskID // mandatory tasks with exactly 1 option
-	fixedTo     []int32        // their one mapping target, by resource index
-	choiceTasks []model.TaskID // mandatory tasks with ≥2 options, one gene each
-	choiceOpts  [][]target     // their mapping targets, sorted by ID
+	// ix is the specification's Index: the plan below refers to tasks,
+	// messages and resources by their positions in it.
+	ix *model.Index
 
-	ecus       []int32        // ECUs offering BIST, by resource index: a profile and a storage gene each
+	fixedTasks  []int32    // mandatory tasks with exactly 1 option
+	fixedTo     []int32    // their one mapping target
+	choiceTasks []int32    // mandatory tasks with ≥2 options, one gene each
+	choiceOpts  [][]target // their mapping targets, sorted by ID
+
+	ecus       []int32        // ECUs offering BIST: a profile and a storage gene each
 	fixedHosts []bool         // ecus[k] hosts a fixed mandatory task
 	bist       [][]bistOption // per ECU, in BISTTasksForECU order
 
-	// messages is App.Messages(); the plan refers to it by position.
 	// mandatoryMsgs lists the messages with a mandatory sender, which are
 	// active in every implementation; bistMsgs holds the outgoing
 	// messages of every BIST option back to back.
-	messages      []*model.Message
 	mandatoryMsgs []int32
 	bistMsgs      []int32
 
-	// resources is Arch.Resources() by ID; resIdx is its inverse. The
-	// shortest path from resource s to t is hops[lo:hi] and, by resource
-	// index, hopIdx[lo:hi], where lo, hi = paths[s*n+t], paths[s*n+t+1];
-	// an empty path means t is unreachable from s.
-	resources []model.ResourceID
-	resIdx    map[model.ResourceID]int32
-	paths     []int32
-	hops      []model.ResourceID
-	hopIdx    []int32
+	// The shortest path from resource s to t is hops[lo:hi] and, by
+	// resource position, hopIdx[lo:hi], where lo, hi = paths[s*n+t],
+	// paths[s*n+t+1] for n resources; an empty path means t is
+	// unreachable from s.
+	paths  []int32
+	hops   []model.ResourceID
+	hopIdx []int32
 
-	// bindHint and routeHint bound the entries of a decoded
-	// implementation's Binding map and Routing list.
-	bindHint, routeHint int
+	// routeHint bounds the entries of a decoded implementation's Routing
+	// list.
+	routeHint int
 }
 
-// target is a mapping target: its index in resources and its position
+// target is a mapping target: its resource position and its position
 // in ecus (-1 for a resource offering no BIST).
 type target struct {
 	res, ecu int32
 }
 
-// bistOption is one profile gene value of an ECU: its test task, the
-// paired data task (nil fails the decode that selects it), the resource
-// index storing the data task for a local and for a gateway storage
-// gene (the first mapping target when the preferred one is not a
-// mapping option), and the outgoing messages of both tasks as
+// bistOption is one profile gene value of an ECU: the positions of its
+// test task and of the paired data task (-1 fails the decode that
+// selects it), the resource storing the data task for a local and for a
+// gateway storage gene (the first mapping target when the preferred one
+// is not a mapping option), and the outgoing messages of both tasks as
 // bistMsgs[lo:hi].
 type bistOption struct {
-	test, data     *model.Task
+	test, data     int32
 	local, gateway int32
 	lo, hi         int32
 }
@@ -90,79 +90,72 @@ func NewGreedyDecoder(spec *model.Specification) (*GreedyDecoder, error) {
 		return nil, err
 	}
 	spec.WarmCaches()
-	d := &GreedyDecoder{Spec: spec, messages: spec.App.Messages()}
+	ix := spec.Index()
+	d := &GreedyDecoder{Spec: spec, ix: ix}
 	d.compilePaths()
-	ecuPos := make(map[model.ResourceID]int32)
+	ecuPos := make([]int32, len(ix.Resources))
+	for i := range ecuPos {
+		ecuPos[i] = -1
+	}
 	var profiles [][]*model.Task
 	for _, r := range spec.Arch.ResourcesOfKind(model.KindECU) {
 		if bTs := spec.BISTTasksForECU(r.ID); len(bTs) > 0 {
-			ecuPos[r.ID] = int32(len(d.ecus))
-			d.ecus = append(d.ecus, d.resIdx[r.ID])
+			rp := ix.ResourcePos(r.ID)
+			ecuPos[rp] = int32(len(d.ecus))
+			d.ecus = append(d.ecus, rp)
 			profiles = append(profiles, bTs)
 		}
 	}
-	targetOf := func(r model.ResourceID) target {
-		t := target{res: d.resIdx[r], ecu: -1}
-		if k, ok := ecuPos[r]; ok {
-			t.ecu = k
-		}
-		return t
-	}
 
 	d.fixedHosts = make([]bool, len(d.ecus))
-	for _, t := range spec.App.Tasks() {
+	for tp, t := range ix.Tasks {
 		if t.Kind.Diagnostic() {
 			continue
 		}
-		opts := spec.MappingTargets(t.ID)
+		opts := ix.Targets[tp]
 		if len(opts) == 1 {
-			to := targetOf(opts[0])
-			d.fixedTasks = append(d.fixedTasks, t.ID)
-			d.fixedTo = append(d.fixedTo, to.res)
-			if to.ecu >= 0 {
-				d.fixedHosts[to.ecu] = true
+			d.fixedTasks = append(d.fixedTasks, int32(tp))
+			d.fixedTo = append(d.fixedTo, opts[0])
+			if k := ecuPos[opts[0]]; k >= 0 {
+				d.fixedHosts[k] = true
 			}
 			continue
 		}
 		ts := make([]target, len(opts))
 		for i, r := range opts {
-			ts[i] = targetOf(r)
+			ts[i] = target{res: r, ecu: ecuPos[r]}
 		}
-		d.choiceTasks = append(d.choiceTasks, t.ID)
+		d.choiceTasks = append(d.choiceTasks, int32(tp))
 		d.choiceOpts = append(d.choiceOpts, ts)
 	}
 
-	pos := make(map[model.MessageID]int32, len(d.messages))
-	for i, m := range d.messages {
-		pos[m.ID] = int32(i)
-		if src := spec.App.Task(m.Src); src != nil && !src.Kind.Diagnostic() {
+	for i, m := range ix.Messages {
+		if !ix.Kind[ix.Src[i]].Diagnostic() {
 			d.mandatoryMsgs = append(d.mandatoryMsgs, int32(i))
 			d.routeHint += len(m.Dst)
 		}
 	}
-	d.bindHint = len(d.fixedTasks) + len(d.choiceTasks) + 2*len(d.ecus)
-	storageFor := func(bD *model.Task, r model.ResourceID) int32 {
-		if !spec.HasMapping(bD.ID, r) {
-			r = spec.MappingTargets(bD.ID)[0]
+	storageFor := func(bD, r int32) int32 {
+		if !slices.Contains(ix.Targets[bD], r) {
+			r = ix.Targets[bD][0]
 		}
-		return d.resIdx[r]
+		return r
 	}
 	d.bist = make([][]bistOption, len(d.ecus))
 	for k, ecu := range d.ecus {
 		opts := make([]bistOption, len(profiles[k]))
 		most := 0 // the most route entries one option adds
 		for j, bT := range profiles[k] {
-			o := bistOption{test: bT, data: spec.DataTaskFor(bT), lo: int32(len(d.bistMsgs))}
-			out := spec.App.Outgoing(bT.ID)
-			if o.data != nil {
-				o.local = storageFor(o.data, d.resources[ecu])
-				o.gateway = storageFor(o.data, spec.Gateway)
-				out = append(out, spec.App.Outgoing(o.data.ID)...)
+			o := bistOption{test: ix.TaskPos(bT.ID), lo: int32(len(d.bistMsgs))}
+			d.bistMsgs = append(d.bistMsgs, ix.Out[o.test]...)
+			if o.data = ix.Pair[o.test]; o.data >= 0 {
+				o.local = storageFor(o.data, ecu)
+				o.gateway = storageFor(o.data, ix.Gateway)
+				d.bistMsgs = append(d.bistMsgs, ix.Out[o.data]...)
 			}
 			entries := 0
-			for _, mid := range out {
-				d.bistMsgs = append(d.bistMsgs, pos[mid])
-				entries += len(d.messages[pos[mid]].Dst)
+			for _, m := range d.bistMsgs[o.lo:] {
+				entries += len(ix.Dst[m])
 			}
 			o.hi = int32(len(d.bistMsgs))
 			most = max(most, entries)
@@ -175,25 +168,19 @@ func NewGreedyDecoder(spec *model.Specification) (*GreedyDecoder, error) {
 	return d, nil
 }
 
-// compilePaths indexes the resources densely and lays the shortest path
-// between every ordered resource pair into the flat hop table. One
-// breadth-first search per source visits neighbors in ID order and
-// keeps each resource's first discoverer, as Arch.ShortestPath does; its
-// early exit at the destination leaves the discoverers found before
-// unchanged, so every path is the one ShortestPath returns.
+// compilePaths lays the shortest path between every ordered resource
+// pair into the flat hop table. One breadth-first search per source
+// visits neighbors in ID order and keeps each resource's first
+// discoverer, as Arch.ShortestPath does; its early exit at the
+// destination leaves the discoverers found before unchanged, so every
+// path is the one ShortestPath returns.
 func (d *GreedyDecoder) compilePaths() {
-	arch := d.Spec.Arch
-	n := arch.NumResources()
-	d.resources = make([]model.ResourceID, n)
-	d.resIdx = make(map[model.ResourceID]int32, n)
-	for i, r := range arch.Resources() {
-		d.resources[i] = r.ID
-		d.resIdx[r.ID] = int32(i)
-	}
+	arch, res := d.Spec.Arch, d.ix.Resources
+	n := len(res)
 	adj := make([][]int32, n)
-	for i, r := range d.resources {
-		for _, nb := range arch.Neighbors(r) {
-			adj[i] = append(adj[i], d.resIdx[nb])
+	for i, r := range res {
+		for _, nb := range arch.Neighbors(r.ID) {
+			adj[i] = append(adj[i], d.ix.ResourcePos(nb))
 		}
 	}
 	prev := make([]int32, n)
@@ -223,7 +210,7 @@ func (d *GreedyDecoder) compilePaths() {
 				rev = append(rev, src)
 				for i := len(rev) - 1; i >= 0; i-- {
 					d.hopIdx = append(d.hopIdx, rev[i])
-					d.hops = append(d.hops, d.resources[rev[i]])
+					d.hops = append(d.hops, res[rev[i]].ID)
 				}
 			}
 			d.paths = append(d.paths, int32(len(d.hops)))
@@ -258,28 +245,19 @@ func (d *GreedyDecoder) Decode(genotype []float64) (*model.Implementation, error
 	if len(genotype) != d.GenotypeLen() {
 		return nil, fmt.Errorf("core: genotype length %d, want %d", len(genotype), d.GenotypeLen())
 	}
-	x := &model.Implementation{
-		Spec:       d.Spec,
-		Allocation: make(map[model.ResourceID]bool, len(d.resources)),
-		Binding:    make(map[model.TaskID]model.ResourceID, d.bindHint),
-		Routing:    make(model.Routing, 0, d.routeHint),
+	x := model.NewImplementation(d.Spec)
+	if x.Index() != d.ix {
+		return nil, fmt.Errorf("core: specification changed after the greedy decoder was built")
 	}
-	// Allocation is collected densely and written once at the end. This
-	// scratch, the host flags and the chosen options below live on the
-	// stack for up to 64 entries.
-	var allocBuf [64]bool
-	alloc := allocBuf[:0]
-	if n := len(d.resources); n <= len(allocBuf) {
-		alloc = allocBuf[:n]
-	} else {
-		alloc = make([]bool, n)
-	}
-	bind := func(t model.TaskID, res int32) {
-		x.Binding[t] = d.resources[res]
-		alloc[res] = true
+	x.Routing = make(model.Routing, 0, d.routeHint)
+	bind := func(t, r int32) {
+		x.Binding.Set(t, r)
+		x.Allocation.Add(r)
 	}
 
-	// Mandatory bindings, and which ECUs they occupy (Eq. 2h).
+	// Mandatory bindings, and which ECUs they occupy (Eq. 2h). The host
+	// flags and the chosen options below live on the stack for up to 64
+	// ECUs.
 	var hostsBuf [64]bool
 	hosts := append(hostsBuf[:0], d.fixedHosts...)
 	for i, t := range d.fixedTasks {
@@ -305,10 +283,10 @@ func (d *GreedyDecoder) Decode(genotype []float64) (*model.Implementation, error
 			continue
 		}
 		o := &opts[sel-1]
-		if o.data == nil {
-			return nil, fmt.Errorf("core: BIST task %s has no data task", o.test.ID)
+		if o.data < 0 {
+			return nil, fmt.Errorf("core: BIST task %s has no data task", d.ix.Tasks[o.test].ID)
 		}
-		bind(o.test.ID, ecu)
+		bind(o.test, ecu)
 		storeLocal := genotype[base+2*k+1] < 0.5
 		switch d.StorageChoice {
 		case 1:
@@ -317,9 +295,9 @@ func (d *GreedyDecoder) Decode(genotype []float64) (*model.Implementation, error
 			storeLocal = false
 		}
 		if storeLocal {
-			bind(o.data.ID, o.local)
+			bind(o.data, o.local)
 		} else {
-			bind(o.data.ID, o.gateway)
+			bind(o.data, o.gateway)
 		}
 		chosen = append(chosen, o)
 	}
@@ -328,52 +306,48 @@ func (d *GreedyDecoder) Decode(genotype []float64) (*model.Implementation, error
 	// message ID is reported, as a scan in ID order would.
 	fail := -1
 	var err error
-	route := func(pos int32) {
-		if e := d.route(x, alloc, d.messages[pos]); e != nil && (fail < 0 || int(pos) < fail) {
-			fail, err = int(pos), e
+	route := func(m int32) {
+		if e := d.route(x, m); e != nil && (fail < 0 || int(m) < fail) {
+			fail, err = int(m), e
 		}
 	}
-	for _, pos := range d.mandatoryMsgs {
-		route(pos)
+	for _, m := range d.mandatoryMsgs {
+		route(m)
 	}
 	for _, o := range chosen {
-		for _, pos := range d.bistMsgs[o.lo:o.hi] {
-			route(pos)
+		for _, m := range d.bistMsgs[o.lo:o.hi] {
+			route(m)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	for i, on := range alloc {
-		if on {
-			x.Allocation[d.resources[i]] = true
-		}
-	}
 	return x, nil
 }
 
-// route appends msg's route to each bound receiver along the shortest
-// path and marks the hops allocated. The routes share the hop table; the
-// capped slices keep an append from writing into a neighbor.
-func (d *GreedyDecoder) route(x *model.Implementation, alloc []bool, msg *model.Message) error {
-	srcRes, ok := x.Binding[msg.Src]
-	if !ok {
+// route appends message m's route to each bound receiver along the
+// shortest path and allocates the hops. The routes share the hop table;
+// the capped slices keep an append from writing into a neighbor.
+func (d *GreedyDecoder) route(x *model.Implementation, m int32) error {
+	src := x.Binding.At(d.ix.Src[m])
+	if src < 0 {
 		return nil
 	}
-	row := int(d.resIdx[srcRes]) * len(d.resources)
-	for _, dst := range msg.Dst {
-		dstRes, bound := x.Binding[dst]
-		if !bound {
+	msg := d.ix.Messages[m]
+	row := int(src) * len(d.ix.Resources)
+	for j, dst := range d.ix.Dst[m] {
+		to := x.Binding.At(dst)
+		if to < 0 {
 			continue
 		}
-		p := row + int(d.resIdx[dstRes])
+		p := row + int(to)
 		lo, hi := d.paths[p], d.paths[p+1]
 		if lo == hi {
-			return fmt.Errorf("core: no route for %s from %s to %s", msg.ID, srcRes, dstRes)
+			return fmt.Errorf("core: no route for %s from %s to %s", msg.ID, d.ix.Resources[src].ID, d.ix.Resources[to].ID)
 		}
-		x.Routing = append(x.Routing, model.RouteEntry{Msg: msg.ID, Dst: dst, Route: model.Route{Hops: d.hops[lo:hi:hi]}})
+		x.Routing = append(x.Routing, model.RouteEntry{Msg: msg.ID, Dst: msg.Dst[j], Route: model.Route{Hops: d.hops[lo:hi:hi]}})
 		for _, h := range d.hopIdx[lo:hi] {
-			alloc[h] = true
+			x.Allocation.Add(h)
 		}
 	}
 	return nil

@@ -92,13 +92,8 @@ func identityGenotypes(spec *model.Specification, n int) [][]float64 {
 // by (message, destination) with their hops.
 func writeImpl(h hash.Hash, x *model.Implementation) {
 	fmt.Fprintln(h, "A", x.AllocatedResources())
-	tasks := make([]string, 0, len(x.Binding))
-	for t := range x.Binding {
-		tasks = append(tasks, string(t))
-	}
-	sort.Strings(tasks)
-	for _, t := range tasks {
-		fmt.Fprintf(h, "B %s %s\n", t, x.Binding[model.TaskID(t)])
+	for _, m := range x.Binding.Mappings() {
+		fmt.Fprintf(h, "B %s %s\n", m.Task, m.Resource)
 	}
 	routes := slices.Clone(x.Routing)
 	sort.Slice(routes, func(i, j int) bool {
@@ -224,17 +219,19 @@ func TestGreedyPathTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := len(dec.resources)
-		for s, a := range dec.resources {
-			for u, b := range dec.resources {
+		res := dec.ix.Resources
+		n := len(res)
+		for s, ra := range res {
+			for u, rb := range res {
+				a, b := ra.ID, rb.ID
 				want, ok := spec.Arch.ShortestPath(a, b, nil)
 				lo, hi := dec.paths[s*n+u], dec.paths[s*n+u+1]
 				if got := dec.hops[lo:hi]; ok != (lo < hi) || fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("path %s→%s: table %v, ShortestPath %v (ok %v)", a, b, got, want, ok)
 				}
 				for i, h := range dec.hopIdx[lo:hi] {
-					if dec.resources[h] != want[i] {
-						t.Fatalf("path %s→%s: hop index %d names %s, want %s", a, b, i, dec.resources[h], want[i])
+					if res[h].ID != want[i] {
+						t.Fatalf("path %s→%s: hop index %d names %s, want %s", a, b, i, res[h].ID, want[i])
 					}
 				}
 			}
@@ -328,8 +325,8 @@ func TestGreedyStorageFallback(t *testing.T) {
 		if errs := x.Check(); len(errs) != 0 {
 			t.Fatalf("storage %+d, genes %v: infeasible: %v", tc.storage, tc.genes, errs[0])
 		}
-		if x.Binding["bD1"] != "gw" || x.Binding["bD2"] != "ecu2" {
-			t.Errorf("storage %+d, genes %v: bD1 on %s, bD2 on %s; want gw and ecu2", tc.storage, tc.genes, x.Binding["bD1"], x.Binding["bD2"])
+		if x.Binding.Get("bD1") != "gw" || x.Binding.Get("bD2") != "ecu2" {
+			t.Errorf("storage %+d, genes %v: bD1 on %s, bD2 on %s; want gw and ecu2", tc.storage, tc.genes, x.Binding.Get("bD1"), x.Binding.Get("bD2"))
 		}
 		if got, _ := x.RouteTo("cD1", "bT1"); got.String() != "gw->can->ecu1" {
 			t.Errorf("storage %+d, genes %v: cD1 routed %s", tc.storage, tc.genes, got)

@@ -141,12 +141,12 @@ func TestSATDecodeWorkerMatchesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("worker %d: %v", w, err)
 		}
-		if len(a.Binding) != len(b.Binding) {
+		if a.Binding.Len() != b.Binding.Len() {
 			t.Fatalf("worker %d: binding size differs", w)
 		}
-		for tid, r := range a.Binding {
-			if b.Binding[tid] != r {
-				t.Fatalf("worker %d: binding of %s differs from pooled decode", w, tid)
+		for _, m := range a.Binding.Mappings() {
+			if b.Binding.Get(m.Task) != m.Resource {
+				t.Fatalf("worker %d: binding of %s differs from pooled decode", w, m.Task)
 			}
 		}
 	}

@@ -32,9 +32,9 @@ func (d *breakingDecoder) Decode(g []float64) (*model.Implementation, error) {
 		return nil, err
 	}
 	if d.every > 0 && d.n.Add(1)%d.every == 0 {
-		for tid := range x.Binding {
-			if t := x.Spec.App.Task(tid); t != nil && !t.Kind.Diagnostic() {
-				delete(x.Binding, tid)
+		for _, m := range x.Binding.Mappings() {
+			if t := x.Spec.App.Task(m.Task); t != nil && !t.Kind.Diagnostic() {
+				x.Unbind(m.Task)
 				break
 			}
 		}

@@ -68,15 +68,13 @@ func DeriveCodes(x *model.Implementation) []TroubleCode {
 	}
 	// Collect component -> ECU suspects.
 	suspects := make(map[model.TaskID]map[model.ResourceID]bool)
-	for _, t := range spec.App.TasksOfKind(model.KindFunctional) {
-		r, bound := x.Binding[t.ID]
-		if !bound {
+	ix := x.Index()
+	for tp, t := range ix.Tasks {
+		rp := x.Binding.At(int32(tp))
+		if t.Kind != model.KindFunctional || rp < 0 || ix.Resources[rp].Kind != model.KindECU {
 			continue
 		}
-		res := spec.Arch.Resource(r)
-		if res == nil || res.Kind != model.KindECU {
-			continue
-		}
+		r := ix.Resources[rp].ID
 		root := find(t.ID)
 		if suspects[root] == nil {
 			suspects[root] = make(map[model.ResourceID]bool)

@@ -1,10 +1,6 @@
 package dtc
 
-import (
-	"sort"
-
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // RepairStats aggregates a workshop-repair study over every possible
 // faulty ECU of an implementation.
@@ -102,20 +98,18 @@ func (s RepairStats) normalize() RepairStats {
 }
 
 func ecusWithFunctionalTasks(x *model.Implementation) []model.ResourceID {
-	set := make(map[model.ResourceID]bool)
-	for tid, r := range x.Binding {
-		t := x.Spec.App.Task(tid)
-		if t == nil || t.Kind != model.KindFunctional {
-			continue
-		}
-		if res := x.Spec.Arch.Resource(r); res != nil && res.Kind == model.KindECU {
-			set[r] = true
+	ix := x.Index()
+	hosts := make([]bool, len(ix.Resources))
+	for t, task := range ix.Tasks {
+		if r := x.Binding.At(int32(t)); r >= 0 && task.Kind == model.KindFunctional && ix.Resources[r].Kind == model.KindECU {
+			hosts[r] = true
 		}
 	}
-	out := make([]model.ResourceID, 0, len(set))
-	for r := range set {
-		out = append(out, r)
+	out := []model.ResourceID{}
+	for r, on := range hosts {
+		if on {
+			out = append(out, ix.Resources[r].ID)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

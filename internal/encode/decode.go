@@ -49,7 +49,7 @@ type DecoderState struct {
 	prio   []float64
 	pref   []bool
 	// Route-extraction scratch, indexed by time step τ.
-	byTau  []model.ResourceID
+	byTau  []int32
 	tauSet []bool
 }
 
@@ -63,7 +63,7 @@ func (e *Encoding) NewDecoderState() *DecoderState {
 		branch: pbsat.NewDensePriorityBranching(len(e.mapOrder)),
 		prio:   make([]float64, len(e.mapOrder)),
 		pref:   make([]bool, len(e.mapOrder)),
-		byTau:  make([]model.ResourceID, e.TMax),
+		byTau:  make([]int32, e.TMax),
 		tauSet: make([]bool, e.TMax),
 	}
 }
@@ -101,7 +101,7 @@ func (d *DecoderState) Decode(genotype []float64, maxConflicts int) (*model.Impl
 
 // Decode reconstructs the implementation from a satisfying assignment.
 func (e *Encoding) Decode(a pbsat.Assignment) (*model.Implementation, error) {
-	return e.decodeAssignment(a, make([]model.ResourceID, e.TMax), make([]bool, e.TMax))
+	return e.decodeAssignment(a, make([]int32, e.TMax), make([]bool, e.TMax))
 }
 
 // decodeAssignment reconstructs the implementation, routing every bound
@@ -109,34 +109,40 @@ func (e *Encoding) Decode(a pbsat.Assignment) (*model.Implementation, error) {
 // [17] is unicast and Build rejects multicast messages, so the inner
 // loop runs once per message — but each destination is still handled
 // explicitly rather than silently assuming Dst[0].
-func (e *Encoding) decodeAssignment(a pbsat.Assignment, byTau []model.ResourceID, tauSet []bool) (*model.Implementation, error) {
+func (e *Encoding) decodeAssignment(a pbsat.Assignment, byTau []int32, tauSet []bool) (*model.Implementation, error) {
 	x := model.NewImplementation(e.Spec)
-	for i, m := range e.mapOrder {
+	ix := x.Index()
+	if len(ix.Messages) != len(e.msgSteps) {
+		return nil, fmt.Errorf("encode: specification has %d messages, the encoding %d", len(ix.Messages), len(e.msgSteps))
+	}
+	if ix != e.ix {
+		return nil, fmt.Errorf("encode: specification changed after the encoding was built")
+	}
+	for i, m := range e.mapPos {
 		if a.Get(pbsat.Var(i + 1)) {
-			x.Bind(m.Task, m.Resource)
+			x.Binding.Set(m.task, m.res)
+			x.Allocation.Add(m.res)
 		}
 	}
-	msgs := e.Spec.App.Messages()
-	if len(msgs) != len(e.msgSteps) {
-		return nil, fmt.Errorf("encode: specification has %d messages, the encoding %d", len(msgs), len(e.msgSteps))
-	}
-	for mi, msg := range msgs {
-		if !x.Bound(msg.Src) {
+	for mi, msg := range ix.Messages {
+		src := x.Binding.At(ix.Src[mi])
+		if src < 0 {
 			continue
 		}
-		for _, dst := range msg.Dst {
-			if !x.Bound(dst) {
+		for j, dst := range ix.Dst[mi] {
+			to := x.Binding.At(dst)
+			if to < 0 {
 				continue
 			}
-			route, err := extractRoute(a, msg, e.msgSteps[mi], x.Binding[msg.Src], x.Binding[dst], byTau, tauSet)
+			route, err := extractRoute(a, ix, msg, e.msgSteps[mi], src, to, byTau, tauSet)
 			if err != nil {
 				return nil, err
 			}
 			// Each (message, destination) is visited once: append
 			// instead of SetRoute's search for an earlier entry.
-			x.Routing = append(x.Routing, model.RouteEntry{Msg: msg.ID, Dst: dst, Route: route})
-			for _, h := range route.Hops {
-				x.Allocation[h] = true
+			x.Routing = append(x.Routing, model.RouteEntry{Msg: msg.ID, Dst: msg.Dst[j], Route: route})
+			for _, r := range byTau[:len(route.Hops)] {
+				x.Allocation.Add(r)
 			}
 		}
 	}
@@ -145,29 +151,31 @@ func (e *Encoding) decodeAssignment(a pbsat.Assignment, byTau []model.ResourceID
 
 // extractRoute walks the c_rτ assignment of msg, whose step index
 // (sorted by τ) is steps, from the sender resource until the receiver
-// resource is reached.
-func extractRoute(a pbsat.Assignment, msg *model.Message, steps []stepEntry, srcRes, dstRes model.ResourceID, byTau []model.ResourceID, tauSet []bool) (model.Route, error) {
+// resource is reached, both given by position. On success the route's
+// hops by position are byTau[:len(hops)].
+func extractRoute(a pbsat.Assignment, ix *model.Index, msg *model.Message, steps []stepEntry, srcRes, dstRes int32, byTau []int32, tauSet []bool) (model.Route, error) {
 	for i := range tauSet {
 		tauSet[i] = false
 	}
+	id := func(r int32) model.ResourceID { return ix.Resources[r].ID }
 	maxTau := -1
 	for _, se := range steps {
 		if !a.Get(se.v) {
 			continue
 		}
 		if se.tau == maxTau { // entries are τ-sorted: equal τ means duplicate
-			return model.Route{}, fmt.Errorf("encode: message %q has two resources (%q,%q) at step %d", msg.ID, byTau[se.tau], se.res, se.tau)
+			return model.Route{}, fmt.Errorf("encode: message %q has two resources (%q,%q) at step %d", msg.ID, id(byTau[se.tau]), id(se.pos), se.tau)
 		}
-		byTau[se.tau] = se.res
+		byTau[se.tau] = se.pos
 		tauSet[se.tau] = true
 		maxTau = se.tau
 	}
 	if maxTau < 0 || !tauSet[0] || byTau[0] != srcRes {
 		start := model.ResourceID("")
 		if maxTau >= 0 && tauSet[0] {
-			start = byTau[0]
+			start = id(byTau[0])
 		}
-		return model.Route{}, fmt.Errorf("encode: message %q route starts at %q, sender at %q", msg.ID, start, srcRes)
+		return model.Route{}, fmt.Errorf("encode: message %q route starts at %q, sender at %q", msg.ID, start, id(srcRes))
 	}
 	hops := make([]model.ResourceID, 0, maxTau+1)
 	for tau := 0; tau <= maxTau; tau++ {
@@ -175,12 +183,12 @@ func extractRoute(a pbsat.Assignment, msg *model.Message, steps []stepEntry, src
 			break // chain ended
 		}
 		r := byTau[tau]
-		hops = append(hops, r)
+		hops = append(hops, id(r))
 		if r == dstRes {
 			return model.Route{Hops: hops}, nil
 		}
 	}
-	return model.Route{}, fmt.Errorf("encode: message %q route %v never reaches receiver %q", msg.ID, hops, dstRes)
+	return model.Route{}, fmt.Errorf("encode: message %q route %v never reaches receiver %q", msg.ID, hops, id(dstRes))
 }
 
 // Stats summarizes the encoding size.

@@ -33,6 +33,10 @@ type Encoding struct {
 	// mapping edge i as variable i+1 without a map lookup.
 	mapVars  map[model.Mapping]pbsat.Var
 	mapOrder []model.Mapping // deterministic genotype order
+	// ix is the specification's Index; mapPos[i] is mapOrder[i] by task
+	// and resource position in it.
+	ix       *model.Index
+	mapPos   []edgePos
 	routeVar map[routeKey]pbsat.Var
 	stepVar  map[stepKey]pbsat.Var
 
@@ -45,11 +49,16 @@ type Encoding struct {
 }
 
 // stepEntry is one (resource, time-step) routing variable of a message
-// in the msgSteps index.
+// in the msgSteps index, the resource by its Index position.
 type stepEntry struct {
-	res model.ResourceID
+	pos int32
 	tau int
 	v   pbsat.Var
+}
+
+// edgePos is a mapping edge by task and resource position.
+type edgePos struct {
+	task, res int32
 }
 
 type routeKey struct {
@@ -100,6 +109,7 @@ func Build(spec *model.Specification, tmax int, opts ...Option) (*Encoding, erro
 	}
 	e := &Encoding{
 		Spec:     spec,
+		ix:       spec.Index(),
 		Problem:  pbsat.NewProblem(),
 		TMax:     tmax,
 		opts:     bo,
@@ -142,6 +152,7 @@ func (e *Encoding) allocMappingVars() {
 		}
 		e.mapVars[m] = v
 		e.mapOrder = append(e.mapOrder, m)
+		e.mapPos = append(e.mapPos, edgePos{e.ix.TaskPos(m.Task), e.ix.ResourcePos(m.Resource)})
 	}
 }
 
@@ -159,7 +170,7 @@ func (e *Encoding) allocRoutingVars() {
 		dstOpts := e.Spec.MappingTargets(msg.Dst[0])
 		distFromSrc := multiSourceDist(e.Spec.Arch, srcOpts)
 		distToDst := multiSourceDist(e.Spec.Arch, dstOpts)
-		for _, r := range e.Spec.Arch.Resources() {
+		for ri, r := range e.Spec.Arch.Resources() {
 			ds, okS := distFromSrc[r.ID]
 			dd, okD := distToDst[r.ID]
 			if !okS || !okD || ds+dd > e.TMax-1 {
@@ -169,11 +180,11 @@ func (e *Encoding) allocRoutingVars() {
 			for tau := ds; tau <= e.TMax-1-dd; tau++ {
 				v := e.Problem.NewVar(fmt.Sprintf("c:%s@%s.t%d", msg.ID, r.ID, tau))
 				e.stepVar[stepKey{msg.ID, r.ID, tau}] = v
-				e.msgSteps[mi] = append(e.msgSteps[mi], stepEntry{res: r.ID, tau: tau, v: v})
+				e.msgSteps[mi] = append(e.msgSteps[mi], stepEntry{pos: int32(ri), tau: tau, v: v})
 			}
 		}
 		slices.SortFunc(e.msgSteps[mi], func(a, b stepEntry) int {
-			return cmp.Or(cmp.Compare(a.tau, b.tau), cmp.Compare(a.res, b.res))
+			return cmp.Or(cmp.Compare(a.tau, b.tau), cmp.Compare(a.pos, b.pos))
 		})
 	}
 }
@@ -257,7 +268,7 @@ func (e *Encoding) addRoutingConstraints() {
 			if se.tau != 0 {
 				break // τ-sorted: the τ = 0 steps come first
 			}
-			if !senderOpts[se.res] {
+			if !senderOpts[e.ix.Resources[se.pos].ID] {
 				e.Problem.AddClause("2b0:"+string(msg.ID), pbsat.Not(se.v))
 			}
 		}
@@ -322,7 +333,7 @@ func (e *Encoding) addRoutingConstraints() {
 				continue
 			}
 			terms := []pbsat.Term{}
-			for _, n := range e.Spec.Arch.Neighbors(se.res) {
+			for _, n := range e.Spec.Arch.Neighbors(e.ix.Resources[se.pos].ID) {
 				if pv, ok := e.stepVar[stepKey{msg.ID, n, se.tau - 1}]; ok {
 					terms = append(terms, pbsat.Term{Coef: 1, Lit: pbsat.Pos(pv)})
 				}

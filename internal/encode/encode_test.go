@@ -156,8 +156,8 @@ func TestDecodeRoutesEveryDestination(t *testing.T) {
 			if !ok {
 				t.Fatalf("message %q has no route towards %q", msg.ID, dst)
 			}
-			if len(route.Hops) == 0 || route.Hops[0] != x.Binding[msg.Src] || route.Hops[len(route.Hops)-1] != x.Binding[dst] {
-				t.Fatalf("message %q route %v does not run %q→%q", msg.ID, route, x.Binding[msg.Src], x.Binding[dst])
+			if len(route.Hops) == 0 || route.Hops[0] != x.Binding.Get(msg.Src) || route.Hops[len(route.Hops)-1] != x.Binding.Get(dst) {
+				t.Fatalf("message %q route %v does not run %q→%q", msg.ID, route, x.Binding.Get(msg.Src), x.Binding.Get(dst))
 			}
 		}
 	}
@@ -262,7 +262,7 @@ func TestGenotypeSteersBISTSelection(t *testing.T) {
 	if sel["ecu2"] != nil {
 		t.Fatalf("ecu2 unexpectedly has BIST: %v", sel["ecu2"])
 	}
-	if got := x.Binding["bD1b"]; got != "gw" {
+	if got := x.Binding.Get("bD1b"); got != "gw" {
 		t.Fatalf("bD1b bound to %q, want gw", got)
 	}
 	// The test-pattern message must be routed gw -> bus1 -> ecu1.
@@ -408,7 +408,7 @@ func TestMessageStepIndex(t *testing.T) {
 		}
 		for j, k := range keys {
 			se := e.msgSteps[i][j]
-			if se.res != k.res || se.tau != k.tau || se.v != e.stepVar[k] {
+			if e.ix.Resources[se.pos].ID != k.res || se.tau != k.tau || se.v != e.stepVar[k] {
 				t.Fatalf("message %q step %d: %+v, want %v as x%d", msg.ID, j, se, k, e.stepVar[k])
 			}
 		}
@@ -469,11 +469,11 @@ func TestMemoryCapacityEncoded(t *testing.T) {
 	}
 	// Wherever the solver landed, the gateway holds at most 512 KiB.
 	var gwBytes int64
-	for tid, r := range x.Binding {
-		if r != "gw" {
+	for _, m := range x.Binding.Mappings() {
+		if m.Resource != "gw" {
 			continue
 		}
-		if task := spec.App.Task(tid); task != nil {
+		if task := spec.App.Task(m.Task); task != nil {
 			gwBytes += task.MemBytes
 		}
 	}
@@ -512,7 +512,7 @@ func TestAblationA3Without2h(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !x.Bound("bT1a") || x.Binding["t1"] != "ecu2" {
+	if !x.Bound("bT1a") || x.Binding.Get("t1") != "ecu2" {
 		t.Skip("solver found a different model; ablation scenario not reached")
 	}
 	// The independent checker must flag the 2h violation.

@@ -22,6 +22,8 @@ type ApplicationGraph struct {
 	// iterates the message list once per selected BIST session.
 	tasksSorted    []*Task
 	messagesSorted []*Message
+	// gen counts mutations, so a Specification can tell its Index stale.
+	gen uint64
 }
 
 // NewApplicationGraph returns an empty application graph.
@@ -44,6 +46,7 @@ func (g *ApplicationGraph) AddTask(t *Task) error {
 	}
 	g.tasks[t.ID] = t
 	g.tasksSorted = nil
+	g.gen++
 	return nil
 }
 
@@ -70,6 +73,7 @@ func (g *ApplicationGraph) AddMessage(m *Message) error {
 	}
 	g.messages[m.ID] = m
 	g.messagesSorted = nil
+	g.gen++
 	g.outgoing[m.Src] = append(g.outgoing[m.Src], m.ID)
 	for _, d := range m.Dst {
 		g.incoming[d] = append(g.incoming[d], m.ID)
@@ -151,6 +155,7 @@ type ArchitectureGraph struct {
 	// Memoized sorted views, rebuilt lazily after mutation.
 	resourcesSorted []*Resource
 	neighborsSorted map[ResourceID][]ResourceID
+	gen             uint64 // counts added resources, as ApplicationGraph.gen
 }
 
 // NewArchitectureGraph returns an empty architecture graph.
@@ -174,6 +179,7 @@ func (g *ArchitectureGraph) AddResource(r *Resource) error {
 	g.adj[r.ID] = make(map[ResourceID]bool)
 	g.resourcesSorted = nil
 	g.neighborsSorted = nil
+	g.gen++
 	return nil
 }
 
@@ -245,6 +251,31 @@ func (g *ArchitectureGraph) Adjacent(a, b ResourceID) bool { return g.adj[a][b] 
 
 // NumResources returns |R|.
 func (g *ArchitectureGraph) NumResources() int { return len(g.resources) }
+
+// components labels every resource with its connected component in
+// g_A: the ID of the component's first resource in ID order.
+func (g *ArchitectureGraph) components() map[ResourceID]ResourceID {
+	comp := make(map[ResourceID]ResourceID, len(g.resources))
+	var queue []ResourceID
+	for _, r := range g.Resources() {
+		if _, seen := comp[r.ID]; seen {
+			continue
+		}
+		comp[r.ID] = r.ID
+		queue = append(queue[:0], r.ID)
+		for len(queue) > 0 {
+			cur := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			for n := range g.adj[cur] {
+				if _, seen := comp[n]; !seen {
+					comp[n] = r.ID
+					queue = append(queue, n)
+				}
+			}
+		}
+	}
+	return comp
+}
 
 // ShortestPath returns the shortest hop path from src to dst over the
 // architecture graph, restricted to the resources accepted by the allow

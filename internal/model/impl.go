@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -99,6 +99,129 @@ func appendJSON(buf []byte, v any) []byte {
 	return append(buf, b...)
 }
 
+// Binding is the binding B of an implementation: per task position
+// of the specification's Index, the position of the resource the task
+// is bound to, or -1 while it is unbound. Optional diagnosis tasks that
+// are not selected stay unbound.
+type Binding struct {
+	ix  *Index
+	res []int32
+}
+
+// At returns the resource position task position t is bound to, or -1.
+func (b Binding) At(t int32) int32 { return b.res[t] }
+
+// Set binds task position t to resource position r; r = -1 unbinds.
+func (b Binding) Set(t, r int32) { b.res[t] = r }
+
+// Lookup returns the resource task id is bound to and whether it is
+// bound.
+func (b Binding) Lookup(id TaskID) (ResourceID, bool) {
+	if b.ix == nil {
+		return "", false
+	}
+	if t := b.ix.TaskPos(id); t >= 0 && b.res[t] >= 0 {
+		return b.ix.Resources[b.res[t]].ID, true
+	}
+	return "", false
+}
+
+// Get returns the resource task id is bound to, "" if it is unbound.
+func (b Binding) Get(id TaskID) ResourceID {
+	r, _ := b.Lookup(id)
+	return r
+}
+
+// Len returns the number of bound tasks.
+func (b Binding) Len() int {
+	n := 0
+	for _, r := range b.res {
+		if r >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Mappings returns the binding as the mapping edges it selects, one
+// per bound task, in task ID order.
+func (b Binding) Mappings() []Mapping {
+	var out []Mapping
+	for t, r := range b.res {
+		if r >= 0 {
+			out = append(out, Mapping{Task: b.ix.Tasks[t].ID, Resource: b.ix.Resources[r].ID})
+		}
+	}
+	return out
+}
+
+// MarshalJSON encodes the binding as the object {task: resource} with
+// keys sorted, the encoding of the task-keyed map it replaces. Task
+// positions follow task IDs, so a walk by position writes the keys in
+// order.
+func (b Binding) MarshalJSON() ([]byte, error) {
+	if b.ix == nil {
+		return []byte("null"), nil
+	}
+	buf := []byte{'{'}
+	for _, m := range b.Mappings() {
+		if len(buf) > 1 {
+			buf = append(buf, ',')
+		}
+		buf = appendJSON(append(appendJSON(buf, m.Task), ':'), m.Resource)
+	}
+	return append(buf, '}'), nil
+}
+
+// Allocation is the allocation A of an implementation: a bitset over
+// the resource positions of the specification's Index.
+type Allocation struct {
+	ix   *Index
+	bits []uint64
+}
+
+// Has reports whether the resource at position r is allocated.
+func (a Allocation) Has(r int32) bool { return a.bits[r>>6]&(1<<(r&63)) != 0 }
+
+// Add allocates the resource at position r.
+func (a Allocation) Add(r int32) { a.bits[r>>6] |= 1 << (r & 63) }
+
+// Len returns the number of allocated resources.
+func (a Allocation) Len() int {
+	n := 0
+	for _, w := range a.bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Contains reports whether resource id is allocated.
+func (a Allocation) Contains(id ResourceID) bool {
+	if a.ix == nil {
+		return false
+	}
+	r := a.ix.ResourcePos(id)
+	return r >= 0 && a.Has(r)
+}
+
+// MarshalJSON encodes the allocation as the object {resource: true}
+// with keys sorted, the encoding of the resource-keyed set it replaces.
+func (a Allocation) MarshalJSON() ([]byte, error) {
+	if a.ix == nil {
+		return []byte("null"), nil
+	}
+	buf := []byte{'{'}
+	for r, res := range a.ix.Resources {
+		if a.Has(int32(r)) {
+			if len(buf) > 1 {
+				buf = append(buf, ',')
+			}
+			buf = append(appendJSON(buf, res.ID), ":true"...)
+		}
+	}
+	return append(buf, '}'), nil
+}
+
 // Implementation is one solution x = (A, B, W) of the design space
 // exploration problem: the allocation A ⊆ R, the binding B ⊆ M, and for
 // each bound communication c the routing W_c.
@@ -106,34 +229,51 @@ type Implementation struct {
 	Spec *Specification
 
 	// Allocation is the set of allocated resources A.
-	Allocation map[ResourceID]bool
+	Allocation Allocation
 
-	// Binding assigns each bound task to exactly one resource. Optional
-	// diagnosis tasks that are not selected are absent.
-	Binding map[TaskID]ResourceID
+	// Binding assigns each bound task to exactly one resource.
+	Binding Binding
 
 	// Routing holds, per active message, one route per bound receiver.
 	Routing Routing
 }
 
 // NewImplementation returns an empty implementation for the given
-// specification.
+// specification, numbered by its current Index.
 func NewImplementation(spec *Specification) *Implementation {
+	ix := spec.Index()
 	return &Implementation{
 		Spec:       spec,
-		Allocation: make(map[ResourceID]bool),
-		Binding:    make(map[TaskID]ResourceID),
+		Allocation: Allocation{ix: ix, bits: make([]uint64, (len(ix.Resources)+63)/64)},
+		Binding:    Binding{ix: ix, res: slices.Clone(ix.unbound)},
 	}
 }
 
-// Bind binds task t to resource r and allocates r.
+// Index returns the numbering the implementation's binding and
+// allocation positions refer to.
+func (x *Implementation) Index() *Index { return x.Binding.ix }
+
+// Bind binds task t to resource r and allocates r. Both must exist in
+// the specification.
 func (x *Implementation) Bind(t TaskID, r ResourceID) {
-	x.Binding[t] = r
-	x.Allocation[r] = true
+	tp, rp := x.Binding.ix.TaskPos(t), x.Binding.ix.ResourcePos(r)
+	if tp < 0 || rp < 0 {
+		panic(fmt.Sprintf("model: Bind(%q, %q): unknown task or resource", t, r))
+	}
+	x.Binding.Set(tp, rp)
+	x.Allocation.Add(rp)
+}
+
+// Unbind removes task t's binding, leaving the allocation as it is.
+func (x *Implementation) Unbind(t TaskID) {
+	if tp := x.Binding.ix.TaskPos(t); tp >= 0 {
+		x.Binding.Set(tp, -1)
+	}
 }
 
 // SetRoute records the route of message m towards destination task dst,
-// replacing an earlier route of the pair, and allocates every hop.
+// replacing an earlier route of the pair, and allocates every hop that
+// names a resource of the specification.
 func (x *Implementation) SetRoute(m MessageID, dst TaskID, route Route) {
 	if i := x.routeIndex(m, dst); i >= 0 {
 		x.Routing[i].Route = route
@@ -141,7 +281,9 @@ func (x *Implementation) SetRoute(m MessageID, dst TaskID, route Route) {
 		x.Routing = append(x.Routing, RouteEntry{Msg: m, Dst: dst, Route: route})
 	}
 	for _, h := range route.Hops {
-		x.Allocation[h] = true
+		if r := x.Allocation.ix.ResourcePos(h); r >= 0 {
+			x.Allocation.Add(r)
+		}
 	}
 }
 
@@ -164,7 +306,7 @@ func (x *Implementation) routeIndex(m MessageID, dst TaskID) int {
 
 // Bound reports whether task t is bound.
 func (x *Implementation) Bound(t TaskID) bool {
-	_, ok := x.Binding[t]
+	_, ok := x.Binding.Lookup(t)
 	return ok
 }
 
@@ -179,24 +321,25 @@ func (x *Implementation) Active(m MessageID) bool {
 
 // AllocatedResources returns the allocated resources sorted by ID.
 func (x *Implementation) AllocatedResources() []ResourceID {
-	out := make([]ResourceID, 0, len(x.Allocation))
-	for r, on := range x.Allocation {
-		if on {
-			out = append(out, r)
+	out := make([]ResourceID, 0, x.Allocation.Len())
+	for r, res := range x.Allocation.ix.Resources {
+		if x.Allocation.Has(int32(r)) {
+			out = append(out, res.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// SelectedBIST returns, per ECU, the selected BIST test task, sorted by
-// ECU ID. ECUs without a selected test are absent.
+// SelectedBIST returns the selected BIST test task of each ECU, keyed
+// by ECU ID; ECUs without a selected test are absent. Of several tests
+// on one ECU (which Check rejects), the one with the highest task ID.
+// Sort the keys to visit the ECUs in a fixed order.
 func (x *Implementation) SelectedBIST() map[ResourceID]*Task {
+	ix := x.Binding.ix
 	out := make(map[ResourceID]*Task)
-	for tid, r := range x.Binding {
-		t := x.Spec.App.Task(tid)
-		if t != nil && t.Kind == KindBISTTest {
-			out[r] = t
+	for t, r := range x.Binding.res {
+		if r >= 0 && ix.Kind[t] == KindBISTTest {
+			out[ix.Resources[r].ID] = ix.Tasks[t]
 		}
 	}
 	return out
@@ -206,10 +349,10 @@ func (x *Implementation) SelectedBIST() map[ResourceID]*Task {
 // allocated resource by the bound tasks.
 func (x *Implementation) MemoryUse() map[ResourceID]int64 {
 	out := make(map[ResourceID]int64)
-	for tid, r := range x.Binding {
-		t := x.Spec.App.Task(tid)
-		if t != nil {
-			out[r] += t.MemBytes
+	ix := x.Binding.ix
+	for t, r := range x.Binding.res {
+		if r >= 0 {
+			out[ix.Resources[r].ID] += ix.Tasks[t].MemBytes
 		}
 	}
 	return out
@@ -244,48 +387,45 @@ func (x *Implementation) Check() []error {
 	fail := func(rule, format string, args ...interface{}) {
 		errs = append(errs, &CheckError{Rule: rule, Msg: fmt.Sprintf(format, args...)})
 	}
-	spec := x.Spec
+	spec, ix := x.Spec, x.Binding.ix
 
-	for _, t := range spec.App.Tasks() {
-		r, bound := x.Binding[t.ID]
-		if !bound {
+	// Eq. 2h needs to know which resources host a mandatory task.
+	hostsMandatory := make([]bool, len(ix.Resources))
+	testsPerECU := make([]int, len(ix.Resources))
+	for tp, t := range ix.Tasks {
+		r := x.Binding.At(int32(tp))
+		if r < 0 {
 			if !t.Kind.Diagnostic() {
 				fail("binding", "mandatory task %q is unbound", t.ID)
 			}
 			continue
 		}
-		if !spec.HasMapping(t.ID, r) {
-			fail("binding", "task %q bound to %q without mapping edge", t.ID, r)
+		rid := ix.Resources[r].ID
+		if !spec.HasMapping(t.ID, rid) {
+			fail("binding", "task %q bound to %q without mapping edge", t.ID, rid)
 		}
-		if !x.Allocation[r] {
-			fail("allocation", "task %q bound to unallocated resource %q", t.ID, r)
+		if !x.Allocation.Has(r) {
+			fail("allocation", "task %q bound to unallocated resource %q", t.ID, rid)
+		}
+		if !t.Kind.Diagnostic() {
+			hostsMandatory[r] = true
+		}
+		if t.Kind == KindBISTTest {
+			testsPerECU[r]++
 		}
 	}
 
 	// Eq. 2h: no resource allocated solely for diagnosis.
-	hostsMandatory := make(map[ResourceID]bool)
-	for tid, r := range x.Binding {
-		if t := spec.App.Task(tid); t != nil && !t.Kind.Diagnostic() {
-			hostsMandatory[r] = true
-		}
-	}
-	for tid, r := range x.Binding {
-		t := spec.App.Task(tid)
-		if t != nil && t.Kind.Diagnostic() && !hostsMandatory[r] {
-			fail("2h", "diagnosis task %q bound to %q which hosts no mandatory task", tid, r)
+	for tp, t := range ix.Tasks {
+		if r := x.Binding.At(int32(tp)); r >= 0 && t.Kind.Diagnostic() && !hostsMandatory[r] {
+			fail("2h", "diagnosis task %q bound to %q which hosts no mandatory task", t.ID, ix.Resources[r].ID)
 		}
 	}
 
 	// Eq. 3a: at most one BIST test task per ECU.
-	testsPerECU := make(map[ResourceID]int)
-	for tid, r := range x.Binding {
-		if t := spec.App.Task(tid); t != nil && t.Kind == KindBISTTest {
-			testsPerECU[r]++
-		}
-	}
 	for r, n := range testsPerECU {
 		if n > 1 {
-			fail("3a", "resource %q has %d BIST test tasks selected", r, n)
+			fail("3a", "resource %q has %d BIST test tasks selected", ix.Resources[r].ID, n)
 		}
 	}
 
@@ -331,9 +471,9 @@ func (x *Implementation) Check() []error {
 		if !x.Active(m.ID) {
 			continue
 		}
-		srcRes := x.Binding[m.Src]
+		srcRes := x.Binding.Get(m.Src)
 		for _, dst := range m.Dst {
-			dstRes, bound := x.Binding[dst]
+			dstRes, bound := x.Binding.Lookup(dst)
 			if !bound {
 				// A receiver that is an unbound optional task needs no route.
 				if t := spec.App.Task(dst); t != nil && t.Kind.Diagnostic() {
@@ -363,7 +503,7 @@ func (x *Implementation) Check() []error {
 					fail("2d", "message %q: route to %q revisits %q", m.ID, dst, h)
 				}
 				seen[h] = true
-				if !x.Allocation[h] {
+				if !x.Allocation.Contains(h) {
 					fail("allocation", "message %q routed over unallocated %q", m.ID, h)
 				}
 			}
@@ -376,10 +516,10 @@ func (x *Implementation) Check() []error {
 	}
 
 	// Memory capacities.
-	for r, used := range x.MemoryUse() {
-		res := spec.Arch.Resource(r)
-		if res != nil && res.MemCapBytes > 0 && used > res.MemCapBytes {
-			fail("memory", "resource %q uses %d bytes of %d capacity", r, used, res.MemCapBytes)
+	used := x.MemoryUse()
+	for _, res := range ix.Resources {
+		if res.MemCapBytes > 0 && used[res.ID] > res.MemCapBytes {
+			fail("memory", "resource %q uses %d bytes of %d capacity", res.ID, used[res.ID], res.MemCapBytes)
 		}
 	}
 	return errs
@@ -391,13 +531,9 @@ func (x *Implementation) Feasible() bool { return len(x.Check()) == 0 }
 // Clone returns a deep copy of the implementation (sharing the
 // specification).
 func (x *Implementation) Clone() *Implementation {
-	c := NewImplementation(x.Spec)
-	for r, on := range x.Allocation {
-		c.Allocation[r] = on
-	}
-	for t, r := range x.Binding {
-		c.Binding[t] = r
-	}
+	c := *x
+	c.Allocation.bits = slices.Clone(x.Allocation.bits)
+	c.Binding.res = slices.Clone(x.Binding.res)
 	if x.Routing != nil {
 		c.Routing = make(Routing, len(x.Routing))
 		for i, e := range x.Routing {
@@ -405,5 +541,5 @@ func (x *Implementation) Clone() *Implementation {
 			c.Routing[i] = e
 		}
 	}
-	return c
+	return &c
 }

@@ -169,14 +169,14 @@ func TestImplementationCheckFeasible(t *testing.T) {
 func TestCheckDetectsUnboundMandatory(t *testing.T) {
 	spec := buildTinySpec(t)
 	x := bindTiny(spec)
-	delete(x.Binding, "t2")
+	x.Unbind("t2")
 	wantRuleViolated(t, x, "binding")
 }
 
 func TestCheckDetectsEq3b(t *testing.T) {
 	spec := buildTinySpec(t)
 	x := bindTiny(spec)
-	delete(x.Binding, "bD1")
+	x.Unbind("bD1")
 	x.Routing = slices.DeleteFunc(x.Routing, func(e RouteEntry) bool { return e.Msg == "cD1" })
 	wantRuleViolated(t, x, "3b")
 }
@@ -253,7 +253,7 @@ func TestCloneIsDeep(t *testing.T) {
 	c.Bind("t2", "ecu1")
 	c.SetRoute("c1", "t2", Route{Hops: []ResourceID{"ecu1"}})
 	c.Routing[1].Route.Hops[0] = "ecu2"
-	if x.Binding["t2"] != "ecu2" {
+	if x.Binding.Get("t2") != "ecu2" {
 		t.Fatal("clone shares binding map")
 	}
 	if rt, _ := x.RouteTo("c1", "t2"); len(rt.Hops) != 3 {
@@ -429,7 +429,7 @@ func TestCheckRouteEntries(t *testing.T) {
 	}{
 		{"inactive message", "inactive message \"cR1\"", func(x *Implementation) {
 			// bT1 no longer sends cR1; bD1 keeps its own route.
-			delete(x.Binding, "bT1")
+			x.Unbind("bT1")
 		}},
 		{"unknown message", "inactive message \"c9\"", func(x *Implementation) {
 			x.SetRoute("c9", "t2", Route{Hops: hops})
@@ -502,5 +502,106 @@ func TestRoutingJSON(t *testing.T) {
 	rt, _ := x.RouteTo("c1", "t2")
 	if want, _ := json.Marshal(rt); !strings.Contains(string(got), `"t2":`+string(want)+"}") {
 		t.Errorf("repeated pair encodes %s, want the route %s", got, want)
+	}
+}
+
+// TestIndexFollowsIDs checks the dense numbering against the ID-based
+// views it replaces on the evaluation path: positions in sorted-ID
+// order, the BIST pairing, the mapping targets and message endpoints.
+func TestIndexFollowsIDs(t *testing.T) {
+	spec := buildTinySpec(t)
+	ix := spec.Index()
+	for p, task := range spec.App.Tasks() {
+		if ix.Tasks[p] != task || ix.TaskPos(task.ID) != int32(p) || ix.Kind[p] != task.Kind {
+			t.Fatalf("task %q: position %d, TaskPos %d", task.ID, p, ix.TaskPos(task.ID))
+		}
+		var pair *Task
+		switch task.Kind {
+		case KindBISTTest:
+			pair = spec.DataTaskFor(task)
+		case KindBISTData:
+			pair = spec.TestTaskFor(task)
+		}
+		if want := int32(-1); pair != nil && ix.Pair[p] != ix.TaskPos(pair.ID) || pair == nil && ix.Pair[p] != want {
+			t.Fatalf("task %q: pair %d, want %v", task.ID, ix.Pair[p], pair)
+		}
+		targets := spec.MappingTargets(task.ID)
+		if len(ix.Targets[p]) != len(targets) {
+			t.Fatalf("task %q: targets %v, want %v", task.ID, ix.Targets[p], targets)
+		}
+		for i, r := range targets {
+			if ix.Resources[ix.Targets[p][i]].ID != r {
+				t.Fatalf("task %q: targets %v, want %v", task.ID, ix.Targets[p], targets)
+			}
+		}
+	}
+	for p, r := range spec.Arch.Resources() {
+		if ix.Resources[p] != r || ix.ResourcePos(r.ID) != int32(p) {
+			t.Fatalf("resource %q: position %d", r.ID, p)
+		}
+	}
+	for p, m := range spec.App.Messages() {
+		if ix.Messages[p] != m || ix.Tasks[ix.Src[p]].ID != m.Src || len(ix.Dst[p]) != len(m.Dst) {
+			t.Fatalf("message %q: position %d", m.ID, p)
+		}
+	}
+	if ix.Resources[ix.Gateway].ID != "gw" || ix.TaskPos("nope") != -1 || ix.ResourcePos("nope") != -1 {
+		t.Fatal("gateway or unknown-ID positions wrong")
+	}
+}
+
+// TestIndexRebuiltAfterChange: adding a task shifts the positions, so
+// the specification hands out a new Index and new implementations use
+// it; an implementation made before keeps its own numbering.
+func TestIndexRebuiltAfterChange(t *testing.T) {
+	spec := buildTinySpec(t)
+	old := bindTiny(spec)
+	ix := spec.Index()
+	if spec.Index() != ix {
+		t.Fatal("unchanged specification rebuilt its Index")
+	}
+	if err := spec.App.AddTask(&Task{ID: "a0", Kind: KindFunctional}); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.AddMapping("a0", "ecu2"); err != nil {
+		t.Fatal(err)
+	}
+	if spec.Index() == ix || spec.Index().TaskPos("a0") != 0 {
+		t.Fatal("Index not rebuilt after AddTask")
+	}
+	x := NewImplementation(spec)
+	x.Bind("a0", "ecu2")
+	x.Bind("t1", "ecu1")
+	if x.Binding.Get("a0") != "ecu2" || x.Binding.Get("t1") != "ecu1" || old.Binding.Get("t1") != "ecu1" {
+		t.Fatal("bindings across the rebuild disagree")
+	}
+}
+
+// TestValidateRejectsDisconnectedEndpoints: a message whose sender and
+// receiver can only be bound to resources in different components of
+// g_A has no route under any binding; a second mapping option that
+// shares the sender's component makes it routable.
+func TestValidateRejectsDisconnectedEndpoints(t *testing.T) {
+	spec := buildTinySpec(t)
+	if err := spec.Arch.AddResource(&Resource{ID: "ecu3", Kind: KindECU}); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.App.AddTask(&Task{ID: "t3", Kind: KindFunctional}); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.App.AddMessage(&Message{ID: "c3", Src: "t1", Dst: []TaskID{"t3"}, SizeBytes: 8, PeriodMS: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.AddMapping("t3", "ecu3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "no mapping combination connects") {
+		t.Fatalf("Validate = %v, want the disconnected message rejected", err)
+	}
+	if err := spec.AddMapping("t3", "ecu2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("Validate = %v after adding a connected option", err)
 	}
 }

@@ -3,6 +3,8 @@ package model
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Specification is the complete design space exploration problem
@@ -22,6 +24,11 @@ type Specification struct {
 	// Gateway is the resource that hosts the mandatory collection task
 	// b^R and optionally centralized BIST data.
 	Gateway ResourceID
+
+	// index is the dense numbering Index returns; indexMu serializes
+	// its rebuilds.
+	index   atomic.Pointer[Index]
+	indexMu sync.Mutex
 }
 
 // NewSpecification returns a specification over the given graphs.
@@ -125,7 +132,9 @@ func (s *Specification) Validate() error {
 		}
 	}
 	// Every message endpoint pair must be connectable for at least one
-	// combination of mapping options.
+	// combination of mapping options: two resources are connected iff
+	// they share a component of g_A.
+	comp := s.Arch.components()
 	for _, m := range s.App.Messages() {
 		srcOpts := s.byTask[m.Src]
 		if len(srcOpts) == 0 {
@@ -140,7 +149,7 @@ func (s *Specification) Validate() error {
 		search:
 			for _, sr := range srcOpts {
 				for _, dr := range dstOpts {
-					if _, ok := s.Arch.ShortestPath(sr, dr, nil); ok {
+					if comp[sr] == comp[dr] {
 						reachable = true
 						break search
 					}
@@ -155,15 +164,14 @@ func (s *Specification) Validate() error {
 }
 
 // WarmCaches materializes every lazily memoized view (sorted task,
-// message, resource and neighbor lists). Call it once before sharing
-// the specification across goroutines: the views are built on first
-// use, which would otherwise race.
+// message, resource and neighbor lists, and the dense Index). Call it
+// once before sharing the specification across goroutines: the views
+// are built on first use, which would otherwise race.
 func (s *Specification) WarmCaches() {
-	s.App.Tasks()
-	s.App.Messages()
 	for _, r := range s.Arch.Resources() {
 		s.Arch.Neighbors(r.ID)
 	}
+	s.Index()
 }
 
 // BISTTasksForECU returns the BIST test tasks available for ECU r,

@@ -104,7 +104,8 @@ func dominance(a, b Objectives) (aDom, bDom bool) {
 }
 
 // sortFronts performs the fast non-dominated sort, assigning ranks and
-// returning the fronts in order. Each unordered pair is compared once.
+// returning the fronts in order; every individual lands in exactly one
+// front. Each unordered pair is compared once.
 // Rows run in ascending i, so every dominatedBy list is filled in
 // ascending index order, as a scan of all ordered pairs fills it.
 func sortFronts(pop []*Individual) [][]*Individual {
@@ -148,6 +149,20 @@ func sortFronts(pop []*Individual) [][]*Individual {
 			}
 		}
 		current = next
+	}
+	// With NaN objectives dominance can cycle, and the peel never frees
+	// a cycle or what it dominates: those individuals still count a
+	// dominator. They form one last front, in index order, so every
+	// individual lands in exactly one front.
+	var last []*Individual
+	for i, c := range domCount {
+		if c > 0 {
+			pop[i].rank = len(fronts)
+			last = append(last, pop[i])
+		}
+	}
+	if last != nil {
+		fronts = append(fronts, last)
 	}
 	return fronts
 }

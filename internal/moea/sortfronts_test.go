@@ -8,7 +8,8 @@ import (
 
 // refSortFronts is the fast non-dominated sort as it was written before
 // sortFronts compared each pair once: every ordered pair, two Dominates
-// calls. It is the oracle for TestSortFrontsMatchesTwoCallOracle.
+// calls, plus the last front that takes up a NaN dominance cycle. It is
+// the oracle for TestSortFrontsMatchesTwoCallOracle.
 func refSortFronts(pop []*Individual) [][]*Individual {
 	n := len(pop)
 	dominatedBy := make([][]int, n)
@@ -51,6 +52,24 @@ func refSortFronts(pop []*Individual) [][]*Individual {
 		}
 		current = next
 	}
+	// Whatever no front reached (a NaN dominance cycle and what it
+	// dominates) goes into one last front in index order.
+	placed := make(map[*Individual]bool, n)
+	for _, f := range fronts {
+		for _, ind := range f {
+			placed[ind] = true
+		}
+	}
+	var rest []*Individual
+	for _, ind := range pop {
+		if !placed[ind] {
+			ind.rank = len(fronts)
+			rest = append(rest, ind)
+		}
+	}
+	if len(rest) > 0 {
+		fronts = append(fronts, rest)
+	}
 	return fronts
 }
 
@@ -83,10 +102,10 @@ func TestSortFrontsMatchesTwoCallOracle(t *testing.T) {
 			}
 			pop[i] = &Individual{Objectives: obj}
 		}
-		// An individual no front reaches keeps its old rank. With NaN,
-		// dominance can cycle: (0,1,NaN) is dominated by (NaN,0,1),
-		// that by (1,NaN,0), and that by (0,1,NaN). Both sorts leave
-		// such a cycle out of every front.
+		// With NaN, dominance can cycle: (0,1,NaN) is dominated by
+		// (NaN,0,1), that by (1,NaN,0), and that by (0,1,NaN). Both
+		// sorts put such a cycle into one last front; a rank left at -1
+		// would show an individual no front reached.
 		for _, ind := range pop {
 			ind.rank = -1
 		}
@@ -113,6 +132,28 @@ func TestSortFrontsMatchesTwoCallOracle(t *testing.T) {
 					t.Fatalf("round %d: front %d member %d differs from the oracle's", round, f, k)
 				}
 			}
+		}
+	}
+}
+
+// TestSortFrontsNaNCycle: a NaN dominance cycle and the individual it
+// dominates land in one last front, in index order, so no individual
+// drops out of the sort.
+func TestSortFrontsNaNCycle(t *testing.T) {
+	nan := math.NaN()
+	pop := []*Individual{
+		{Objectives: Objectives{0, 1, nan}},
+		{Objectives: Objectives{nan, 0, 1}},
+		{Objectives: Objectives{1, nan, 0}},
+		{Objectives: Objectives{5, 5, 5}},
+	}
+	fronts := sortFronts(pop)
+	if len(fronts) != 1 || len(fronts[0]) != len(pop) {
+		t.Fatalf("fronts %v, want one front of all %d individuals", fronts, len(pop))
+	}
+	for i, ind := range pop {
+		if fronts[0][i] != ind || ind.rank != 0 {
+			t.Fatalf("member %d is %v with rank %d, want individual %d with rank 0", i, fronts[0][i].Objectives, ind.rank, i)
 		}
 	}
 }

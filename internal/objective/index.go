@@ -1,8 +1,6 @@
 package objective
 
 import (
-	"cmp"
-	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -11,98 +9,103 @@ import (
 // specIndex is the static evaluation index of one specification: the
 // parts of every objective that do not depend on the implementation,
 // computed once and shared by all evaluations (and all MOEA workers).
-// It removes the per-evaluation rescans that dominated the old
-// objective code — the O(resources × bindings) hostsBoundTask walk and
-// the O(ECUs × messages) functional-bandwidth scan.
+// It refers to tasks and resources by their positions in the
+// specification's model.Index, so an evaluation reads slices and hashes
+// no ID.
 type specIndex struct {
+	ix *model.Index
 	// funcMsgs lists the bandwidth-carrying functional messages in the
 	// deterministic application order (sorted by message ID) with the
 	// quotient s(c)/p(c) of Eq. (1) precomputed. A single pass over this
 	// slice yields every resource's mirrored bandwidth; each resource
 	// accumulates exactly the subsequence it would have accumulated in
-	// the old filtered rescan, in the same order, so the floating-point
-	// sums are bit-identical.
+	// a filtered rescan, in the same order, so the floating-point sums
+	// are bit-identical.
 	funcMsgs []funcMsg
-	// isECU marks the resources of ECU kind, replacing a Resource()
-	// lookup plus kind check per allocated resource.
-	isECU map[model.ResourceID]bool
+	// isECU marks the resources of ECU kind, by position.
+	isECU []bool
 }
 
 type funcMsg struct {
-	src    model.TaskID
+	src    int32   // sender task position
 	bw     float64 // SizeBytes / PeriodMS, bytes per millisecond
 	size   int64   // SizeBytes — the robustness objective derives per-slot error probabilities
 	period float64 // PeriodMS
 }
 
-// indexCache maps *model.Specification → *specIndex. Specifications are
-// immutable once evaluation starts (everywhere in this repository they
-// are built up front and then explored), so the index is valid for the
-// lifetime of the specification pointer.
+// indexCache maps *model.Specification → *specIndex. An entry is
+// rebuilt when the implementation at hand is numbered by a newer
+// model.Index than the one it was built from.
 var indexCache sync.Map
 
-func indexOf(s *model.Specification) *specIndex {
-	if v, ok := indexCache.Load(s); ok {
+func indexOf(x *model.Implementation) *specIndex {
+	ix := x.Index()
+	if v, ok := indexCache.Load(x.Spec); ok && v.(*specIndex).ix == ix {
 		return v.(*specIndex)
 	}
-	idx := &specIndex{isECU: make(map[model.ResourceID]bool)}
-	for _, m := range s.App.Messages() {
-		src := s.App.Task(m.Src)
-		if src == nil || src.Kind != model.KindFunctional {
-			continue
-		}
-		if m.PeriodMS <= 0 {
+	idx := &specIndex{ix: ix, isECU: make([]bool, len(ix.Resources))}
+	for i, m := range ix.Messages {
+		if ix.Kind[ix.Src[i]] != model.KindFunctional || m.PeriodMS <= 0 {
 			continue // contributes no bandwidth
 		}
 		idx.funcMsgs = append(idx.funcMsgs, funcMsg{
-			src:    m.Src,
+			src:    ix.Src[i],
 			bw:     float64(m.SizeBytes) / m.PeriodMS,
 			size:   m.SizeBytes,
 			period: m.PeriodMS,
 		})
 	}
-	for _, r := range s.Arch.Resources() {
-		if r.Kind == model.KindECU {
-			idx.isECU[r.ID] = true
-		}
+	for r, res := range ix.Resources {
+		idx.isECU[r] = res.Kind == model.KindECU
 	}
-	v, _ := indexCache.LoadOrStore(s, idx)
-	return v.(*specIndex)
+	indexCache.Store(x.Spec, idx)
+	return idx
 }
 
-// bistSel is one selected BIST test task with the ECU it tests.
+// bistSel is one selected BIST test task, by position, with the
+// position of the ECU it is bound to.
 type bistSel struct {
-	r model.ResourceID
-	t *model.Task
+	r, t int32
 }
 
 // evalScratch holds the per-evaluation working memory, pooled so that
-// concurrent evaluations neither share state nor reallocate it.
+// concurrent evaluations neither share state nor reallocate it. The
+// per-resource slices are sized to the specification at hand on
+// checkout and come back zeroed.
 type evalScratch struct {
-	bw       map[model.ResourceID]float64 // mirrored bandwidth per resource
-	used     map[model.ResourceID]bool    // resources hosting ≥1 bound task
-	gwShared map[int]int64                // gateway-stored bytes per profile
-	alloc    []model.ResourceID
+	bw       []float64     // mirrored bandwidth per resource
+	varRate  []float64     // delivery variance rate per resource (robustness)
+	used     []bool        // resources hosting ≥1 bound task
+	test     []int32       // per resource, its selected BIST test task or -1
+	gwShared map[int]int64 // gateway-stored bytes per profile
 	sel      []bistSel
-	data     []*model.Task // bound BIST data tasks
+	data     []int32 // bound BIST data tasks
 	profiles []int
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &evalScratch{
-		bw:       make(map[model.ResourceID]float64),
-		used:     make(map[model.ResourceID]bool),
-		gwShared: make(map[int]int64),
-	}
+	return &evalScratch{gwShared: make(map[int]int64)}
 }}
 
-func getScratch() *evalScratch { return scratchPool.Get().(*evalScratch) }
+func getScratch(n int) *evalScratch {
+	sc := scratchPool.Get().(*evalScratch)
+	if len(sc.bw) != n {
+		sc.bw = make([]float64, n)
+		sc.varRate = make([]float64, n)
+		sc.used = make([]bool, n)
+		sc.test = make([]int32, n)
+		for i := range sc.test {
+			sc.test[i] = -1
+		}
+	}
+	return sc
+}
 
 func putScratch(sc *evalScratch) {
 	clear(sc.bw)
+	clear(sc.varRate)
 	clear(sc.used)
 	clear(sc.gwShared)
-	sc.alloc = sc.alloc[:0]
 	sc.sel = sc.sel[:0]
 	sc.data = sc.data[:0]
 	sc.profiles = sc.profiles[:0]
@@ -112,58 +115,39 @@ func putScratch(sc *evalScratch) {
 // fillBandwidths computes every resource's mirrored functional
 // bandwidth in one pass over the index (see specIndex.funcMsgs for why
 // the sums are bit-identical to per-resource rescans).
-func fillBandwidths(x *model.Implementation, idx *specIndex, bw map[model.ResourceID]float64) {
+func fillBandwidths(x *model.Implementation, idx *specIndex, bw []float64) {
 	for _, fm := range idx.funcMsgs {
-		if r, ok := x.Binding[fm.src]; ok {
+		if r := x.Binding.At(fm.src); r >= 0 {
 			bw[r] += fm.bw
 		}
 	}
 }
 
-// fillSelected collects, in one pass over the bindings, the selected
-// BIST test tasks sorted by tested ECU — the deterministic iteration
-// order the old SelectedBIST-plus-sorted-keys code established — and
-// the bound BIST data tasks sorted by task ID, without allocating a
-// fresh map. The data tasks are the bound subsequence of the
-// specification's ID-sorted BIST data tasks, so pricing them visits the
-// same tasks in the same order as a probe of every data task would.
-func fillSelected(x *model.Implementation, sc *evalScratch) ([]bistSel, []*model.Task) {
-	for tid, r := range x.Binding {
-		t := x.Spec.App.Task(tid)
-		switch {
-		case t == nil:
-		case t.Kind == model.KindBISTTest:
-			sc.sel = append(sc.sel, bistSel{r: r, t: t})
-		case t.Kind == model.KindBISTData:
-			sc.data = append(sc.data, t)
-		}
-	}
-	slices.SortFunc(sc.sel, func(a, b bistSel) int {
-		return cmp.Or(cmp.Compare(a.r, b.r), cmp.Compare(a.t.ID, b.t.ID))
-	})
-	slices.SortFunc(sc.data, func(a, b *model.Task) int { return cmp.Compare(a.ID, b.ID) })
-	// The encoding selects at most one test task per ECU; if an
-	// unconstrained implementation carries more, keep the last per ECU
-	// (deterministically, unlike the map-based code it replaces).
-	out := sc.sel[:0]
-	for i, s := range sc.sel {
-		if i+1 < len(sc.sel) && sc.sel[i+1].r == s.r {
+// fillBound walks the binding once by task position. It marks every
+// resource hosting a bound task, collects the selected BIST test tasks
+// in ECU order and the bound BIST data tasks in task order — the ID
+// orders the objectives accumulate in, since positions follow IDs. The
+// encoding selects at most one test task per ECU; if an unconstrained
+// implementation carries more, the one with the highest task ID counts.
+func fillBound(x *model.Implementation, sc *evalScratch) {
+	ix := x.Index()
+	for t := range ix.Tasks {
+		r := x.Binding.At(int32(t))
+		if r < 0 {
 			continue
 		}
-		out = append(out, s)
-	}
-	sc.sel = out
-	return out, sc.data
-}
-
-// fillAllocated collects the allocated resources sorted by ID into the
-// scratch slice — AllocatedResources without the per-call allocation.
-func fillAllocated(x *model.Implementation, sc *evalScratch) []model.ResourceID {
-	for r, on := range x.Allocation {
-		if on {
-			sc.alloc = append(sc.alloc, r)
+		sc.used[r] = true
+		switch ix.Kind[t] {
+		case model.KindBISTTest:
+			sc.test[r] = int32(t)
+		case model.KindBISTData:
+			sc.data = append(sc.data, int32(t))
 		}
 	}
-	slices.Sort(sc.alloc)
-	return sc.alloc
+	for r, t := range sc.test {
+		if t >= 0 {
+			sc.sel = append(sc.sel, bistSel{r: int32(r), t: t})
+			sc.test[r] = -1
+		}
+	}
 }

@@ -75,42 +75,38 @@ func (c Costs) Total() float64 { return c.Hardware + c.BIST + c.Memory }
 // (same CUT type, identical pattern set) are therefore priced once,
 // while ECU-local storage is paid per ECU.
 func MonetaryCosts(x *model.Implementation) Costs {
-	sc := getScratch()
-	alloc := fillAllocated(x, sc)
-	sel, data := fillSelected(x, sc)
-	c := monetaryCosts(x, alloc, sel, data, sc)
+	sc := getScratch(len(x.Index().Resources))
+	fillBound(x, sc)
+	c := monetaryCosts(x, sc)
 	putScratch(sc)
 	return c
 }
 
-// monetaryCosts prices the implementation from pre-collected sorted
-// views. Iteration stays in sorted orders throughout: floating-point
-// accumulation must not depend on map iteration order, or identical
-// implementations would score unequal costs between runs.
-func monetaryCosts(x *model.Implementation, alloc []model.ResourceID, sel []bistSel, data []*model.Task, sc *evalScratch) Costs {
+// monetaryCosts prices the implementation from the collected views.
+// Iteration stays in position order — ID order — throughout, so the
+// floating-point accumulation order is fixed and identical
+// implementations score identical costs between runs.
+func monetaryCosts(x *model.Implementation, sc *evalScratch) Costs {
 	var c Costs
-	arch := x.Spec.Arch
-	for _, r := range alloc {
-		if res := arch.Resource(r); res != nil {
+	ix := x.Index()
+	for r, res := range ix.Resources {
+		if x.Allocation.Has(int32(r)) {
 			c.Hardware += res.Cost
 		}
 	}
-	for _, s := range sel {
-		if res := arch.Resource(s.r); res != nil {
-			c.BIST += res.BISTCost
-		}
+	for _, s := range sc.sel {
+		c.BIST += ix.Resources[s.r].BISTCost
 	}
-	for _, t := range data {
-		r := x.Binding[t.ID]
-		if r == x.Spec.Gateway {
+	for _, d := range sc.data {
+		t, r := ix.Tasks[d], x.Binding.At(d)
+		if r == ix.Gateway {
 			sc.gwShared[t.Profile] = t.MemBytes // stored once per profile
 			continue
 		}
-		if res := arch.Resource(r); res != nil {
-			c.Memory += float64(t.MemBytes) / 1024 * res.MemCostPerKB
-		}
+		c.Memory += float64(t.MemBytes) / 1024 * ix.Resources[r].MemCostPerKB
 	}
-	if gw := arch.Resource(x.Spec.Gateway); gw != nil {
+	if ix.Gateway >= 0 {
+		gw := ix.Resources[ix.Gateway]
 		for p := range sc.gwShared {
 			sc.profiles = append(sc.profiles, p)
 		}
@@ -127,54 +123,44 @@ func monetaryCosts(x *model.Implementation, alloc []model.ResourceID, sel []bist
 // resources eligible for structural test). An implementation without
 // allocated ECUs scores zero.
 func TestQuality(x *model.Implementation) float64 {
-	idx := indexOf(x.Spec)
-	sc := getScratch()
-	alloc := fillAllocated(x, sc)
-	sel, _ := fillSelected(x, sc)
-	fillUsed(x, sc.used)
-	q := testQuality(idx, alloc, sel, sc.used)
+	idx := indexOf(x)
+	sc := getScratch(len(idx.ix.Resources))
+	fillBound(x, sc)
+	q := testQuality(x, idx, sc)
 	putScratch(sc)
 	return q
 }
 
-func testQuality(idx *specIndex, alloc []model.ResourceID, sel []bistSel, used map[model.ResourceID]bool) float64 {
+func testQuality(x *model.Implementation, idx *specIndex, sc *evalScratch) float64 {
 	ecus := 0
-	for _, r := range alloc {
-		if idx.isECU[r] && used[r] {
+	for r, ecu := range idx.isECU {
+		if ecu && sc.used[r] && x.Allocation.Has(int32(r)) {
 			ecus++
 		}
 	}
 	if ecus == 0 {
 		return 0
 	}
-	// sel is sorted by ECU ID — the same accumulation order as the
-	// map-plus-sorted-keys code this replaces.
+	// sel is in ECU order, the accumulation order of the coverage sum.
 	sum := 0.0
-	for _, s := range sel {
-		sum += s.t.Coverage
+	for _, s := range sc.sel {
+		sum += idx.ix.Tasks[s.t].Coverage
 	}
 	return sum / float64(ecus)
-}
-
-// fillUsed marks every resource hosting at least one bound task — one
-// pass over the bindings instead of one pass per allocated resource.
-func fillUsed(x *model.Implementation, used map[model.ResourceID]bool) {
-	for _, r := range x.Binding {
-		used[r] = true
-	}
 }
 
 // FunctionalFrames returns the CAN frame view of the functional
 // messages sent by tasks bound to ECU r — the message set I of Eq. (1)
 // whose mirrored bandwidth carries the test patterns.
 func FunctionalFrames(x *model.Implementation, r model.ResourceID) []can.Frame {
+	ix := x.Index()
+	rp := ix.ResourcePos(r)
+	if rp < 0 {
+		return nil
+	}
 	var frames []can.Frame
-	for _, m := range x.Spec.App.Messages() {
-		src := x.Spec.App.Task(m.Src)
-		if src == nil || src.Kind != model.KindFunctional {
-			continue
-		}
-		if x.Binding[m.Src] != r {
+	for i, m := range ix.Messages {
+		if ix.Kind[ix.Src[i]] != model.KindFunctional || x.Binding.At(ix.Src[i]) != rp {
 			continue
 		}
 		payload := int(m.SizeBytes)
@@ -194,13 +180,17 @@ func FunctionalFrames(x *model.Implementation, r model.ResourceID) []can.Frame {
 // transferBandwidth returns Σ s(c)/p(c) in bytes per millisecond for
 // Eq. (1), using the full message payloads (segmentation preserves the
 // long-run bandwidth of the mirrored slots). The walk over the indexed
-// functional messages visits r's messages in the same order as the old
-// full-message rescan, so the sum is bit-identical.
+// functional messages visits r's messages in message order, the order
+// fillBandwidths accumulates them in, so the sums agree bit for bit.
 func transferBandwidth(x *model.Implementation, r model.ResourceID) float64 {
-	idx := indexOf(x.Spec)
+	idx := indexOf(x)
+	rp := idx.ix.ResourcePos(r)
+	if rp < 0 {
+		return 0
+	}
 	bw := 0.0
 	for _, fm := range idx.funcMsgs {
-		if x.Binding[fm.src] == r {
+		if x.Binding.At(fm.src) == rp {
 			bw += fm.bw
 		}
 	}
@@ -223,24 +213,25 @@ func TransferTimeMS(x *model.Implementation, bD *model.Task, r model.ResourceID)
 // time q when the BIST data task is stored away from the tested ECU. An
 // implementation without BIST has shut-off time 0.
 func ShutOffTimeMS(x *model.Implementation) float64 {
-	idx := indexOf(x.Spec)
-	sc := getScratch()
-	sel, _ := fillSelected(x, sc)
+	idx := indexOf(x)
+	sc := getScratch(len(idx.ix.Resources))
+	fillBound(x, sc)
 	fillBandwidths(x, idx, sc.bw)
-	worst := shutOffTimeMS(x, sel, sc.bw)
+	worst := shutOffTimeMS(x, sc)
 	putScratch(sc)
 	return worst
 }
 
-func shutOffTimeMS(x *model.Implementation, sel []bistSel, bw map[model.ResourceID]float64) float64 {
+func shutOffTimeMS(x *model.Implementation, sc *evalScratch) float64 {
+	ix := x.Index()
 	worst := 0.0
-	for _, s := range sel {
-		bD := x.Spec.DataTaskFor(s.t)
-		t := s.t.WCETms
-		if bD != nil {
-			if dataRes, ok := x.Binding[bD.ID]; ok && dataRes != s.r {
-				if b := bw[s.r]; b > 0 {
-					t += float64(bD.MemBytes) / b
+	for _, s := range sc.sel {
+		bT := ix.Tasks[s.t]
+		t := bT.WCETms
+		if bD := ix.Pair[s.t]; bD >= 0 {
+			if dataRes := x.Binding.At(bD); dataRes >= 0 && dataRes != s.r {
+				if b := sc.bw[s.r]; b > 0 {
+					t += float64(ix.Tasks[bD].MemBytes) / b
 				} else {
 					t = math.Inf(1)
 				}
@@ -254,18 +245,16 @@ func shutOffTimeMS(x *model.Implementation, sel []bistSel, bw map[model.Resource
 }
 
 // Evaluate computes all three objectives, sharing one scratch checkout
-// and the pre-collected sorted views across them.
+// and one walk of the binding across them.
 func Evaluate(x *model.Implementation) Vector {
-	idx := indexOf(x.Spec)
-	sc := getScratch()
-	alloc := fillAllocated(x, sc)
-	sel, data := fillSelected(x, sc)
-	fillUsed(x, sc.used)
+	idx := indexOf(x)
+	sc := getScratch(len(idx.ix.Resources))
+	fillBound(x, sc)
 	fillBandwidths(x, idx, sc.bw)
 	v := Vector{
-		CostTotal:   monetaryCosts(x, alloc, sel, data, sc).Total(),
-		TestQuality: testQuality(idx, alloc, sel, sc.used),
-		ShutOffMS:   shutOffTimeMS(x, sel, sc.bw),
+		CostTotal:   monetaryCosts(x, sc).Total(),
+		TestQuality: testQuality(x, idx, sc),
+		ShutOffMS:   shutOffTimeMS(x, sc),
 	}
 	putScratch(sc)
 	return v

@@ -1,0 +1,424 @@
+package objective_test
+
+// The map-based objective code as it stood before bindings and
+// allocations became position-indexed, kept as the oracle of
+// the TestEvaluateMatchesMapOracle tests. It reads a map view of the
+// implementation (refImpl) and is otherwise unchanged: identifiers
+// carry a ref prefix, and the RobustConfig methods it calls became
+// functions.
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sync"
+
+	"repro/internal/can"
+	"repro/internal/model"
+	"repro/internal/objective"
+)
+
+// refImpl is the map view of an implementation the oracle reads: the
+// binding and allocation as the maps they were.
+type refImpl struct {
+	Spec       *model.Specification
+	Allocation map[model.ResourceID]bool
+	Binding    map[model.TaskID]model.ResourceID
+}
+
+func refView(x *model.Implementation) *refImpl {
+	v := &refImpl{
+		Spec:       x.Spec,
+		Allocation: make(map[model.ResourceID]bool),
+		Binding:    make(map[model.TaskID]model.ResourceID),
+	}
+	for _, r := range x.AllocatedResources() {
+		v.Allocation[r] = true
+	}
+	for _, m := range x.Binding.Mappings() {
+		v.Binding[m.Task] = m.Resource
+	}
+	return v
+}
+
+// refSpecIndex is the static evaluation index of one specification: the
+// parts of every objective that do not depend on the implementation,
+// computed once and shared by all evaluations (and all MOEA workers).
+// It removes the per-evaluation rescans that dominated the old
+// objective code — the O(resources × bindings) hostsBoundTask walk and
+// the O(ECUs × messages) functional-bandwidth scan.
+type refSpecIndex struct {
+	// funcMsgs lists the bandwidth-carrying functional messages in the
+	// deterministic application order (sorted by message ID) with the
+	// quotient s(c)/p(c) of Eq. (1) precomputed. A single pass over this
+	// slice yields every resource's mirrored bandwidth; each resource
+	// accumulates exactly the subsequence it would have accumulated in
+	// the old filtered rescan, in the same order, so the floating-point
+	// sums are bit-identical.
+	funcMsgs []refFuncMsg
+	// isECU marks the resources of ECU kind, replacing a Resource()
+	// lookup plus kind check per allocated resource.
+	isECU map[model.ResourceID]bool
+}
+
+type refFuncMsg struct {
+	src    model.TaskID
+	bw     float64 // SizeBytes / PeriodMS, bytes per millisecond
+	size   int64   // SizeBytes — the robustness objective derives per-slot error probabilities
+	period float64 // PeriodMS
+}
+
+// refIndexCache maps *model.Specification → *refSpecIndex. Specifications are
+// immutable once evaluation starts (everywhere in this repository they
+// are built up front and then explored), so the index is valid for the
+// lifetime of the specification pointer.
+var refIndexCache sync.Map
+
+func refIndexOf(s *model.Specification) *refSpecIndex {
+	if v, ok := refIndexCache.Load(s); ok {
+		return v.(*refSpecIndex)
+	}
+	idx := &refSpecIndex{isECU: make(map[model.ResourceID]bool)}
+	for _, m := range s.App.Messages() {
+		src := s.App.Task(m.Src)
+		if src == nil || src.Kind != model.KindFunctional {
+			continue
+		}
+		if m.PeriodMS <= 0 {
+			continue // contributes no bandwidth
+		}
+		idx.funcMsgs = append(idx.funcMsgs, refFuncMsg{
+			src:    m.Src,
+			bw:     float64(m.SizeBytes) / m.PeriodMS,
+			size:   m.SizeBytes,
+			period: m.PeriodMS,
+		})
+	}
+	for _, r := range s.Arch.Resources() {
+		if r.Kind == model.KindECU {
+			idx.isECU[r.ID] = true
+		}
+	}
+	v, _ := refIndexCache.LoadOrStore(s, idx)
+	return v.(*refSpecIndex)
+}
+
+// refBistSel is one selected BIST test task with the ECU it tests.
+type refBistSel struct {
+	r model.ResourceID
+	t *model.Task
+}
+
+// refEvalScratch holds the per-evaluation working memory, pooled so that
+// concurrent evaluations neither share state nor reallocate it.
+type refEvalScratch struct {
+	bw       map[model.ResourceID]float64 // mirrored bandwidth per resource
+	used     map[model.ResourceID]bool    // resources hosting ≥1 bound task
+	gwShared map[int]int64                // gateway-stored bytes per profile
+	alloc    []model.ResourceID
+	sel      []refBistSel
+	data     []*model.Task // bound BIST data tasks
+	profiles []int
+}
+
+var refScratchPool = sync.Pool{New: func() any {
+	return &refEvalScratch{
+		bw:       make(map[model.ResourceID]float64),
+		used:     make(map[model.ResourceID]bool),
+		gwShared: make(map[int]int64),
+	}
+}}
+
+func refGetScratch() *refEvalScratch { return refScratchPool.Get().(*refEvalScratch) }
+
+func refPutScratch(sc *refEvalScratch) {
+	clear(sc.bw)
+	clear(sc.used)
+	clear(sc.gwShared)
+	sc.alloc = sc.alloc[:0]
+	sc.sel = sc.sel[:0]
+	sc.data = sc.data[:0]
+	sc.profiles = sc.profiles[:0]
+	refScratchPool.Put(sc)
+}
+
+// refFillBandwidths computes every resource's mirrored functional
+// bandwidth in one pass over the index (see refSpecIndex.funcMsgs for why
+// the sums are bit-identical to per-resource rescans).
+func refFillBandwidths(x *refImpl, idx *refSpecIndex, bw map[model.ResourceID]float64) {
+	for _, fm := range idx.funcMsgs {
+		if r, ok := x.Binding[fm.src]; ok {
+			bw[r] += fm.bw
+		}
+	}
+}
+
+// refFillSelected collects, in one pass over the bindings, the selected
+// BIST test tasks sorted by tested ECU — the deterministic iteration
+// order the old SelectedBIST-plus-sorted-keys code established — and
+// the bound BIST data tasks sorted by task ID, without allocating a
+// fresh map. The data tasks are the bound subsequence of the
+// specification's ID-sorted BIST data tasks, so pricing them visits the
+// same tasks in the same order as a probe of every data task would.
+func refFillSelected(x *refImpl, sc *refEvalScratch) ([]refBistSel, []*model.Task) {
+	for tid, r := range x.Binding {
+		t := x.Spec.App.Task(tid)
+		switch {
+		case t == nil:
+		case t.Kind == model.KindBISTTest:
+			sc.sel = append(sc.sel, refBistSel{r: r, t: t})
+		case t.Kind == model.KindBISTData:
+			sc.data = append(sc.data, t)
+		}
+	}
+	slices.SortFunc(sc.sel, func(a, b refBistSel) int {
+		return cmp.Or(cmp.Compare(a.r, b.r), cmp.Compare(a.t.ID, b.t.ID))
+	})
+	slices.SortFunc(sc.data, func(a, b *model.Task) int { return cmp.Compare(a.ID, b.ID) })
+	// The encoding selects at most one test task per ECU; if an
+	// unconstrained implementation carries more, keep the last per ECU
+	// (deterministically, unlike the map-based code it replaces).
+	out := sc.sel[:0]
+	for i, s := range sc.sel {
+		if i+1 < len(sc.sel) && sc.sel[i+1].r == s.r {
+			continue
+		}
+		out = append(out, s)
+	}
+	sc.sel = out
+	return out, sc.data
+}
+
+// refFillAllocated collects the allocated resources sorted by ID into the
+// scratch slice — AllocatedResources without the per-call allocation.
+func refFillAllocated(x *refImpl, sc *refEvalScratch) []model.ResourceID {
+	for r, on := range x.Allocation {
+		if on {
+			sc.alloc = append(sc.alloc, r)
+		}
+	}
+	slices.Sort(sc.alloc)
+	return sc.alloc
+}
+
+func refWithDefaults(c objective.RobustConfig) objective.RobustConfig {
+	if c.DeadlineMS <= 0 {
+		c.DeadlineMS = 20_000
+	}
+	if c.BitRate <= 0 {
+		c.BitRate = 500_000
+	}
+	return c
+}
+
+// refErrorModel returns the can.ErrorModel view of the config.
+func refErrorModel(c objective.RobustConfig) can.ErrorModel {
+	return can.ErrorModel{BitErrorRate: c.ErrorRate, ErrorFrameBits: c.ErrorFrameBits}
+}
+
+// refEvaluateRobust computes the three base objectives plus, when the
+// config enables it, the robustness score. With a disabled config the
+// result is exactly refEvaluate(x) — same fields, same bits — so fronts
+// explored at error rate 0 are identical to the three-objective fronts.
+func refEvaluateRobust(x *refImpl, cfg objective.RobustConfig) objective.Vector {
+	v := refEvaluate(x)
+	if !cfg.Enabled() {
+		return v
+	}
+	v.RobustOn = true
+	v.RobustMS, v.RobustMissProb = refRobustScore(x, refWithDefaults(cfg))
+	return v
+}
+
+// refRobustScore evaluates the robustness objective analytically — no
+// Monte Carlo in the MOEA inner loop, so the score is smooth in the
+// decision variables and trivially deterministic at any worker count.
+//
+// Per tested ECU r with remotely stored pattern data, the mirrored
+// slots of each functional message c deliver s(c) bytes per period p(c)
+// with probability 1−P_err(c); the transfer behaves as a sum of
+// independent slot deliveries with
+//
+//	mean rate  μ̇(r) = Σ s(c)/p(c) · (1−P_err(c))          (Eq. 1, degraded)
+//	var  rate  σ̇²(r) = Σ s(c)² · P_err(c)(1−P_err(c))/p(c)
+//
+// Expected completion is s(b^D)/μ̇; the deadline-miss probability is the
+// normal-approximation tail P[delivered(D) < s(b^D)] at the deadline
+// window D remaining after the session runtime. The scalar objective is
+//
+//	score = l(b^T) + E[transfer] + P_miss · DeadlineMS
+//
+// so a design that rarely misses pays its expected time, while one that
+// misses often is pushed a full deadline's worth away — comparable
+// units, no lexicographic tricks.
+func refRobustScore(x *refImpl, cfg objective.RobustConfig) (scoreMS, missProb float64) {
+	idx := refIndexOf(x.Spec)
+	m := refErrorModel(cfg)
+	format := can.Standard
+	bwEff := make(map[model.ResourceID]float64)
+	varRate := make(map[model.ResourceID]float64)
+	for _, fm := range idx.funcMsgs {
+		r, ok := x.Binding[fm.src]
+		if !ok {
+			continue
+		}
+		payload := int(fm.size)
+		if payload > can.MaxPayload {
+			payload = can.MaxPayload
+		}
+		p := m.FrameErrorProb(can.FrameBits(payload, format))
+		bwEff[r] += fm.bw * (1 - p)
+		varRate[r] += float64(fm.size) * float64(fm.size) * p * (1 - p) / fm.period
+	}
+	sc := refGetScratch()
+	sel, _ := refFillSelected(x, sc)
+	worst, worstMiss := 0.0, 0.0
+	for _, s := range sel {
+		t := s.t.WCETms
+		miss := 0.0
+		if bD := x.Spec.DataTaskFor(s.t); bD != nil {
+			if dataRes, ok := x.Binding[bD.ID]; ok && dataRes != s.r {
+				if b := bwEff[s.r]; b > 0 {
+					t += float64(bD.MemBytes) / b
+					miss = refTransferMissProb(float64(bD.MemBytes), b, varRate[s.r], cfg.DeadlineMS-s.t.WCETms)
+				} else {
+					t = math.Inf(1)
+					miss = 1
+				}
+			}
+			// Locally stored data needs no bus transfer: immune to errors.
+		}
+		score := t + miss*cfg.DeadlineMS
+		if score > worst {
+			worst = score
+		}
+		if miss > worstMiss {
+			worstMiss = miss
+		}
+	}
+	refPutScratch(sc)
+	return worst, worstMiss
+}
+
+// refTransferMissProb is the normal-approximation probability that fewer
+// than mem bytes arrive within the window, given the effective delivery
+// rate (bytes/ms) and the delivery variance rate (bytes²/ms).
+func refTransferMissProb(mem, rateEff, varRate, windowMS float64) float64 {
+	if windowMS <= 0 {
+		return 1
+	}
+	mu := rateEff * windowMS
+	sigma2 := varRate * windowMS
+	if sigma2 <= 0 {
+		if mu >= mem {
+			return 0
+		}
+		return 1
+	}
+	return 0.5 * math.Erfc((mu-mem)/math.Sqrt(2*sigma2))
+}
+
+// refMonetaryCosts prices the implementation from pre-collected sorted
+// views. Iteration stays in sorted orders throughout: floating-point
+// accumulation must not depend on map iteration order, or identical
+// implementations would score unequal costs between runs.
+func refMonetaryCosts(x *refImpl, alloc []model.ResourceID, sel []refBistSel, data []*model.Task, sc *refEvalScratch) objective.Costs {
+	var c objective.Costs
+	arch := x.Spec.Arch
+	for _, r := range alloc {
+		if res := arch.Resource(r); res != nil {
+			c.Hardware += res.Cost
+		}
+	}
+	for _, s := range sel {
+		if res := arch.Resource(s.r); res != nil {
+			c.BIST += res.BISTCost
+		}
+	}
+	for _, t := range data {
+		r := x.Binding[t.ID]
+		if r == x.Spec.Gateway {
+			sc.gwShared[t.Profile] = t.MemBytes // stored once per profile
+			continue
+		}
+		if res := arch.Resource(r); res != nil {
+			c.Memory += float64(t.MemBytes) / 1024 * res.MemCostPerKB
+		}
+	}
+	if gw := arch.Resource(x.Spec.Gateway); gw != nil {
+		for p := range sc.gwShared {
+			sc.profiles = append(sc.profiles, p)
+		}
+		slices.Sort(sc.profiles)
+		for _, p := range sc.profiles {
+			c.Memory += float64(sc.gwShared[p]) / 1024 * gw.MemCostPerKB
+		}
+	}
+	return c
+}
+
+func refTestQuality(idx *refSpecIndex, alloc []model.ResourceID, sel []refBistSel, used map[model.ResourceID]bool) float64 {
+	ecus := 0
+	for _, r := range alloc {
+		if idx.isECU[r] && used[r] {
+			ecus++
+		}
+	}
+	if ecus == 0 {
+		return 0
+	}
+	// sel is sorted by ECU ID — the same accumulation order as the
+	// map-plus-sorted-keys code this replaces.
+	sum := 0.0
+	for _, s := range sel {
+		sum += s.t.Coverage
+	}
+	return sum / float64(ecus)
+}
+
+// refFillUsed marks every resource hosting at least one bound task — one
+// pass over the bindings instead of one pass per allocated resource.
+func refFillUsed(x *refImpl, used map[model.ResourceID]bool) {
+	for _, r := range x.Binding {
+		used[r] = true
+	}
+}
+
+func refShutOffTimeMS(x *refImpl, sel []refBistSel, bw map[model.ResourceID]float64) float64 {
+	worst := 0.0
+	for _, s := range sel {
+		bD := x.Spec.DataTaskFor(s.t)
+		t := s.t.WCETms
+		if bD != nil {
+			if dataRes, ok := x.Binding[bD.ID]; ok && dataRes != s.r {
+				if b := bw[s.r]; b > 0 {
+					t += float64(bD.MemBytes) / b
+				} else {
+					t = math.Inf(1)
+				}
+			}
+		}
+		if t > worst {
+			worst = t
+		}
+	}
+	return worst
+}
+
+// refEvaluate computes all three objectives, sharing one scratch checkout
+// and the pre-collected sorted views across them.
+func refEvaluate(x *refImpl) objective.Vector {
+	idx := refIndexOf(x.Spec)
+	sc := refGetScratch()
+	alloc := refFillAllocated(x, sc)
+	sel, data := refFillSelected(x, sc)
+	refFillUsed(x, sc.used)
+	refFillBandwidths(x, idx, sc.bw)
+	v := objective.Vector{
+		CostTotal:   refMonetaryCosts(x, alloc, sel, data, sc).Total(),
+		TestQuality: refTestQuality(idx, alloc, sel, sc.used),
+		ShutOffMS:   refShutOffTimeMS(x, sel, sc.bw),
+	}
+	refPutScratch(sc)
+	return v
+}

@@ -80,14 +80,15 @@ func EvaluateRobust(x *model.Implementation, cfg RobustConfig) Vector {
 // misses often is pushed a full deadline's worth away — comparable
 // units, no lexicographic tricks.
 func robustScore(x *model.Implementation, cfg RobustConfig) (scoreMS, missProb float64) {
-	idx := indexOf(x.Spec)
+	idx := indexOf(x)
+	ix := idx.ix
 	m := cfg.errorModel()
 	format := can.Standard
-	bwEff := make(map[model.ResourceID]float64)
-	varRate := make(map[model.ResourceID]float64)
+	sc := getScratch(len(ix.Resources))
+	bwEff, varRate := sc.bw, sc.varRate
 	for _, fm := range idx.funcMsgs {
-		r, ok := x.Binding[fm.src]
-		if !ok {
+		r := x.Binding.At(fm.src)
+		if r < 0 {
 			continue
 		}
 		payload := int(fm.size)
@@ -98,17 +99,18 @@ func robustScore(x *model.Implementation, cfg RobustConfig) (scoreMS, missProb f
 		bwEff[r] += fm.bw * (1 - p)
 		varRate[r] += float64(fm.size) * float64(fm.size) * p * (1 - p) / fm.period
 	}
-	sc := getScratch()
-	sel, _ := fillSelected(x, sc)
+	fillBound(x, sc)
 	worst, worstMiss := 0.0, 0.0
-	for _, s := range sel {
-		t := s.t.WCETms
+	for _, s := range sc.sel {
+		bT := ix.Tasks[s.t]
+		t := bT.WCETms
 		miss := 0.0
-		if bD := x.Spec.DataTaskFor(s.t); bD != nil {
-			if dataRes, ok := x.Binding[bD.ID]; ok && dataRes != s.r {
+		if bD := ix.Pair[s.t]; bD >= 0 {
+			if dataRes := x.Binding.At(bD); dataRes >= 0 && dataRes != s.r {
+				mem := float64(ix.Tasks[bD].MemBytes)
 				if b := bwEff[s.r]; b > 0 {
-					t += float64(bD.MemBytes) / b
-					miss = transferMissProb(float64(bD.MemBytes), b, varRate[s.r], cfg.DeadlineMS-s.t.WCETms)
+					t += mem / b
+					miss = transferMissProb(mem, b, varRate[s.r], cfg.DeadlineMS-bT.WCETms)
 				} else {
 					t = math.Inf(1)
 					miss = 1

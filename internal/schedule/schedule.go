@@ -62,7 +62,7 @@ func PeriodicTest(x *model.Implementation, budgetMS float64) Plan {
 		bT := selected[ecu]
 		p := ECUPlan{ECU: ecu, Profile: bT.Profile, SessionMS: bT.WCETms}
 		if bD := x.Spec.DataTaskFor(bT); bD != nil {
-			if storage, ok := x.Binding[bD.ID]; ok && storage != ecu {
+			if storage, ok := x.Binding.Lookup(bD.ID); ok && storage != ecu {
 				p.TransferMS = objective.TransferTimeMS(x, bD, ecu)
 			}
 		}

@@ -92,7 +92,7 @@ func ShutOff(x *model.Implementation) (Report, error) {
 			SessionMS:  bT.WCETms,
 			AnalyticMS: bT.WCETms,
 		}
-		if storage, ok := x.Binding[bD.ID]; ok && storage != ecu {
+		if storage, ok := x.Binding.Lookup(bD.ID); ok && storage != ecu {
 			q := objective.TransferTimeMS(x, bD, ecu)
 			tr.AnalyticMS += q
 			transfer, frames, err := simulateTransfer(x, ecu, bD.MemBytes)
@@ -118,12 +118,10 @@ func ShutOff(x *model.Implementation) (Report, error) {
 func simulateTransfer(x *model.Implementation, ecu model.ResourceID, dataBytes int64) (float64, int, error) {
 	var slots slotHeap
 	seq := 0
-	for _, m := range x.Spec.App.Messages() {
-		src := x.Spec.App.Task(m.Src)
-		if src == nil || src.Kind != model.KindFunctional {
-			continue
-		}
-		if x.Binding[m.Src] != ecu {
+	ix := x.Index()
+	on := ix.ResourcePos(ecu)
+	for i, m := range ix.Messages {
+		if ix.Kind[ix.Src[i]] != model.KindFunctional || on < 0 || x.Binding.At(ix.Src[i]) != on {
 			continue
 		}
 		if m.PeriodMS <= 0 || m.SizeBytes <= 0 {
