@@ -30,7 +30,7 @@ test:
 # layer feeding the robustness objective, and the lock-free
 # observability layer.
 race:
-	$(GO) test -race ./internal/faultsim/ ./internal/moea/ ./internal/core/ ./internal/pbsat/ ./internal/encode/ ./internal/objective/ ./internal/bistgen/ ./internal/can/ ./internal/gateway/ ./internal/shard/ ./internal/fleet/ ./internal/obs/ ./internal/durable/
+	$(GO) test -race ./internal/faultsim/ ./internal/moea/ ./internal/core/ ./internal/pbsat/ ./internal/encode/ ./internal/model/ ./internal/objective/ ./internal/bistgen/ ./internal/can/ ./internal/gateway/ ./internal/shard/ ./internal/fleet/ ./internal/obs/ ./internal/durable/
 
 # Fault-injection determinism through the CLI: a robust exploration
 # (4th objective from the seeded CAN error model) must produce

@@ -51,14 +51,6 @@ type GreedyDecoder struct {
 	mandatoryMsgs []int32
 	bistMsgs      []int32
 
-	// The shortest path from resource s to t is hops[lo:hi] and, by
-	// resource position, hopIdx[lo:hi], where lo, hi = paths[s*n+t],
-	// paths[s*n+t+1] for n resources; an empty path means t is
-	// unreachable from s.
-	paths  []int32
-	hops   []model.ResourceID
-	hopIdx []int32
-
 	// routeHint bounds the entries of a decoded implementation's Routing
 	// list.
 	routeHint int
@@ -89,10 +81,8 @@ func NewGreedyDecoder(spec *model.Specification) (*GreedyDecoder, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	spec.WarmCaches()
 	ix := spec.Index()
 	d := &GreedyDecoder{Spec: spec, ix: ix}
-	d.compilePaths()
 	ecuPos := make([]int32, len(ix.Resources))
 	for i := range ecuPos {
 		ecuPos[i] = -1
@@ -166,57 +156,6 @@ func NewGreedyDecoder(spec *model.Specification) (*GreedyDecoder, error) {
 	}
 	d.mandatoryMsgs, d.bistMsgs = slices.Clone(d.mandatoryMsgs), slices.Clone(d.bistMsgs)
 	return d, nil
-}
-
-// compilePaths lays the shortest path between every ordered resource
-// pair into the flat hop table. One breadth-first search per source
-// visits neighbors in ID order and keeps each resource's first
-// discoverer, as Arch.ShortestPath does; its early exit at the
-// destination leaves the discoverers found before unchanged, so every
-// path is the one ShortestPath returns.
-func (d *GreedyDecoder) compilePaths() {
-	arch, res := d.Spec.Arch, d.ix.Resources
-	n := len(res)
-	adj := make([][]int32, n)
-	for i, r := range res {
-		for _, nb := range arch.Neighbors(r.ID) {
-			adj[i] = append(adj[i], d.ix.ResourcePos(nb))
-		}
-	}
-	prev := make([]int32, n)
-	queue := make([]int32, 0, n)
-	var rev []int32
-	d.paths = make([]int32, 1, n*n+1)
-	for src := range int32(n) {
-		for i := range prev {
-			prev[i] = -1
-		}
-		prev[src] = src
-		queue = append(queue[:0], src)
-		for q := 0; q < len(queue); q++ {
-			for _, nb := range adj[queue[q]] {
-				if prev[nb] < 0 {
-					prev[nb] = queue[q]
-					queue = append(queue, nb)
-				}
-			}
-		}
-		for dst := range int32(n) {
-			if prev[dst] >= 0 {
-				rev = rev[:0]
-				for at := dst; at != src; at = prev[at] {
-					rev = append(rev, at)
-				}
-				rev = append(rev, src)
-				for i := len(rev) - 1; i >= 0; i-- {
-					d.hopIdx = append(d.hopIdx, rev[i])
-					d.hops = append(d.hops, res[rev[i]].ID)
-				}
-			}
-			d.paths = append(d.paths, int32(len(d.hops)))
-		}
-	}
-	d.hops, d.hopIdx = slices.Clone(d.hops), slices.Clone(d.hopIdx)
 }
 
 // GenotypeLen implements Decoder: task-choice genes, then one profile
@@ -326,27 +265,25 @@ func (d *GreedyDecoder) Decode(genotype []float64) (*model.Implementation, error
 }
 
 // route appends message m's route to each bound receiver along the
-// shortest path and allocates the hops. The routes share the hop table;
-// the capped slices keep an append from writing into a neighbor.
+// index's shortest path and allocates the hops. The routes share the
+// index's hop table.
 func (d *GreedyDecoder) route(x *model.Implementation, m int32) error {
 	src := x.Binding.At(d.ix.Src[m])
 	if src < 0 {
 		return nil
 	}
 	msg := d.ix.Messages[m]
-	row := int(src) * len(d.ix.Resources)
 	for j, dst := range d.ix.Dst[m] {
 		to := x.Binding.At(dst)
 		if to < 0 {
 			continue
 		}
-		p := row + int(to)
-		lo, hi := d.paths[p], d.paths[p+1]
-		if lo == hi {
+		hops, pos := d.ix.Path(src, to)
+		if len(hops) == 0 {
 			return fmt.Errorf("core: no route for %s from %s to %s", msg.ID, d.ix.Resources[src].ID, d.ix.Resources[to].ID)
 		}
-		x.Routing = append(x.Routing, model.RouteEntry{Msg: msg.ID, Dst: msg.Dst[j], Route: model.Route{Hops: d.hops[lo:hi:hi]}})
-		for _, h := range d.hopIdx[lo:hi] {
+		x.Routing = append(x.Routing, model.RouteEntry{Msg: msg.ID, Dst: msg.Dst[j], Route: model.Route{Hops: hops}})
+		for _, h := range pos {
 			x.Allocation.Add(h)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -206,36 +207,24 @@ func TestGreedyDecodeConcurrent(t *testing.T) {
 	}
 }
 
-// TestGreedyPathTable checks the decoder's flat path table against
-// Arch.ShortestPath for every ordered resource pair, including pairs
-// joined by two equal-length paths.
-func TestGreedyPathTable(t *testing.T) {
-	full, err := casestudy.Build(casestudy.Options{})
+// TestGreedyDecodeRefusesLateConnect: a link added after the decoder
+// was built can shorten routes, so the decoder refuses to decode with
+// the paths of the index it was built on.
+func TestGreedyDecodeRefusesLateConnect(t *testing.T) {
+	spec := twoBusSpec(t)
+	dec, err := NewGreedyDecoder(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []*model.Specification{smallSpec(t), full, twoBusSpec(t)} {
-		dec, err := NewGreedyDecoder(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := dec.ix.Resources
-		n := len(res)
-		for s, ra := range res {
-			for u, rb := range res {
-				a, b := ra.ID, rb.ID
-				want, ok := spec.Arch.ShortestPath(a, b, nil)
-				lo, hi := dec.paths[s*n+u], dec.paths[s*n+u+1]
-				if got := dec.hops[lo:hi]; ok != (lo < hi) || fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("path %s→%s: table %v, ShortestPath %v (ok %v)", a, b, got, want, ok)
-				}
-				for i, h := range dec.hopIdx[lo:hi] {
-					if res[h].ID != want[i] {
-						t.Fatalf("path %s→%s: hop index %d names %s, want %s", a, b, i, res[h].ID, want[i])
-					}
-				}
-			}
-		}
+	g := make([]float64, dec.GenotypeLen())
+	if _, err := dec.Decode(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Arch.Connect("ecu1", "ecu2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dec.Decode(g); err == nil || !strings.Contains(err.Error(), "specification changed") {
+		t.Fatalf("decode after Connect: err = %v, want the stale decoder refused", err)
 	}
 }
 

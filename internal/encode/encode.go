@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/pbsat"
@@ -88,7 +87,7 @@ func Without2h() Option {
 }
 
 // Build encodes the specification. tmax bounds route lengths in hops;
-// tmax ≤ 0 uses the architecture graph diameter + 1. Multicast messages
+// tmax ≤ 0 uses the longest hop distance in g_A + 2. Multicast messages
 // are rejected — the routing chain encoding of [17] used here is
 // unicast (model multicast as one message per receiver).
 func Build(spec *model.Specification, tmax int, opts ...Option) (*Encoding, error) {
@@ -100,8 +99,17 @@ func Build(spec *model.Specification, tmax int, opts ...Option) (*Encoding, erro
 			return nil, fmt.Errorf("encode: message %q has %d receivers; encode unicast messages only", m.ID, len(m.Dst))
 		}
 	}
+	ix := spec.Index()
 	if tmax <= 0 {
-		tmax = diameter(spec.Arch) + 1
+		// A shortest route of d hops occupies d+1 time steps; one more
+		// is spare.
+		longest := 0
+		for a := range ix.Resources {
+			for b := range ix.Resources {
+				longest = max(longest, ix.Dist(int32(a), int32(b)))
+			}
+		}
+		tmax = longest + 2
 	}
 	var bo buildOptions
 	for _, opt := range opts {
@@ -109,7 +117,7 @@ func Build(spec *model.Specification, tmax int, opts ...Option) (*Encoding, erro
 	}
 	e := &Encoding{
 		Spec:     spec,
-		ix:       spec.Index(),
+		ix:       ix,
 		Problem:  pbsat.NewProblem(),
 		TMax:     tmax,
 		opts:     bo,
@@ -124,23 +132,6 @@ func Build(spec *model.Specification, tmax int, opts ...Option) (*Encoding, erro
 	e.addDiagnosisConstraints()
 	e.addMemoryConstraints()
 	return e, nil
-}
-
-// diameter returns the longest shortest-path hop count of the graph.
-func diameter(arch *model.ArchitectureGraph) int {
-	d := 1
-	res := arch.Resources()
-	for _, a := range res {
-		for _, b := range res {
-			if a.ID >= b.ID {
-				continue
-			}
-			if path, ok := arch.ShortestPath(a.ID, b.ID, nil); ok && len(path) > d {
-				d = len(path)
-			}
-		}
-	}
-	return d
 }
 
 func (e *Encoding) allocMappingVars() {
@@ -163,17 +154,13 @@ func (e *Encoding) allocMappingVars() {
 // resource) so decode-time route walks are deterministic and
 // allocation-free.
 func (e *Encoding) allocRoutingVars() {
-	msgs := e.Spec.App.Messages()
-	e.msgSteps = make([][]stepEntry, len(msgs))
-	for mi, msg := range msgs {
-		srcOpts := e.Spec.MappingTargets(msg.Src)
-		dstOpts := e.Spec.MappingTargets(msg.Dst[0])
-		distFromSrc := multiSourceDist(e.Spec.Arch, srcOpts)
-		distToDst := multiSourceDist(e.Spec.Arch, dstOpts)
-		for ri, r := range e.Spec.Arch.Resources() {
-			ds, okS := distFromSrc[r.ID]
-			dd, okD := distToDst[r.ID]
-			if !okS || !okD || ds+dd > e.TMax-1 {
+	e.msgSteps = make([][]stepEntry, len(e.ix.Messages))
+	for mi, msg := range e.ix.Messages {
+		srcOpts := e.ix.Targets[e.ix.Src[mi]]
+		dstOpts := e.ix.Targets[e.ix.Dst[mi][0]]
+		for ri, r := range e.ix.Resources {
+			ds, dd := e.nearest(srcOpts, int32(ri)), e.nearest(dstOpts, int32(ri))
+			if ds < 0 || dd < 0 || ds+dd > e.TMax-1 {
 				continue
 			}
 			e.routeVar[routeKey{msg.ID, r.ID}] = e.Problem.NewVar(fmt.Sprintf("c:%s@%s", msg.ID, r.ID))
@@ -189,28 +176,16 @@ func (e *Encoding) allocRoutingVars() {
 	}
 }
 
-// multiSourceDist returns hop distances from the nearest of the given
-// sources.
-func multiSourceDist(arch *model.ArchitectureGraph, sources []model.ResourceID) map[model.ResourceID]int {
-	dist := make(map[model.ResourceID]int)
-	var queue []model.ResourceID
-	for _, s := range sources {
-		if _, seen := dist[s]; !seen {
-			dist[s] = 0
-			queue = append(queue, s)
+// nearest returns the hop distance to resource r from the nearest of
+// the given resources, -1 if none reaches it.
+func (e *Encoding) nearest(from []int32, r int32) int {
+	d := -1
+	for _, f := range from {
+		if fd := e.ix.Dist(f, r); fd >= 0 && (d < 0 || fd < d) {
+			d = fd
 		}
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, n := range arch.Neighbors(cur) {
-			if _, seen := dist[n]; !seen {
-				dist[n] = dist[cur] + 1
-				queue = append(queue, n)
-			}
-		}
-	}
-	return dist
+	return d
 }
 
 // MapVar returns the variable of a mapping edge.
@@ -222,11 +197,8 @@ func (e *Encoding) MapVar(m model.Mapping) (pbsat.Var, bool) {
 // addTaskConstraints binds mandatory tasks exactly once and optional
 // diagnosis tasks at most once (Eq. 2a).
 func (e *Encoding) addTaskConstraints() {
-	for _, t := range e.Spec.App.Tasks() {
-		var lits []pbsat.Lit
-		for _, r := range e.Spec.MappingTargets(t.ID) {
-			lits = append(lits, pbsat.Pos(e.mapVars[model.Mapping{Task: t.ID, Resource: r}]))
-		}
+	for tp, t := range e.ix.Tasks {
+		lits := e.boundLits(int32(tp))
 		if t.Kind.Diagnostic() {
 			e.Problem.AtMostOne("2a:"+string(t.ID), lits...)
 		} else {
@@ -235,40 +207,44 @@ func (e *Encoding) addTaskConstraints() {
 	}
 }
 
-// boundLits returns the mapping literals of a task (their sum is the
-// "task is bound" indicator).
-func (e *Encoding) boundLits(t model.TaskID) []pbsat.Lit {
+// boundLits returns the mapping literals of the task at position tp
+// (their sum is the "task is bound" indicator).
+func (e *Encoding) boundLits(tp int32) []pbsat.Lit {
 	var lits []pbsat.Lit
-	for _, r := range e.Spec.MappingTargets(t) {
-		lits = append(lits, pbsat.Pos(e.mapVars[model.Mapping{Task: t, Resource: r}]))
+	for _, r := range e.ix.Targets[tp] {
+		lits = append(lits, pbsat.Pos(e.mapVar(tp, r)))
 	}
 	return lits
 }
 
+// mapVar returns the variable of the mapping edge from the task at
+// position tp to the resource at position r.
+func (e *Encoding) mapVar(tp, r int32) pbsat.Var {
+	return e.mapVars[model.Mapping{Task: e.ix.Tasks[tp].ID, Resource: e.ix.Resources[r].ID}]
+}
+
 func (e *Encoding) addRoutingConstraints() {
-	for mi, msg := range e.Spec.App.Messages() {
-		dst := msg.Dst[0]
+	for mi, msg := range e.ix.Messages {
+		src, dst := e.ix.Src[mi], e.ix.Dst[mi][0]
 		// Eq. 2b: the route starts at the sender's resource at τ = 0:
 		// c_{r,0} = m_{src,r} for every sender option r, and c_{r,0} = 0
 		// elsewhere (those variables simply do not exist or are forced).
-		senderOpts := make(map[model.ResourceID]bool)
-		for _, r := range e.Spec.MappingTargets(msg.Src) {
-			senderOpts[r] = true
-			sv, ok := e.stepVar[stepKey{msg.ID, r, 0}]
+		senderOpts := e.ix.Targets[src]
+		for _, r := range senderOpts {
+			sv, ok := e.stepVar[stepKey{msg.ID, e.ix.Resources[r].ID, 0}]
 			if !ok {
 				// Sender option pruned (receiver unreachable within TMax):
 				// then the sender must not bind here together with a bound
 				// receiver; handled by 2c below turning infeasible. Skip.
 				continue
 			}
-			e.Problem.Equiv(pbsat.Pos(sv), pbsat.Pos(e.mapVars[model.Mapping{Task: msg.Src, Resource: r}]),
-				"2b:"+string(msg.ID))
+			e.Problem.Equiv(pbsat.Pos(sv), pbsat.Pos(e.mapVar(src, r)), "2b:"+string(msg.ID))
 		}
 		for _, se := range e.msgSteps[mi] {
 			if se.tau != 0 {
 				break // τ-sorted: the τ = 0 steps come first
 			}
-			if !senderOpts[e.ix.Resources[se.pos].ID] {
+			if !slices.Contains(senderOpts, se.pos) {
 				e.Problem.AddClause("2b0:"+string(msg.ID), pbsat.Not(se.v))
 			}
 		}
@@ -276,16 +252,16 @@ func (e *Encoding) addRoutingConstraints() {
 		// Eq. 2c (generalized to any receiver): if the sender is bound
 		// and the receiver is bound to r, the message must arrive at r:
 		// c_r − Σ m_{src,·} − m_{dst,r} ≥ −1.
-		for _, r := range e.Spec.MappingTargets(dst) {
+		for _, r := range e.ix.Targets[dst] {
 			terms := []pbsat.Term{}
-			rv, ok := e.routeVar[routeKey{msg.ID, r}]
+			rv, ok := e.routeVar[routeKey{msg.ID, e.ix.Resources[r].ID}]
 			if ok {
 				terms = append(terms, pbsat.Term{Coef: 1, Lit: pbsat.Pos(rv)})
 			}
-			for _, l := range e.boundLits(msg.Src) {
+			for _, l := range e.boundLits(src) {
 				terms = append(terms, pbsat.Term{Coef: -1, Lit: l})
 			}
-			terms = append(terms, pbsat.Term{Coef: -1, Lit: pbsat.Pos(e.mapVars[model.Mapping{Task: dst, Resource: r}])})
+			terms = append(terms, pbsat.Term{Coef: -1, Lit: pbsat.Pos(e.mapVar(dst, r))})
 			e.Problem.AddGE(terms, -1, "2c:"+string(msg.ID))
 		}
 
@@ -333,8 +309,8 @@ func (e *Encoding) addRoutingConstraints() {
 				continue
 			}
 			terms := []pbsat.Term{}
-			for _, n := range e.Spec.Arch.Neighbors(e.ix.Resources[se.pos].ID) {
-				if pv, ok := e.stepVar[stepKey{msg.ID, n, se.tau - 1}]; ok {
+			for _, n := range e.ix.Adj[se.pos] {
+				if pv, ok := e.stepVar[stepKey{msg.ID, e.ix.Resources[n].ID, se.tau - 1}]; ok {
 					terms = append(terms, pbsat.Term{Coef: 1, Lit: pbsat.Pos(pv)})
 				}
 			}
@@ -348,18 +324,19 @@ func (e *Encoding) addDiagnosisConstraints() {
 	// Eq. 2h: a diagnosis task may only be mapped to a resource that
 	// also hosts a mandatory task. Skipped under the Without2h ablation.
 	if !e.opts.disable2h {
-		for _, d := range e.Spec.App.Tasks() {
+		for dp, d := range e.ix.Tasks {
 			if !d.Kind.Diagnostic() {
 				continue
 			}
-			for _, r := range e.Spec.MappingTargets(d.ID) {
-				terms := []pbsat.Term{{Coef: -1, Lit: pbsat.Pos(e.mapVars[model.Mapping{Task: d.ID, Resource: r}])}}
-				for _, t := range e.Spec.MappableTasks(r) {
+			for _, r := range e.ix.Targets[dp] {
+				terms := []pbsat.Term{{Coef: -1, Lit: pbsat.Pos(e.mapVar(int32(dp), r))}}
+				rid := e.ix.Resources[r].ID
+				for _, t := range e.Spec.MappableTasks(rid) {
 					task := e.Spec.App.Task(t)
 					if task == nil || task.Kind.Diagnostic() {
 						continue
 					}
-					terms = append(terms, pbsat.Term{Coef: 1, Lit: pbsat.Pos(e.mapVars[model.Mapping{Task: t, Resource: r}])})
+					terms = append(terms, pbsat.Term{Coef: 1, Lit: pbsat.Pos(e.mapVars[model.Mapping{Task: t, Resource: rid}])})
 				}
 				e.Problem.AddGE(terms, 0, "2h:"+string(d.ID))
 			}
@@ -367,19 +344,19 @@ func (e *Encoding) addDiagnosisConstraints() {
 	}
 
 	// Eq. 3a: at most one BIST test task per resource.
-	perECU := make(map[model.ResourceID][]pbsat.Lit)
-	for _, bT := range e.Spec.App.TasksOfKind(model.KindBISTTest) {
-		for _, r := range e.Spec.MappingTargets(bT.ID) {
-			perECU[r] = append(perECU[r], pbsat.Pos(e.mapVars[model.Mapping{Task: bT.ID, Resource: r}]))
+	perECU := make([][]pbsat.Lit, len(e.ix.Resources))
+	for tp, kind := range e.ix.Kind {
+		if kind != model.KindBISTTest {
+			continue
+		}
+		for _, r := range e.ix.Targets[tp] {
+			perECU[r] = append(perECU[r], pbsat.Pos(e.mapVar(int32(tp), r)))
 		}
 	}
-	var ecus []model.ResourceID
-	for r := range perECU {
-		ecus = append(ecus, r)
-	}
-	sort.Slice(ecus, func(i, j int) bool { return ecus[i] < ecus[j] })
-	for _, r := range ecus {
-		e.Problem.AtMostOne("3a:"+string(r), perECU[r]...)
+	for r, lits := range perECU {
+		if len(lits) > 0 {
+			e.Problem.AtMostOne("3a:"+string(e.ix.Resources[r].ID), lits...)
+		}
 	}
 
 	// Eq. 3b: b^D is bound iff its paired b^T is bound (moved below).
@@ -420,10 +397,10 @@ func (e *Encoding) add3b() {
 			continue
 		}
 		terms := []pbsat.Term{}
-		for _, l := range e.boundLits(bD.ID) {
+		for _, l := range e.boundLits(e.ix.TaskPos(bD.ID)) {
 			terms = append(terms, pbsat.Term{Coef: 1, Lit: l})
 		}
-		for _, l := range e.boundLits(bT.ID) {
+		for _, l := range e.boundLits(e.ix.TaskPos(bT.ID)) {
 			terms = append(terms, pbsat.Term{Coef: -1, Lit: l})
 		}
 		e.Problem.AddEQ(terms, 0, "3b:"+string(bD.ID))

@@ -437,6 +437,24 @@ func TestDecodeRejectsMessageAddedAfterBuild(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsLinkAddedAfterBuild: a link added after Build
+// changes the hop distances the routing variables were pruned by, so
+// decoding against the encoding fails.
+func TestDecodeRejectsLinkAddedAfterBuild(t *testing.T) {
+	spec := buildSpec(t)
+	e, err := Build(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Arch.Connect("ecu1", "ecu2"); err != nil {
+		t.Fatal(err)
+	}
+	g := make([]float64, e.GenotypeLen())
+	if _, _, err := e.SolveWithGenotype(g, 0); err == nil || !strings.Contains(err.Error(), "specification changed") {
+		t.Fatalf("decode after Connect: err = %v, want the stale encoding refused", err)
+	}
+}
+
 // TestMemoryCapacityEncoded: a gateway too small for the big profile's
 // pattern data forces the solver to either store locally or pick the
 // smaller profile — never to overflow the capacity.

@@ -3,6 +3,7 @@ package model_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -165,5 +166,40 @@ func TestIndexOnCaseStudies(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestIndexPathsOnCaseStudies checks the path table against
+// ShortestPath on the small and the full case study and on two ECUs
+// joined by two parallel buses, where equal-length paths tie.
+func TestIndexPathsOnCaseStudies(t *testing.T) {
+	small, err := casestudy.Small(3, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch := model.NewArchitectureGraph()
+	for _, id := range []model.ResourceID{"ecu1", "ecu2", "can", "can2", "gw"} {
+		if err := arch.AddResource(&model.Resource{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []model.ResourceID{"ecu1", "ecu2", "gw"} {
+		for _, bus := range []model.ResourceID{"can", "can2"} {
+			if err := arch.Connect(r, bus); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	twoBus := model.NewSpecification(model.NewApplicationGraph(), arch)
+	for _, spec := range []*model.Specification{small, full, twoBus} {
+		model.RequirePathsMatchOracle(t, spec)
+	}
+	ix := twoBus.Index()
+	if hops, _ := ix.Path(ix.ResourcePos("ecu1"), ix.ResourcePos("gw")); fmt.Sprint(hops) != "[ecu1 can gw]" {
+		t.Fatalf("tied path ecu1→gw is %v, want the lower-ID bus", hops)
 	}
 }

@@ -152,10 +152,9 @@ type ArchitectureGraph struct {
 	resources map[ResourceID]*Resource
 	adj       map[ResourceID]map[ResourceID]bool
 
-	// Memoized sorted views, rebuilt lazily after mutation.
+	// Memoized sorted view, rebuilt lazily after mutation.
 	resourcesSorted []*Resource
-	neighborsSorted map[ResourceID][]ResourceID
-	gen             uint64 // counts added resources, as ApplicationGraph.gen
+	gen             uint64 // counts added resources and links, as ApplicationGraph.gen
 }
 
 // NewArchitectureGraph returns an empty architecture graph.
@@ -178,7 +177,6 @@ func (g *ArchitectureGraph) AddResource(r *Resource) error {
 	g.resources[r.ID] = r
 	g.adj[r.ID] = make(map[ResourceID]bool)
 	g.resourcesSorted = nil
-	g.neighborsSorted = nil
 	g.gen++
 	return nil
 }
@@ -196,7 +194,7 @@ func (g *ArchitectureGraph) Connect(a, b ResourceID) error {
 	}
 	g.adj[a][b] = true
 	g.adj[b][a] = true
-	g.neighborsSorted = nil
+	g.gen++
 	return nil
 }
 
@@ -228,21 +226,13 @@ func (g *ArchitectureGraph) ResourcesOfKind(k ResourceKind) []*Resource {
 	return out
 }
 
-// Neighbors returns the resources adjacent to id, sorted by ID. The
-// returned slice is shared; callers must not modify it.
+// Neighbors returns the resources adjacent to id, sorted by ID.
 func (g *ArchitectureGraph) Neighbors(id ResourceID) []ResourceID {
-	if g.neighborsSorted == nil {
-		g.neighborsSorted = make(map[ResourceID][]ResourceID, len(g.adj))
-	}
-	if out, ok := g.neighborsSorted[id]; ok {
-		return out
-	}
 	out := make([]ResourceID, 0, len(g.adj[id]))
 	for n := range g.adj[id] {
 		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	g.neighborsSorted[id] = out
 	return out
 }
 
@@ -251,78 +241,3 @@ func (g *ArchitectureGraph) Adjacent(a, b ResourceID) bool { return g.adj[a][b] 
 
 // NumResources returns |R|.
 func (g *ArchitectureGraph) NumResources() int { return len(g.resources) }
-
-// components labels every resource with its connected component in
-// g_A: the ID of the component's first resource in ID order.
-func (g *ArchitectureGraph) components() map[ResourceID]ResourceID {
-	comp := make(map[ResourceID]ResourceID, len(g.resources))
-	var queue []ResourceID
-	for _, r := range g.Resources() {
-		if _, seen := comp[r.ID]; seen {
-			continue
-		}
-		comp[r.ID] = r.ID
-		queue = append(queue[:0], r.ID)
-		for len(queue) > 0 {
-			cur := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for n := range g.adj[cur] {
-				if _, seen := comp[n]; !seen {
-					comp[n] = r.ID
-					queue = append(queue, n)
-				}
-			}
-		}
-	}
-	return comp
-}
-
-// ShortestPath returns the shortest hop path from src to dst over the
-// architecture graph, restricted to the resources accepted by the allow
-// predicate (nil allows everything). The returned path includes both
-// endpoints; ok is false if no path exists.
-func (g *ArchitectureGraph) ShortestPath(src, dst ResourceID, allow func(ResourceID) bool) (path []ResourceID, ok bool) {
-	if _, have := g.resources[src]; !have {
-		return nil, false
-	}
-	if _, have := g.resources[dst]; !have {
-		return nil, false
-	}
-	if allow != nil && (!allow(src) || !allow(dst)) {
-		return nil, false
-	}
-	if src == dst {
-		return []ResourceID{src}, true
-	}
-	prev := map[ResourceID]ResourceID{src: src}
-	queue := []ResourceID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, n := range g.Neighbors(cur) {
-			if _, seen := prev[n]; seen {
-				continue
-			}
-			if allow != nil && !allow(n) {
-				continue
-			}
-			prev[n] = cur
-			if n == dst {
-				// Reconstruct.
-				var rev []ResourceID
-				for at := dst; ; at = prev[at] {
-					rev = append(rev, at)
-					if at == src {
-						break
-					}
-				}
-				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-					rev[i], rev[j] = rev[j], rev[i]
-				}
-				return rev, true
-			}
-			queue = append(queue, n)
-		}
-	}
-	return nil, false
-}

@@ -38,6 +38,18 @@ type Index struct {
 	// no resource.
 	Gateway int32
 
+	// Adj lists each resource's neighbours in g_A by position,
+	// ascending (ArchitectureGraph.Neighbors).
+	Adj [][]int32
+
+	// The shortest path from resource a to b is hopIDs[lo:hi] and, by
+	// position, hopPos[lo:hi], where lo, hi = paths[a*n+b],
+	// paths[a*n+b+1] for n resources; an empty path means b is
+	// unreachable from a. See Path and Dist.
+	paths  []int32
+	hopIDs []ResourceID
+	hopPos []int32
+
 	taskPos map[TaskID]int32
 	resPos  map[ResourceID]int32
 	// unbound is a binding with every task unbound, copied by
@@ -51,10 +63,12 @@ type Index struct {
 }
 
 // Index returns the specification's dense numbering, building it on
-// the first call and again after a task, message, resource or mapping
-// edge was added or the gateway changed. Like the sorted views that
-// WarmCaches materializes, it must be built before the specification
-// is shared across goroutines.
+// the first call and again after a task, message, resource, link or
+// mapping edge was added or the gateway changed. Goroutines may call it
+// at once on an unchanging specification and get the same Index.
+// Building it also memoizes the sorted views App.Tasks, App.Messages
+// and Arch.Resources, which are not safe to build concurrently: build
+// the index (Index or Validate) before goroutines read those.
 func (s *Specification) Index() *Index {
 	if ix := s.index.Load(); ix != nil && ix.current(s) {
 		return ix
@@ -94,6 +108,7 @@ func buildIndex(s *Specification) *Index {
 		ix.resPos[r.ID] = int32(i)
 	}
 	ix.Gateway = ix.ResourcePos(s.Gateway)
+	ix.buildPaths(s.Arch)
 
 	n := len(ix.Tasks)
 	ix.Kind = make([]TaskKind, n)
@@ -166,6 +181,72 @@ func buildIndex(s *Specification) *Index {
 		}
 	}
 	return ix
+}
+
+// buildPaths fills Adj and lays the shortest path between every
+// ordered resource pair into the hop arena. This is the one traversal
+// of g_A: a breadth-first search per source that visits neighbours in
+// position (ID) order and keeps each resource's first discoverer, so of
+// several equal-length paths the one through the lowest-ID hops closest
+// to the source wins.
+func (ix *Index) buildPaths(arch *ArchitectureGraph) {
+	n := len(ix.Resources)
+	ix.Adj = make([][]int32, n)
+	for i, r := range ix.Resources {
+		for nb := range arch.adj[r.ID] {
+			ix.Adj[i] = append(ix.Adj[i], ix.resPos[nb])
+		}
+		slices.Sort(ix.Adj[i])
+	}
+	prev := make([]int32, n)
+	queue := make([]int32, 0, n)
+	ix.paths = make([]int32, 1, n*n+1)
+	for src := range int32(n) {
+		for i := range prev {
+			prev[i] = -1
+		}
+		prev[src] = src
+		queue = append(queue[:0], src)
+		for q := 0; q < len(queue); q++ {
+			for _, nb := range ix.Adj[queue[q]] {
+				if prev[nb] < 0 {
+					prev[nb] = queue[q]
+					queue = append(queue, nb)
+				}
+			}
+		}
+		for dst := range int32(n) {
+			if prev[dst] >= 0 {
+				lo := len(ix.hopPos)
+				for at := dst; at != src; at = prev[at] {
+					ix.hopPos = append(ix.hopPos, at)
+				}
+				ix.hopPos = append(ix.hopPos, src)
+				slices.Reverse(ix.hopPos[lo:])
+				for _, h := range ix.hopPos[lo:] {
+					ix.hopIDs = append(ix.hopIDs, ix.Resources[h].ID)
+				}
+			}
+			ix.paths = append(ix.paths, int32(len(ix.hopPos)))
+		}
+	}
+}
+
+// Path returns the shortest hop path in g_A from resource position a
+// to b, both endpoints included, as resource IDs and as positions; both
+// are empty if no path joins them. The slices are shared and capped, so
+// an append copies instead of writing into the next path.
+func (ix *Index) Path(a, b int32) ([]ResourceID, []int32) {
+	p := int(a)*len(ix.Resources) + int(b)
+	lo, hi := ix.paths[p], ix.paths[p+1]
+	return ix.hopIDs[lo:hi:hi], ix.hopPos[lo:hi:hi]
+}
+
+// Dist returns the hop distance in g_A from resource position a to b:
+// the length of Path(a, b) less one, and -1 if no path joins them.
+func (ix *Index) Dist(a, b int32) int {
+	p := int(a)*len(ix.Resources) + int(b)
+	return int(ix.paths[p+1]-ix.paths[p]) - 1
 }
 
 // TaskPos returns the position of task id, or -1 for an unknown task.

@@ -129,7 +129,7 @@ func TestMessageRequiresEndpoints(t *testing.T) {
 
 func TestShortestPath(t *testing.T) {
 	spec := buildTinySpec(t)
-	path, ok := spec.Arch.ShortestPath("ecu1", "gw", nil)
+	path, ok := spec.Arch.ShortestPath("ecu1", "gw")
 	if !ok {
 		t.Fatal("no path ecu1->gw")
 	}
@@ -142,16 +142,8 @@ func TestShortestPath(t *testing.T) {
 			t.Fatalf("path = %v, want %v", path, want)
 		}
 	}
-	if p, ok := spec.Arch.ShortestPath("ecu1", "ecu1", nil); !ok || len(p) != 1 {
+	if p, ok := spec.Arch.ShortestPath("ecu1", "ecu1"); !ok || len(p) != 1 {
 		t.Fatalf("self path = %v, %v", p, ok)
-	}
-}
-
-func TestShortestPathRespectsAllow(t *testing.T) {
-	spec := buildTinySpec(t)
-	_, ok := spec.Arch.ShortestPath("ecu1", "gw", func(r ResourceID) bool { return r != "bus1" })
-	if ok {
-		t.Fatal("path found despite blocked bus")
 	}
 }
 
@@ -552,7 +544,8 @@ func TestIndexFollowsIDs(t *testing.T) {
 
 // TestIndexRebuiltAfterChange: adding a task shifts the positions, so
 // the specification hands out a new Index and new implementations use
-// it; an implementation made before keeps its own numbering.
+// it; an implementation made before keeps its own numbering. Adding a
+// link changes the paths and distances, so it rebuilds the Index too.
 func TestIndexRebuiltAfterChange(t *testing.T) {
 	spec := buildTinySpec(t)
 	old := bindTiny(spec)
@@ -575,6 +568,19 @@ func TestIndexRebuiltAfterChange(t *testing.T) {
 	if x.Binding.Get("a0") != "ecu2" || x.Binding.Get("t1") != "ecu1" || old.Binding.Get("t1") != "ecu1" {
 		t.Fatal("bindings across the rebuild disagree")
 	}
+
+	ix = spec.Index()
+	ecu1, ecu2 := ix.ResourcePos("ecu1"), ix.ResourcePos("ecu2")
+	if ix.Dist(ecu1, ecu2) != 2 {
+		t.Fatalf("ecu1→ecu2 over the bus: distance %d, want 2", ix.Dist(ecu1, ecu2))
+	}
+	if err := spec.Arch.Connect("ecu1", "ecu2"); err != nil {
+		t.Fatal(err)
+	}
+	if spec.Index() == ix || spec.Index().Dist(ecu1, ecu2) != 1 {
+		t.Fatal("Index not rebuilt after Connect")
+	}
+	RequirePathsMatchOracle(t, spec)
 }
 
 // TestValidateRejectsDisconnectedEndpoints: a message whose sender and

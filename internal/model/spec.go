@@ -132,46 +132,34 @@ func (s *Specification) Validate() error {
 		}
 	}
 	// Every message endpoint pair must be connectable for at least one
-	// combination of mapping options: two resources are connected iff
-	// they share a component of g_A.
-	comp := s.Arch.components()
-	for _, m := range s.App.Messages() {
-		srcOpts := s.byTask[m.Src]
+	// combination of mapping options.
+	ix := s.Index()
+	for mi, m := range ix.Messages {
+		srcOpts := ix.Targets[ix.Src[mi]]
 		if len(srcOpts) == 0 {
 			return fmt.Errorf("model: message %q: sender %q has no mapping option", m.ID, m.Src)
 		}
-		for _, dst := range m.Dst {
-			dstOpts := s.byTask[dst]
+		for j, dst := range ix.Dst[mi] {
+			dstOpts := ix.Targets[dst]
 			if len(dstOpts) == 0 {
-				return fmt.Errorf("model: message %q: receiver %q has no mapping option", m.ID, dst)
+				return fmt.Errorf("model: message %q: receiver %q has no mapping option", m.ID, m.Dst[j])
 			}
 			reachable := false
 		search:
 			for _, sr := range srcOpts {
 				for _, dr := range dstOpts {
-					if comp[sr] == comp[dr] {
+					if ix.Dist(sr, dr) >= 0 {
 						reachable = true
 						break search
 					}
 				}
 			}
 			if !reachable {
-				return fmt.Errorf("model: message %q: no mapping combination connects %q to %q", m.ID, m.Src, dst)
+				return fmt.Errorf("model: message %q: no mapping combination connects %q to %q", m.ID, m.Src, m.Dst[j])
 			}
 		}
 	}
 	return nil
-}
-
-// WarmCaches materializes every lazily memoized view (sorted task,
-// message, resource and neighbor lists, and the dense Index). Call it
-// once before sharing the specification across goroutines: the views
-// are built on first use, which would otherwise race.
-func (s *Specification) WarmCaches() {
-	for _, r := range s.Arch.Resources() {
-		s.Arch.Neighbors(r.ID)
-	}
-	s.Index()
 }
 
 // BISTTasksForECU returns the BIST test tasks available for ECU r,
