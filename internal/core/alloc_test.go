@@ -121,3 +121,37 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("16 evaluations allocate %.0f times, want at most %d", got, want)
 	}
 }
+
+// TestGreedyEvaluateWorkerAllocs pins a warmed-up evaluation on the
+// greedy decoder's per-worker path exactly: the decode fills the
+// worker's borrowed implementation in place and the scoring keeps no
+// payload, so an evaluation allocates once, for the objective vector
+// the optimizer keeps. A decode into a fresh implementation (four
+// allocations) or a boxed Solution payload fails it.
+func TestGreedyEvaluateWorkerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	spec, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewGreedyDecoder(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExplorer(spec, dec)
+	genotypes := identityGenotypes(spec, dec.GenotypeLen())[:16]
+	evaluate := func() {
+		for _, g := range genotypes {
+			if _, payload := ex.EvaluateWorker(1, g); payload != nil {
+				t.Fatalf("evaluation of a borrowed implementation kept payload %T", payload)
+			}
+		}
+	}
+	evaluate()
+	got := testing.AllocsPerRun(20, evaluate)
+	if want := float64(len(genotypes)); got != want {
+		t.Fatalf("%d evaluations allocate %.0f times, want %.0f", len(genotypes), got, want)
+	}
+}

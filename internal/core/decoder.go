@@ -49,12 +49,9 @@ type SATDecoder struct {
 	states sync.Pool
 
 	// workerStates pins one DecoderState per evaluation-pool worker
-	// index. The slice is grown copy-on-write under growMu and published
-	// through the atomic pointer, so the steady-state path is one atomic
-	// load with no locking; unlike the sync.Pool, pinned states survive
-	// GC cycles, keeping the campaign's allocation profile flat.
-	workerStates atomic.Pointer[[]*encode.DecoderState]
-	growMu       sync.Mutex
+	// index; unlike the sync.Pool, pinned states survive GC cycles,
+	// keeping the campaign's allocation profile flat.
+	workerStates workerSlots[encode.DecoderState]
 
 	// Cumulative pseudo-Boolean solver work across all decodes, for the
 	// explorer's telemetry stream (SolverStatsReporter).
@@ -102,7 +99,7 @@ func (d *SATDecoder) Decode(genotype []float64) (*model.Implementation, error) {
 // locking. Decoding is deterministic per genotype regardless of which
 // state performs it, so the result is identical to Decode's.
 func (d *SATDecoder) DecodeWorker(worker int, genotype []float64) (*model.Implementation, error) {
-	st := d.workerState(worker)
+	st := d.workerStates.get(worker, d.Enc.NewDecoderState)
 	x, res, err := st.Decode(genotype, d.MaxConflicts)
 	if res != nil {
 		d.conflicts.Add(int64(res.Conflicts))
@@ -114,31 +111,34 @@ func (d *SATDecoder) DecodeWorker(worker int, genotype []float64) (*model.Implem
 	return x, nil
 }
 
-// workerState returns the DecoderState pinned to the worker index,
-// growing the pinned slice on first sight of a new index. The grow path
-// copies under growMu and republishes, never mutating a published
-// slice, so concurrent readers of other indices are unaffected.
-func (d *SATDecoder) workerState(worker int) *encode.DecoderState {
-	if sp := d.workerStates.Load(); sp != nil && worker < len(*sp) && (*sp)[worker] != nil {
+// workerSlots holds one *T per evaluation-pool worker index. The slice
+// is grown copy-on-write under mu and published through the atomic
+// pointer, so the steady-state path is one atomic load with no locking,
+// and a growing slice never disturbs the readers of other indices.
+type workerSlots[T any] struct {
+	p  atomic.Pointer[[]*T]
+	mu sync.Mutex
+}
+
+// get returns the worker's *T, making it with mk on first sight of the
+// index.
+func (ws *workerSlots[T]) get(worker int, mk func() *T) *T {
+	if sp := ws.p.Load(); sp != nil && worker < len(*sp) && (*sp)[worker] != nil {
 		return (*sp)[worker]
 	}
-	d.growMu.Lock()
-	defer d.growMu.Unlock()
-	var cur []*encode.DecoderState
-	if sp := d.workerStates.Load(); sp != nil {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	var cur []*T
+	if sp := ws.p.Load(); sp != nil {
 		cur = *sp
 	}
 	if worker < len(cur) && cur[worker] != nil {
 		return cur[worker]
 	}
-	n := len(cur)
-	if worker >= n {
-		n = worker + 1
-	}
-	next := make([]*encode.DecoderState, n)
+	next := make([]*T, max(len(cur), worker+1))
 	copy(next, cur)
-	next[worker] = d.Enc.NewDecoderState()
-	d.workerStates.Store(&next)
+	next[worker] = mk()
+	ws.p.Store(&next)
 	return next[worker]
 }
 

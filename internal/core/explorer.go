@@ -118,7 +118,9 @@ func (e *Explorer) EvaluateWorker(worker int, genotype []float64) (moea.Objectiv
 
 // score turns a decode outcome into the MOEA objective vector and
 // Solution payload; shared by the plain and per-worker evaluation
-// paths.
+// paths. A borrowed implementation gets no payload: the decoder
+// overwrites it with its next decode, and collect decodes the archive's
+// payload-less members again instead.
 func (e *Explorer) score(worker int, x *model.Implementation, err error) (moea.Objectives, any) {
 	if err != nil {
 		e.decodeFailures.Add(1)
@@ -136,6 +138,9 @@ func (e *Explorer) score(worker int, x *model.Implementation, err error) (moea.O
 	sp := e.Obs.StartW(worker, obs.StageObjective)
 	v := objective.EvaluateRobust(x, e.Robust)
 	sp.End()
+	if x.Borrowed() {
+		return moea.Objectives(v.Minimized()), nil
+	}
 	return moea.Objectives(v.Minimized()), Solution{Impl: x, Objectives: v}
 }
 
@@ -368,18 +373,28 @@ func (e *Explorer) progress(mp moea.Progress) {
 // extracts the Solution payloads from the archive, sorts them by
 // ascending cost, and stamps the throughput accounting. Both entry
 // points (NSGA-II and random search) report through here so evaluation
-// counts and timings mean the same thing everywhere.
+// counts and timings mean the same thing everywhere. An archive member
+// without a payload (its implementation was borrowed, or its decode
+// failed) is decoded again with Decode and scored: both are pure
+// functions of the genotype, so the Solution is the one its evaluation
+// saw, and a failed decode fails again and stays out.
 func (e *Explorer) collect(mres *moea.Result, start time.Time) *Result {
 	res := &Result{
 		Evaluations:    mres.Evaluations,
-		Elapsed:        time.Since(start),
 		DecodeFailures: int(e.decodeFailures.Load()),
 	}
 	for _, ind := range mres.Archive {
-		if sol, ok := ind.Payload.(Solution); ok {
-			res.Solutions = append(res.Solutions, sol)
+		sol, ok := ind.Payload.(Solution)
+		if !ok {
+			x, err := e.Decoder.Decode(ind.Genotype)
+			if err != nil {
+				continue
+			}
+			sol = Solution{Impl: x, Objectives: objective.EvaluateRobust(x, e.Robust)}
 		}
+		res.Solutions = append(res.Solutions, sol)
 	}
+	res.Elapsed = time.Since(start)
 	sort.Slice(res.Solutions, func(i, j int) bool {
 		return res.Solutions[i].Objectives.CostTotal < res.Solutions[j].Objectives.CostTotal
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/model"
 )
@@ -54,6 +55,12 @@ type GreedyDecoder struct {
 	// routeHint bounds the entries of a decoded implementation's Routing
 	// list.
 	routeHint int
+
+	// scratch holds one sync.Pool per evaluation-pool worker index, each
+	// keeping that worker's borrowed implementation (see DecodeWorker).
+	// The pools hold it weakly: GC cycles without a decode release it, so
+	// an idle decoder retains no implementations.
+	scratch workerSlots[sync.Pool]
 }
 
 // target is a mapping target: its resource position and its position
@@ -179,16 +186,61 @@ func pick(g float64, n int) int {
 	return i
 }
 
-// Decode implements Decoder.
+// Decode implements Decoder. The implementation it returns is the
+// caller's.
 func (d *GreedyDecoder) Decode(genotype []float64) (*model.Implementation, error) {
-	if len(genotype) != d.GenotypeLen() {
-		return nil, fmt.Errorf("core: genotype length %d, want %d", len(genotype), d.GenotypeLen())
+	if err := d.check(genotype); err != nil {
+		return nil, err
 	}
 	x := model.NewImplementation(d.Spec)
-	if x.Index() != d.ix {
-		return nil, fmt.Errorf("core: specification changed after the greedy decoder was built")
-	}
 	x.Routing = make(model.Routing, 0, d.routeHint)
+	if err := d.decode(x, genotype); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// DecodeWorker implements WorkerDecoder: it decodes into the worker's
+// borrowed implementation, emptied in place, so a warmed-up decode
+// allocates nothing. The result is Borrowed: it is Decode's
+// implementation until the worker's next decode overwrites it, and
+// Clone keeps a copy. Each worker index must be driven by one goroutine
+// at a time, as the evaluation pool does.
+func (d *GreedyDecoder) DecodeWorker(worker int, genotype []float64) (*model.Implementation, error) {
+	if err := d.check(genotype); err != nil {
+		return nil, err
+	}
+	// Only this worker takes from its pool, so the implementation is
+	// back in it at once and stays this worker's until the next call.
+	pool := d.scratch.get(worker, func() *sync.Pool { return new(sync.Pool) })
+	x, _ := pool.Get().(*model.Implementation)
+	if x == nil {
+		x = model.NewBorrowedImplementation(d.Spec)
+		x.Routing = make(model.Routing, 0, d.routeHint)
+	} else {
+		x.Reset()
+	}
+	pool.Put(x)
+	if err := d.decode(x, genotype); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// check rejects a genotype of the wrong length and a specification
+// changed since the decoder was built.
+func (d *GreedyDecoder) check(genotype []float64) error {
+	if len(genotype) != d.GenotypeLen() {
+		return fmt.Errorf("core: genotype length %d, want %d", len(genotype), d.GenotypeLen())
+	}
+	if d.Spec.Index() != d.ix {
+		return fmt.Errorf("core: specification changed after the greedy decoder was built")
+	}
+	return nil
+}
+
+// decode fills the empty implementation x from the genotype.
+func (d *GreedyDecoder) decode(x *model.Implementation, genotype []float64) error {
 	bind := func(t, r int32) {
 		x.Binding.Set(t, r)
 		x.Allocation.Add(r)
@@ -223,7 +275,7 @@ func (d *GreedyDecoder) Decode(genotype []float64) (*model.Implementation, error
 		}
 		o := &opts[sel-1]
 		if o.data < 0 {
-			return nil, fmt.Errorf("core: BIST task %s has no data task", d.ix.Tasks[o.test].ID)
+			return fmt.Errorf("core: BIST task %s has no data task", d.ix.Tasks[o.test].ID)
 		}
 		bind(o.test, ecu)
 		storeLocal := genotype[base+2*k+1] < 0.5
@@ -258,10 +310,7 @@ func (d *GreedyDecoder) Decode(genotype []float64) (*model.Implementation, error
 			route(m)
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return x, nil
+	return err
 }
 
 // route appends message m's route to each bound receiver along the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/casestudy"
 	"repro/internal/model"
+	"repro/internal/moea"
 )
 
 // greedyLayout recomputes the greedy decoder's gene layout from the
@@ -319,6 +321,63 @@ func TestGreedyStorageFallback(t *testing.T) {
 		}
 		if got, _ := x.RouteTo("cD1", "bT1"); got.String() != "gw->can->ecu1" {
 			t.Errorf("storage %+d, genes %v: cD1 routed %s", tc.storage, tc.genes, got)
+		}
+	}
+}
+
+// ownedDecoder hands out owned clones of the greedy decoder's borrowed
+// implementations, so the explorer keeps a Solution payload per
+// evaluation, as it did before decodes were borrowed.
+type ownedDecoder struct{ *GreedyDecoder }
+
+func (d ownedDecoder) DecodeWorker(worker int, genotype []float64) (*model.Implementation, error) {
+	x, err := d.GreedyDecoder.DecodeWorker(worker, genotype)
+	if err != nil {
+		return nil, err
+	}
+	return x.Clone(), nil
+}
+
+// TestBorrowedFrontsMatchOwned: the explorer scores the greedy
+// decoder's borrowed implementations without keeping them and decodes
+// the archive again at the end; its fronts must be byte-identical to
+// those of a decoder handing out owned clones, whose payloads the
+// archive keeps, at several worker counts and on an island campaign.
+// Every front solution must be an owned, feasible implementation.
+func TestBorrowedFrontsMatchOwned(t *testing.T) {
+	spec, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewGreedyDecoder(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []moea.Options{
+		{PopSize: 64, Generations: 10, Seed: 3, Workers: 1},
+		{PopSize: 64, Generations: 10, Seed: 3, Workers: 2},
+		{PopSize: 64, Generations: 10, Seed: 3, Workers: 4},
+		{PopSize: 32, Generations: 12, Seed: 9, Workers: 2, Islands: 3, MigrateEvery: 4, Migrants: 3},
+	}
+	for _, opt := range runs {
+		want, err := NewExplorer(spec, ownedDecoder{dec}).Run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewExplorer(spec, dec).Run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frontBytes(t, got), frontBytes(t, want)) {
+			t.Fatalf("workers=%d islands=%d: front differs from the owned decoder's", opt.Workers, opt.Islands)
+		}
+		for i, s := range got.Solutions {
+			if s.Impl.Borrowed() {
+				t.Fatalf("workers=%d islands=%d: solution %d is borrowed", opt.Workers, opt.Islands, i)
+			}
+			if errs := s.Impl.Check(); len(errs) != 0 {
+				t.Fatalf("workers=%d islands=%d: solution %d infeasible: %v", opt.Workers, opt.Islands, i, errs[0])
+			}
 		}
 	}
 }

@@ -330,13 +330,10 @@ func (e *Encoding) addDiagnosisConstraints() {
 			}
 			for _, r := range e.ix.Targets[dp] {
 				terms := []pbsat.Term{{Coef: -1, Lit: pbsat.Pos(e.mapVar(int32(dp), r))}}
-				rid := e.ix.Resources[r].ID
-				for _, t := range e.Spec.MappableTasks(rid) {
-					task := e.Spec.App.Task(t)
-					if task == nil || task.Kind.Diagnostic() {
-						continue
+				for _, t := range e.ix.Mappable[r] {
+					if !e.ix.Kind[t].Diagnostic() {
+						terms = append(terms, pbsat.Term{Coef: 1, Lit: pbsat.Pos(e.mapVar(t, r))})
 					}
-					terms = append(terms, pbsat.Term{Coef: 1, Lit: pbsat.Pos(e.mapVars[model.Mapping{Task: t, Resource: rid}])})
 				}
 				e.Problem.AddGE(terms, 0, "2h:"+string(d.ID))
 			}
@@ -367,21 +364,21 @@ func (e *Encoding) addDiagnosisConstraints() {
 // with a finite capacity: Σ mem(t)·m_{t,r} ≤ cap(r), in KiB units to
 // keep pseudo-Boolean coefficients small.
 func (e *Encoding) addMemoryConstraints() {
-	for _, r := range e.Spec.Arch.Resources() {
+	for rp, r := range e.ix.Resources {
 		if r.MemCapBytes <= 0 {
 			continue
 		}
 		var terms []pbsat.Term
-		for _, t := range e.Spec.MappableTasks(r.ID) {
-			task := e.Spec.App.Task(t)
-			if task == nil || task.MemBytes <= 0 {
+		for _, t := range e.ix.Mappable[rp] {
+			mem := e.ix.Tasks[t].MemBytes
+			if mem <= 0 {
 				continue
 			}
-			kib := int((task.MemBytes + 1023) / 1024)
+			kib := int((mem + 1023) / 1024)
 			if kib == 0 {
 				kib = 1
 			}
-			terms = append(terms, pbsat.Term{Coef: kib, Lit: pbsat.Pos(e.mapVars[model.Mapping{Task: t, Resource: r.ID}])})
+			terms = append(terms, pbsat.Term{Coef: kib, Lit: pbsat.Pos(e.mapVar(t, int32(rp)))})
 		}
 		if len(terms) == 0 {
 			continue

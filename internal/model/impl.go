@@ -236,6 +236,9 @@ type Implementation struct {
 
 	// Routing holds, per active message, one route per bound receiver.
 	Routing Routing
+
+	// borrowed marks a decoder's reused scratch; see Borrowed.
+	borrowed bool
 }
 
 // NewImplementation returns an empty implementation for the given
@@ -247,6 +250,29 @@ func NewImplementation(spec *Specification) *Implementation {
 		Allocation: Allocation{ix: ix, bits: make([]uint64, (len(ix.Resources)+63)/64)},
 		Binding:    Binding{ix: ix, res: slices.Clone(ix.unbound)},
 	}
+}
+
+// NewBorrowedImplementation returns an empty implementation that a
+// decoder lends out and decodes into again: Borrowed reports true, so a
+// caller knows to read it before the decoder's next decode and to Clone
+// it to keep it.
+func NewBorrowedImplementation(spec *Specification) *Implementation {
+	x := NewImplementation(spec)
+	x.borrowed = true
+	return x
+}
+
+// Borrowed reports whether x is a decoder's scratch, valid only until
+// that decoder's next decode on the same worker. Clone returns an owned
+// copy.
+func (x *Implementation) Borrowed() bool { return x.borrowed }
+
+// Reset empties x in place, keeping its memory: every task unbound,
+// nothing allocated, no routes.
+func (x *Implementation) Reset() {
+	copy(x.Binding.res, x.Binding.ix.unbound)
+	clear(x.Allocation.bits)
+	x.Routing = x.Routing[:0]
 }
 
 // Index returns the numbering the implementation's binding and
@@ -528,10 +554,11 @@ func (x *Implementation) Check() []error {
 // Feasible reports whether Check finds no violation.
 func (x *Implementation) Feasible() bool { return len(x.Check()) == 0 }
 
-// Clone returns a deep copy of the implementation (sharing the
+// Clone returns an owned deep copy of the implementation (sharing the
 // specification).
 func (x *Implementation) Clone() *Implementation {
 	c := *x
+	c.borrowed = false
 	c.Allocation.bits = slices.Clone(x.Allocation.bits)
 	c.Binding.res = slices.Clone(x.Binding.res)
 	if x.Routing != nil {

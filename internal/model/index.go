@@ -26,6 +26,9 @@ type Index struct {
 	// Targets lists each task's mapping targets by resource position,
 	// ascending: the order of Specification.MappingTargets.
 	Targets [][]int32
+	// Mappable is the transpose of Targets: each resource's mappable
+	// tasks by position, ascending.
+	Mappable [][]int32
 
 	// Src and Dst are each message's sender and receivers by task
 	// position, receivers in Message.Dst order; Out lists each task's
@@ -130,6 +133,25 @@ func buildIndex(s *Specification) *Index {
 		}
 		ix.Targets[i] = arena[lo:len(arena):len(arena)]
 		slices.Sort(ix.Targets[i])
+	}
+	// Walking the tasks in position order fills each resource's list in
+	// ascending order.
+	starts := make([]int32, len(ix.Resources)+1)
+	for _, r := range arena {
+		starts[r+1]++
+	}
+	for r := range ix.Resources {
+		starts[r+1] += starts[r]
+	}
+	mappable := make([]int32, len(arena))
+	ix.Mappable = make([][]int32, len(ix.Resources))
+	for r := range ix.Mappable {
+		ix.Mappable[r] = mappable[starts[r]:starts[r]:starts[r+1]]
+	}
+	for t, rs := range ix.Targets {
+		for _, r := range rs {
+			ix.Mappable[r] = append(ix.Mappable[r], int32(t))
+		}
 	}
 
 	// Message endpoints, and the BIST pairing read off the messages in

@@ -500,6 +500,35 @@ func TestRoutingJSON(t *testing.T) {
 // TestIndexFollowsIDs checks the dense numbering against the ID-based
 // views it replaces on the evaluation path: positions in sorted-ID
 // order, the BIST pairing, the mapping targets and message endpoints.
+// TestBorrowedReset: a borrowed implementation says so, Reset empties
+// it in place to what NewImplementation returns, and Clone hands out an
+// owned copy.
+func TestBorrowedReset(t *testing.T) {
+	spec := buildTinySpec(t)
+	x := NewBorrowedImplementation(spec)
+	if !x.Borrowed() || NewImplementation(spec).Borrowed() {
+		t.Fatal("Borrowed reports the wrong owner")
+	}
+	want, err := json.Marshal(NewImplementation(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.Routing = bindTiny(spec).Routing
+	x.Bind("t2", "ecu2")
+	x.Reset()
+	got, err := json.Marshal(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) || !x.Borrowed() {
+		t.Fatalf("reset implementation %s, want %s", got, want)
+	}
+	x.Bind("t2", "ecu2")
+	if c := x.Clone(); c.Borrowed() || c.Binding.Get("t2") != "ecu2" {
+		t.Fatal("Clone of a borrowed implementation is not an owned copy")
+	}
+}
+
 func TestIndexFollowsIDs(t *testing.T) {
 	spec := buildTinySpec(t)
 	ix := spec.Index()
@@ -530,6 +559,20 @@ func TestIndexFollowsIDs(t *testing.T) {
 	for p, r := range spec.Arch.Resources() {
 		if ix.Resources[p] != r || ix.ResourcePos(r.ID) != int32(p) {
 			t.Fatalf("resource %q: position %d", r.ID, p)
+		}
+		var tasks []TaskID
+		for _, task := range spec.App.Tasks() {
+			if spec.HasMapping(task.ID, r.ID) {
+				tasks = append(tasks, task.ID)
+			}
+		}
+		if len(ix.Mappable[p]) != len(tasks) {
+			t.Fatalf("resource %q: mappable %v, want %v", r.ID, ix.Mappable[p], tasks)
+		}
+		for i, task := range tasks {
+			if ix.Tasks[ix.Mappable[p][i]].ID != task {
+				t.Fatalf("resource %q: mappable %v, want %v", r.ID, ix.Mappable[p], tasks)
+			}
 		}
 	}
 	for p, m := range spec.App.Messages() {

@@ -15,11 +15,10 @@ type Specification struct {
 	Arch *ArchitectureGraph
 
 	mappings []Mapping
-	// byTask indexes the mapping options of each task, byResource the
-	// tasks mappable onto each resource.
-	byTask     map[TaskID][]ResourceID
-	byResource map[ResourceID][]TaskID
-	mapSet     map[Mapping]bool
+	// byTask indexes the mapping options of each task; Index.Mappable
+	// holds the tasks mappable onto each resource.
+	byTask map[TaskID][]ResourceID
+	mapSet map[Mapping]bool
 
 	// Gateway is the resource that hosts the mandatory collection task
 	// b^R and optionally centralized BIST data.
@@ -34,11 +33,10 @@ type Specification struct {
 // NewSpecification returns a specification over the given graphs.
 func NewSpecification(app *ApplicationGraph, arch *ArchitectureGraph) *Specification {
 	return &Specification{
-		App:        app,
-		Arch:       arch,
-		byTask:     make(map[TaskID][]ResourceID),
-		byResource: make(map[ResourceID][]TaskID),
-		mapSet:     make(map[Mapping]bool),
+		App:    app,
+		Arch:   arch,
+		byTask: make(map[TaskID][]ResourceID),
+		mapSet: make(map[Mapping]bool),
 	}
 }
 
@@ -58,7 +56,6 @@ func (s *Specification) AddMapping(t TaskID, r ResourceID) error {
 	s.mapSet[m] = true
 	s.mappings = append(s.mappings, m)
 	s.byTask[t] = append(s.byTask[t], r)
-	s.byResource[r] = append(s.byResource[r], t)
 	return nil
 }
 
@@ -68,14 +65,6 @@ func (s *Specification) Mappings() []Mapping { return s.mappings }
 // MappingTargets returns the resources task t may be bound to, sorted.
 func (s *Specification) MappingTargets(t TaskID) []ResourceID {
 	out := append([]ResourceID(nil), s.byTask[t]...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// MappableTasks returns the tasks that may be bound to resource r,
-// sorted.
-func (s *Specification) MappableTasks(r ResourceID) []TaskID {
-	out := append([]TaskID(nil), s.byResource[r]...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

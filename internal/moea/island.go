@@ -276,13 +276,11 @@ func snapshotIslands(states []*nsga2, opt Options) *IslandCheckpoint {
 }
 
 // islandResult folds the island states into the campaign Result: merged
-// archive (island order), summed evaluation counts, concatenated final
-// populations.
+// archive (island order) and summed evaluation counts.
 func islandResult(states []*nsga2, eps []float64) *Result {
 	res := &Result{Archive: mergeIslandArchives(states, eps)}
 	for _, s := range states {
 		res.Evaluations += s.evals
-		res.FinalPopulation = append(res.FinalPopulation, s.pop...)
 	}
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -120,8 +121,6 @@ func (o Options) withDefaults(genLen int) Options {
 type Result struct {
 	// Archive is the all-time non-dominated set.
 	Archive []*Individual
-	// FinalPopulation is the last generation.
-	FinalPopulation []*Individual
 	// Evaluations counts Problem.Evaluate calls.
 	Evaluations int
 }
@@ -142,6 +141,16 @@ type nsga2 struct {
 	gen          int // next generation index
 	evals        int // cumulative Problem.Evaluate count (across resumes)
 	runEvals     int // evaluations performed by this process
+
+	// sorter is the sort's and crowding's memory. ranked is the
+	// population the last step ranked, as it left it: while pop is
+	// element for element the same, its members still carry the ranks
+	// and crowding distances a sort of it would assign. spare, union and
+	// genos are the step's other buffers, reused every step.
+	sorter       frontSorter
+	ranked       []*Individual
+	spare, union []*Individual
+	genos        [][]float64
 }
 
 // newNSGA2 builds a stepping optimizer, restored from resume when it is
@@ -206,14 +215,17 @@ func (s *nsga2) step() {
 	opt := s.opt
 	sp := opt.Obs.Start(obs.StageGeneration)
 	defer sp.End()
-	// Rank parents for tournament selection.
-	fronts := sortFronts(s.pop)
-	for _, f := range fronts {
-		assignCrowding(f)
+	// Rank parents for tournament selection, unless the previous step
+	// left them ranked: migration, a resume or any other edit of the
+	// population makes it differ from ranked and sorts it again.
+	if !slices.Equal(s.pop, s.ranked) {
+		for _, f := range s.sorter.sort(s.pop) {
+			s.sorter.crowding(f)
+		}
 	}
 	// Breed the whole offspring batch sequentially (rng order), then
 	// evaluate it, possibly in parallel.
-	genos := make([][]float64, 0, opt.PopSize)
+	genos := s.genos[:0]
 	for len(genos) < opt.PopSize {
 		p1 := tournament(s.rng, s.pop)
 		p2 := tournament(s.rng, s.pop)
@@ -225,23 +237,40 @@ func (s *nsga2) step() {
 			genos = append(genos, c2)
 		}
 	}
+	s.genos = genos
 	offspring := s.evaluateBatch(genos)
-	// Environmental selection over parents ∪ offspring.
-	union := append(append([]*Individual(nil), s.pop...), offspring...)
-	fronts = sortFronts(union)
-	next := make([]*Individual, 0, opt.PopSize)
-	for _, f := range fronts {
-		assignCrowding(f)
+	// Environmental selection over parents ∪ offspring. The survivors
+	// are whole fronts plus part of one, so their ranks are the union's,
+	// and so is the crowding of every whole front: a sort of the new
+	// population puts each whole front's members in the same order. Only
+	// the truncated front's survivors get their crowding recomputed.
+	s.union = append(append(s.union[:0], s.pop...), offspring...)
+	fronts := s.sorter.sort(s.union)
+	next := s.spare[:0]
+	for k, f := range fronts {
+		s.sorter.crowding(f)
 		if len(next)+len(f) <= opt.PopSize {
 			next = append(next, f...)
 			continue
 		}
 		// Partial front: take the most crowded-distant first.
 		sortByCrowdingDesc(f)
-		next = append(next, f[:opt.PopSize-len(next)]...)
+		kept := f[:opt.PopSize-len(next)]
+		next = append(next, kept...)
+		var prev []*Individual
+		if k > 0 {
+			prev = fronts[k-1]
+		}
+		s.sorter.recrowd(prev, kept)
 		break
 	}
-	s.pop = next
+	s.spare, s.pop = s.pop, next
+	// A NaN objective can form a dominance cycle, which a subset may
+	// break: then the next step sorts the population in full.
+	s.ranked = s.ranked[:0]
+	if !s.sorter.nan {
+		s.ranked = append(s.ranked, next...)
+	}
 	s.archive = updateArchiveEps(s.archive, offspring, opt.ArchiveEpsilon)
 	s.gen++
 }

@@ -9,8 +9,6 @@
 // individual corresponds to a feasible implementation.
 package moea
 
-import "math"
-
 // Objectives is a vector of objective values, all minimized. Maximized
 // quantities (like test quality) are negated by the problem definition.
 type Objectives []float64
@@ -101,106 +99,4 @@ func dominance(a, b Objectives) (aDom, bDom bool) {
 		}
 	}
 	return better && !worse, worse && !better
-}
-
-// sortFronts performs the fast non-dominated sort, assigning ranks and
-// returning the fronts in order; every individual lands in exactly one
-// front. Each unordered pair is compared once.
-// Rows run in ascending i, so every dominatedBy list is filled in
-// ascending index order, as a scan of all ordered pairs fills it.
-func sortFronts(pop []*Individual) [][]*Individual {
-	n := len(pop)
-	dominatedBy := make([][]int, n) // i dominates these
-	domCount := make([]int, n)      // number of individuals dominating i
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			switch iDom, jDom := dominance(pop[i].Objectives, pop[j].Objectives); {
-			case iDom:
-				dominatedBy[i] = append(dominatedBy[i], j)
-				domCount[j]++
-			case jDom:
-				dominatedBy[j] = append(dominatedBy[j], i)
-				domCount[i]++
-			}
-		}
-	}
-	var fronts [][]*Individual
-	var current []int
-	for i := 0; i < n; i++ {
-		if domCount[i] == 0 {
-			pop[i].rank = 0
-			current = append(current, i)
-		}
-	}
-	for len(current) > 0 {
-		front := make([]*Individual, len(current))
-		for k, i := range current {
-			front[k] = pop[i]
-		}
-		fronts = append(fronts, front)
-		var next []int
-		for _, i := range current {
-			for _, j := range dominatedBy[i] {
-				domCount[j]--
-				if domCount[j] == 0 {
-					pop[j].rank = len(fronts)
-					next = append(next, j)
-				}
-			}
-		}
-		current = next
-	}
-	// With NaN objectives dominance can cycle, and the peel never frees
-	// a cycle or what it dominates: those individuals still count a
-	// dominator. They form one last front, in index order, so every
-	// individual lands in exactly one front.
-	var last []*Individual
-	for i, c := range domCount {
-		if c > 0 {
-			pop[i].rank = len(fronts)
-			last = append(last, pop[i])
-		}
-	}
-	if last != nil {
-		fronts = append(fronts, last)
-	}
-	return fronts
-}
-
-// assignCrowding computes the crowding distance within one front.
-func assignCrowding(front []*Individual) {
-	n := len(front)
-	if n == 0 {
-		return
-	}
-	for _, ind := range front {
-		ind.crowding = 0
-	}
-	m := len(front[0].Objectives)
-	idx := make([]int, n)
-	for k := 0; k < m; k++ {
-		for i := range idx {
-			idx[i] = i
-		}
-		// Insertion sort by objective k (fronts are small).
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && front[idx[j]].Objectives[k] < front[idx[j-1]].Objectives[k]; j-- {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
-			}
-		}
-		lo, hi := front[idx[0]].Objectives[k], front[idx[n-1]].Objectives[k]
-		front[idx[0]].crowding = math.Inf(1)
-		front[idx[n-1]].crowding = math.Inf(1)
-		span := hi - lo
-		// A non-finite span (an objective holding ±Inf, or Inf−Inf = NaN)
-		// would leak NaN into every crowding sum and silently corrupt the
-		// selection ordering; skip the objective instead — the boundary
-		// individuals keep their Inf crowding either way.
-		if span <= 0 || math.IsInf(span, 0) || math.IsNaN(span) {
-			continue
-		}
-		for i := 1; i < n-1; i++ {
-			front[idx[i]].crowding += (front[idx[i+1]].Objectives[k] - front[idx[i-1]].Objectives[k]) / span
-		}
-	}
 }

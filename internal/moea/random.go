@@ -76,6 +76,6 @@ func RandomSearch(ctx context.Context, p Problem, opt RandomOptions) (*Result, e
 			})
 		}
 	}
-	res.Archive, res.FinalPopulation = archive, archive
+	res.Archive = archive
 	return res, err
 }

@@ -452,6 +452,12 @@ type Solver struct {
 	// assigned. Solve starts it at the root's first free variable, and
 	// backtrack lowers it.
 	free int
+	// full has one bit per block of 64 variables (var-1 >> 6), set when
+	// the fallback scan has seen the whole block assigned. Assignments
+	// keep a block full; backtrack clears the bit of every block it
+	// unassigns a variable in, and Solve's reset clears them all. The
+	// scan skips full blocks instead of rereading their bytes.
+	full []uint64
 
 	stack    []decision // reusable decision stack
 	modelBuf Assignment // backs Result.Model across calls
@@ -475,6 +481,7 @@ func newSolver(ix *index) *Solver {
 		maxPossible:  slices.Clone(ix.maxPossible),
 		inQueue:      make([]bool, len(ix.bounds)),
 		free:         ix.rootFree,
+		full:         make([]uint64, (n+64*64-1)/(64*64)),
 	}
 	s.assign = s.vals[n+1:]
 	for ci := 0; ci+1 < len(ix.clauseStart); ci++ {
@@ -525,7 +532,9 @@ func (s *Solver) backtrack(n int) {
 		for _, o := range s.ix.occs[s.ix.occStart[k]:s.ix.occStart[k+1]] {
 			s.maxPossible[o.ci] += int64(o.coef)
 		}
-		s.free = min(s.free, int(max(lit, -lit)-1))
+		v := max(lit, -lit) - 1
+		s.free = min(s.free, int(v))
+		s.full[v>>12] &^= 1 << (v >> 6 & 63)
 	}
 	s.qhead = min(s.qhead, n)
 }
@@ -660,6 +669,7 @@ func (s *Solver) Solve(branch Branching) Result {
 	s.trail = s.trail[:0]
 	s.qhead = 0
 	s.free = s.ix.rootFree
+	clear(s.full)
 	if pb, ok := branch.(*PriorityBranching); ok {
 		if pb == nil {
 			branch = nil // a typed nil is no branching
@@ -734,10 +744,20 @@ func (s *Solver) nextDecision(branch Branching, isAssigned func(Var) bool) (Lit,
 			return l, true
 		}
 	}
-	for ; s.free < len(s.assign); s.free++ {
-		if s.assign[s.free] == 0 {
-			return Lit{Var: Var(s.free + 1), Neg: true}, true
+	for n := len(s.assign); s.free < n; {
+		b := s.free >> 6
+		end := min((b+1)<<6, n)
+		if s.full[b>>6]&(1<<(b&63)) != 0 {
+			s.free = end
+			continue
 		}
+		for ; s.free < end; s.free++ {
+			if s.assign[s.free] == 0 {
+				return Lit{Var: Var(s.free + 1), Neg: true}, true
+			}
+		}
+		// Everything below free is assigned, so the whole block is.
+		s.full[b>>6] |= 1 << (b & 63)
 	}
 	return Lit{}, false
 }
