@@ -797,3 +797,53 @@ func TestTornSegmentBeforeContinuousSegment(t *testing.T) {
 		})
 	}
 }
+
+// TestTornSegmentCoveredBySnapshot: a snapshot captured while appends
+// were landing covers LSNs past the base of the segment its rotation
+// opened, so the newest snapshot can reach into a later segment while
+// an older one, kept for the older snapshot, still lies before it. A
+// torn tail in that older segment leaves no gap — everything in it is
+// covered — and must not drop the later segments.
+func TestTornSegmentCoveredBySnapshot(t *testing.T) {
+	fs := NewMemFS()
+	st, o, _ := openOwner(t, fs, "d", Options{SnapshotEvery: 1 << 30})
+	want := appendN(t, st, o, 0, 2)
+	if err := st.Snapshot(); err != nil { // snapshot 2, segment based at 3
+		t.Fatal(err)
+	}
+	want = append(want, appendN(t, st, o, 2, 4)...)
+	// Two appends the owner has not folded yet when the next snapshot
+	// captures it: snapshot 6, but the rotation opens a segment at 9.
+	for i := 6; i < 8; i++ {
+		if _, err := st.Append([]byte(fmt.Sprintf("entry-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 6; i < 8; i++ {
+		e := fmt.Sprintf("entry-%04d", i)
+		o.commit(uint64(i+1), e)
+		want = append(want, e)
+	}
+	want = append(want, appendN(t, st, o, 8, 4)...)
+	if err := st.Snapshot(); err != nil { // snapshot 12, segment based at 13
+		t.Fatal(err)
+	}
+	want = append(want, appendN(t, st, o, 12, 3)...)
+	st.Kill()
+	segs := segmentFiles(t, fs, "d")
+	if len(segs) != 3 || segs[0] != segName(3) || segs[1] != segName(9) || segs[2] != segName(13) {
+		t.Fatalf("segments %v, want those based at 3, 9 and 13", segs)
+	}
+	raw, _ := fs.ReadFile("d/" + segs[0])
+	fs.WriteFile("d/"+segs[0], append(raw, 0xde, 0xad, 0xbe, 0xef))
+
+	st2, o2, rec := openOwner(t, fs, "d", Options{SnapshotEvery: 1 << 30})
+	defer st2.Close()
+	if rec.SnapshotLSN != 12 || rec.LastLSN != 15 {
+		t.Fatalf("recovery %+v, want snapshot 12 and LastLSN 15", rec)
+	}
+	wantEntries(t, o2, want)
+}

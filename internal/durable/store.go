@@ -218,8 +218,10 @@ func (s *Store) recover() (Recovery, error) {
 
 	// Replay segments in base-LSN order, stopping at the first tear
 	// that leaves a gap. A torn segment is cut to its valid frames; when
-	// the next segment starts right after everything recovered so far,
-	// no LSN is missing and replay goes on.
+	// the next segment starts at or before the LSN after everything
+	// recovered so far, no LSN is missing and replay goes on. It can
+	// start before: a snapshot captured while appends were landing
+	// covers LSNs past the base of the segment its rotation opened.
 	last := rec.SnapshotLSN
 	highest := rec.SnapshotLSN
 	for i, base := range segs {
@@ -252,7 +254,7 @@ func (s *Store) recover() (Recovery, error) {
 			} else if err := fs.Truncate(name, res.validBytes); err != nil {
 				return rec, fmt.Errorf("durable: truncate torn segment %d: %w", base, err)
 			}
-			if end := max(last, res.lastLSN); i+1 < len(segs) && segs[i+1] == end+1 {
+			if end := max(last, res.lastLSN); i+1 < len(segs) && segs[i+1] <= end+1 {
 				last = end
 				continue
 			}

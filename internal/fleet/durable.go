@@ -247,17 +247,14 @@ func (s *Server) captureState() ([]byte, uint64, error) {
 		}
 	}()
 
-	st := snapState{
-		Counters: [5]uint64{
-			s.committed.chunks.Load(),
-			s.committed.chunkErrors.Load(),
-			s.committed.opened.Load(),
-			s.committed.completed.Load(),
-			s.committed.corrupt.Load(),
-		},
-		Vehicles: make(map[string]map[string]snapECU),
-	}
+	st := snapState{Vehicles: make(map[string]map[string]snapECU)}
 	for _, sh := range s.shards {
+		cc := &sh.committed
+		st.Counters[0] += cc.chunks
+		st.Counters[1] += cc.chunkErrors
+		st.Counters[2] += cc.opened
+		st.Counters[3] += cc.completed
+		st.Counters[4] += cc.corrupt
 		for id, vs := range sh.vehicles {
 			ecus := make(map[string]snapECU, len(vs.ecus))
 			for name, es := range vs.ecus {
@@ -295,24 +292,28 @@ func (s *Server) restoreState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("fleet: decode snapshot: %w", err)
 	}
-	s.committed.chunks.Store(st.Counters[0])
-	s.committed.chunkErrors.Store(st.Counters[1])
-	s.committed.opened.Store(st.Counters[2])
-	s.committed.completed.Store(st.Counters[3])
-	s.committed.corrupt.Store(st.Counters[4])
-
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.vehicles = make(map[string]*vehicleState)
+		sh.open = 0
 		sh.collector.Clear()
 		sh.stats = counters{}
+		sh.committed = committedCounters{}
 		sh.mu.Unlock()
 	}
 	// Seed the live counters from the committed ones: the recovered
 	// server starts exactly where the committed history ends. Shard 0
-	// carries the recovered sums — Summary and Stats sum across shards.
+	// carries the recovered sums — Summary, Stats and the next snapshot
+	// only ever read the sums across shards.
 	sh0 := s.shards[0]
 	sh0.mu.Lock()
+	sh0.committed = committedCounters{
+		chunks:      st.Counters[0],
+		chunkErrors: st.Counters[1],
+		opened:      st.Counters[2],
+		completed:   st.Counters[3],
+		corrupt:     st.Counters[4],
+	}
 	sh0.stats.Chunks = st.Counters[0]
 	sh0.stats.ChunkErrors = st.Counters[1]
 	sh0.stats.SessionsOpened = st.Counters[2]

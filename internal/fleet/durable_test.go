@@ -3,12 +3,14 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/durable"
+	"repro/internal/gateway"
 )
 
 // chaosPopulation is the shared load profile of the durability tests:
@@ -370,5 +372,134 @@ func TestCommitEntryCodec(t *testing.T) {
 	}
 	if _, err := decodeCommitEntry(appendCommitEntry(nil, 9, "v", "e", 1, 1, 0, nil)); err == nil {
 		t.Fatal("unknown outcome decoded")
+	}
+}
+
+// TestCommittedCountersSnapshotRestore follows the five committed
+// counters, kept per shard, through stored and corrupt sessions, a
+// snapshot, a restore from it, more ingest and a second snapshot: at
+// every step their sum over the shards and the snapshot's counters
+// equal the running totals, and a clean close and reopen restores the
+// summary byte for byte.
+func TestCommittedCountersSnapshotRestore(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			fs := durable.NewMemFS()
+			cfg := DurableConfig{SnapshotEvery: 1 << 20} // snapshots only when asked
+			srv, _ := openDurable(t, shards, fs, cfg)
+			var want committedCounters
+			next := uint32(1)
+			// round ingests one session on each of 12 vehicles × 2 ECUs:
+			// every third stream's record names the wrong ECU (corrupt),
+			// and every fifth session first sees a chunk with a bad CRC.
+			round := func() {
+				t.Helper()
+				for v := 0; v < 12; v++ {
+					vehicle := fmt.Sprintf("veh%05d", v)
+					for e, ecu := range []string{"ecuA", "ecuB"} {
+						i := 2*v + e
+						named := ecu
+						if i%3 == 0 {
+							named = "ecuZ"
+						}
+						chunks := chunksFor(t, named, next, failData(i%4))
+						if i%5 == 0 {
+							bad := chunks[0]
+							bad.CRC ^= 1
+							if err := srv.IngestChunk(vehicle, ecu, bad); !errors.Is(err, gateway.ErrChunkCRC) {
+								t.Fatalf("bad-CRC chunk: %v", err)
+							}
+							want.chunks++
+							want.chunkErrors++
+						}
+						for k, c := range chunks {
+							err := srv.IngestChunk(vehicle, ecu, c)
+							if k == len(chunks)-1 && named != ecu {
+								if !errors.Is(err, ErrECUMismatch) {
+									t.Fatalf("mismatched record: %v", err)
+								}
+							} else if err != nil {
+								t.Fatal(err)
+							}
+						}
+						want.chunks += uint64(len(chunks))
+						want.opened++
+						if named != ecu {
+							want.corrupt++
+						} else {
+							want.completed++
+						}
+					}
+				}
+				next++
+			}
+			check := func(srv *Server, step string) {
+				t.Helper()
+				var got committedCounters
+				for _, sh := range srv.shards {
+					sh.mu.Lock()
+					got.chunks += sh.committed.chunks
+					got.chunkErrors += sh.committed.chunkErrors
+					got.opened += sh.committed.opened
+					got.completed += sh.committed.completed
+					got.corrupt += sh.committed.corrupt
+					sh.mu.Unlock()
+				}
+				if got != want {
+					t.Fatalf("%s: committed counters %+v, running totals %+v", step, got, want)
+				}
+				data, _, err := srv.captureState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var st snapState
+				if err := json.Unmarshal(data, &st); err != nil {
+					t.Fatal(err)
+				}
+				if st.Counters != [5]uint64{want.chunks, want.chunkErrors, want.opened, want.completed, want.corrupt} {
+					t.Fatalf("%s: snapshot counters %v, running totals %+v", step, st.Counters, want)
+				}
+			}
+
+			round()
+			round()
+			check(srv, "after ingest")
+			if err := srv.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+			before := summaryJSON(t, srv)
+			srv.KillDurable()
+
+			srv, rec := openDurable(t, shards, fs, cfg)
+			if rec.SnapshotLSN == 0 || rec.Entries != 0 {
+				t.Fatalf("restore: %+v, want the snapshot alone", rec)
+			}
+			check(srv, "after restore")
+			if got := summaryJSON(t, srv); !bytes.Equal(got, before) {
+				t.Fatalf("restored summary differs:\n%s\nvs\n%s", got, before)
+			}
+			round()
+			check(srv, "after restore and more ingest")
+			if err := srv.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+			check(srv, "after the second snapshot")
+			before = summaryJSON(t, srv)
+			if err := srv.CloseDurable(); err != nil {
+				t.Fatal(err)
+			}
+
+			srv, rec = openDurable(t, shards, fs, cfg)
+			if rec.SnapshotLSN == 0 || rec.Entries != 0 {
+				t.Fatalf("reopen after close: %+v, want the close snapshot alone", rec)
+			}
+			check(srv, "after close and reopen")
+			if got := summaryJSON(t, srv); !bytes.Equal(got, before) {
+				t.Fatalf("summary after close and reopen differs:\n%s\nvs\n%s", got, before)
+			}
+			if err := srv.CloseDurable(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -20,7 +20,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,24 +100,8 @@ type Server struct {
 	// session before it is applied, making acknowledged evidence
 	// crash-durable. nil keeps the original in-RAM semantics.
 	store *durable.Store
-	// committed mirrors the counters already folded into commit entries
-	// — the only counters a snapshot persists. Live shard stats also
-	// count in-flight wire activity that a crash legitimately loses
-	// (the senders redo it identically on resume).
-	committed committedCounters
 	// storageRejects counts ingest calls bounced by degraded storage.
 	storageRejects atomic.Uint64
-}
-
-// committedCounters aggregates the durably committed portion of the
-// ingest counters. Atomics, because commits happen under different
-// shard locks concurrently.
-type committedCounters struct {
-	chunks      atomic.Uint64
-	chunkErrors atomic.Uint64
-	opened      atomic.Uint64
-	completed   atomic.Uint64
-	corrupt     atomic.Uint64
 }
 
 // New builds a server with cfg's shard layout.
@@ -130,7 +113,6 @@ func New(cfg Config) *Server {
 			srv:       s,
 			cfg:       cfg,
 			collector: gateway.Collector{Capacity: cfg.PerShardRecords},
-			open:      make(map[streamKey]*openSession),
 			vehicles:  make(map[string]*vehicleState),
 		}
 	}
@@ -162,31 +144,35 @@ func (s *Server) SetObs(t *obs.Tracer) {
 // NumShards returns the shard count.
 func (s *Server) NumShards() int { return len(s.shards) }
 
-// ShardOf returns the shard index owning a vehicle (FNV-1a of the ID).
+// ShardOf returns the shard index owning a vehicle (32-bit FNV-1a of
+// the ID).
 func (s *Server) ShardOf(vehicle string) int {
-	h := fnv.New32a()
-	h.Write([]byte(vehicle))
-	return int(h.Sum32() % uint32(len(s.shards)))
+	h := uint32(2166136261)
+	for i := 0; i < len(vehicle); i++ {
+		h ^= uint32(vehicle[i])
+		h *= 16777619
+	}
+	return int(h % uint32(len(s.shards)))
 }
 
-// streamKey identifies one (vehicle, ECU) chunk stream. An ECU streams
-// its sessions sequentially, so at most one session per stream is open
-// at a time.
-type streamKey struct {
-	vehicle, ecu string
-}
-
-// shard is one lock stripe: a bounded fail memory, the open reassembly
-// sessions, and the per-vehicle session bookkeeping of its vehicles.
+// shard is one lock stripe: a bounded fail memory, the per-vehicle
+// session bookkeeping of its vehicles (each stream holding its open
+// reassembly session), and its counters. Nothing in it is shared with
+// another shard.
 type shard struct {
 	mu        sync.Mutex
 	srv       *Server
 	cfg       Config
 	collector gateway.Collector
-	open      map[streamKey]*openSession
+	open      int            // streams with an open reassembly session
 	free      []*openSession // recycled sessions (pool discipline)
 	vehicles  map[string]*vehicleState
 	stats     counters
+	// committed is the portion of stats already folded into commit
+	// entries — the only counters a snapshot persists (summed over the
+	// shards). stats also counts in-flight wire activity that a crash
+	// legitimately loses (the senders redo it identically on resume).
+	committed committedCounters
 
 	// entryBuf is the reused WAL-entry scratch buffer of the durable
 	// commit path.
@@ -212,8 +198,22 @@ type vehicleState struct {
 	ecus map[string]*ecuState
 }
 
-// ecuState tracks one (vehicle, ECU) stream.
+// committedCounters is one shard's durably committed portion of the
+// ingest counters.
+type committedCounters struct {
+	chunks, chunkErrors, opened, completed, corrupt uint64
+}
+
+// ecuState tracks one (vehicle, ECU) stream. An ECU streams its
+// sessions sequentially, so at most one session per stream is open at
+// a time.
 type ecuState struct {
+	// open is the stream's in-flight reassembly, nil between sessions.
+	open *openSession
+	// key is "vehicle/ecu", the ECU name of the stream's stored records,
+	// built on the stream's first stored record.
+	key string
+
 	// Sessions counts completed (stored) sessions.
 	Sessions uint32
 	// LastSession is the highest completed session number.
@@ -301,16 +301,14 @@ func (sh *shard) ingest(vehicle, ecu string, c gateway.Chunk) error {
 		vs.ecus[ecu] = es
 	}
 
-	key := streamKey{vehicle: vehicle, ecu: ecu}
-	os := sh.open[key]
+	os := es.open
 	if os != nil && c.Session != os.asm.Session && c.Seq == 0 {
 		// The sender abandoned the open session (degraded-mode fallback)
 		// and opened a fresh one with a bumped counter: the new session
 		// supersedes the half-assembled old one instead of wedging the
 		// stream. Its uncommitted deltas die with it. Replays still
 		// bounce off the stale check below.
-		delete(sh.open, key)
-		sh.recycleSession(os)
+		sh.closeSession(es)
 		os = nil
 	}
 	if os == nil {
@@ -322,15 +320,16 @@ func (sh *shard) ingest(vehicle, ecu string, c gateway.Chunk) error {
 			return fmt.Errorf("%w: %s/%s session %d, last committed %d",
 				ErrStaleSession, vehicle, ecu, c.Session, es.LastCommitted)
 		}
-		if len(sh.open) >= sh.cfg.PerShardSessions {
+		if sh.open >= sh.cfg.PerShardSessions {
 			sh.stats.SessionsRejected++
-			return fmt.Errorf("%w: %d open", ErrSessionsFull, len(sh.open))
+			return fmt.Errorf("%w: %d open", ErrSessionsFull, sh.open)
 		}
 		var err error
 		if os, err = sh.takeSession(c.Session, c.Total); err != nil {
 			return err
 		}
-		sh.open[key] = os
+		es.open = os
+		sh.open++
 		sh.stats.SessionsOpened++
 		if sh.obs != nil {
 			os.openedAt = time.Now()
@@ -375,18 +374,16 @@ func (sh *shard) ingest(vehicle, ecu string, c gateway.Chunk) error {
 		if _, err := sh.srv.store.Append(sh.entryBuf); err != nil {
 			// Nothing was applied: the session is retired unacked and
 			// the sender's retries hit the degraded fast path above.
-			delete(sh.open, key)
-			sh.recycleSession(os)
+			sh.closeSession(es)
 			return fmt.Errorf("fleet: commit %s/%s session %d: %w", vehicle, ecu, c.Session, err)
 		}
 	}
 
-	delete(sh.open, key)
 	if sh.obs != nil && !os.openedAt.IsZero() {
 		sh.obs.ObserveSince(obs.StageSessionAssembly, os.openedAt)
 	}
 	sh.applyCommit(es, outcome, c.Session, os.chunks, os.chunkErrors, rec, vehicle, ecu)
-	sh.recycleSession(os)
+	sh.closeSession(es)
 	return retErr
 }
 
@@ -394,18 +391,21 @@ func (sh *shard) ingest(vehicle, ecu string, c gateway.Chunk) error {
 // the single mutation point shared by live ingest and WAL replay, so
 // both roads lead to identical state.
 func (sh *shard) applyCommit(es *ecuState, outcome byte, session uint32, chunks, chunkErrors uint64, rec gateway.Record, vehicle, ecu string) {
-	cc := &sh.srv.committed
-	cc.chunks.Add(chunks)
-	cc.chunkErrors.Add(chunkErrors)
-	cc.opened.Add(1)
+	cc := &sh.committed
+	cc.chunks += chunks
+	cc.chunkErrors += chunkErrors
+	cc.opened++
 	es.LastCommitted = session
 	if outcome == entryCorrupt {
 		sh.stats.CorruptRecords++
-		cc.corrupt.Add(1)
+		cc.corrupt++
 		return
 	}
+	if es.key == "" {
+		es.key = vehicle + "/" + ecu
+	}
 	stored := rec
-	stored.ECU = vehicle + "/" + ecu
+	stored.ECU = es.key
 	sh.collector.Store(stored)
 
 	es.Sessions++
@@ -417,7 +417,7 @@ func (sh *shard) applyCommit(es *ecuState, outcome byte, session uint32, chunks,
 		es.FailSessions++
 	}
 	sh.stats.SessionsCompleted++
-	cc.completed.Add(1)
+	cc.completed++
 }
 
 // takeSession arms a pooled open session, or a fresh one.
@@ -439,10 +439,12 @@ func (sh *shard) takeSession(session uint32, total uint16) (*openSession, error)
 	return &openSession{asm: asm}, nil
 }
 
-// recycleSession returns a retired session to the free list, keeping
-// its assembler's buffer capacity for the next session.
-func (sh *shard) recycleSession(os *openSession) {
+// closeSession retires the stream's open session to the free list,
+// keeping its assembler's buffer capacity for the next session.
+func (sh *shard) closeSession(es *ecuState) {
 	if len(sh.free) < 64 {
-		sh.free = append(sh.free, os)
+		sh.free = append(sh.free, es.open)
 	}
+	es.open = nil
+	sh.open--
 }

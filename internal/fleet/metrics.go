@@ -31,7 +31,7 @@ func (s *Server) Stats() IngestStats {
 		st.SessionsRejected += sh.stats.SessionsRejected
 		st.StaleSessions += sh.stats.StaleSessions
 		st.CorruptRecords += sh.stats.CorruptRecords
-		st.OpenSessions += len(sh.open)
+		st.OpenSessions += sh.open
 		st.RecordsStored += sh.collector.Len()
 		sh.mu.Unlock()
 	}

@@ -116,7 +116,7 @@ func (s *Server) snapshot() (vehicles []vehicleSnapshot, stats counters, open, s
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		stats.add(sh.stats)
-		open += len(sh.open)
+		open += sh.open
 		stored += sh.collector.Len()
 		for id, vs := range sh.vehicles {
 			snap := vehicleSnapshot{vehicle: id}

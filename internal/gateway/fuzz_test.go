@@ -2,11 +2,14 @@ package gateway
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
 // FuzzUnmarshal feeds arbitrary bytes through the wire-format parser:
-// no panics, anything accepted must survive a Marshal round trip,
+// no panics, the verdict, record and error class must match the
+// binary.Read reference decoder's (refUnmarshal), anything accepted
+// must survive a Marshal round trip,
 // appending garbage to an accepted blob must be rejected with the typed
 // trailing-garbage error, and truncating one must be rejected as
 // ErrTruncated — including cuts inside the ECU name, where a
@@ -24,8 +27,19 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(good[:4+2+3]) // cut inside "ecu01"
 	shortName := append([]byte(nil), good[:4+2+3]...)
 	f.Add(append(shortName, 8, 0, 0, 0)) // short name, ≥4 plausible trailing bytes
+	// Hostile entry counts: nEntries = 0xFFFF over a short body.
+	f.Add(hostileCount(0))
+	f.Add(hostileCount(17))
+	f.Add(hostileCount(18 * 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Unmarshal(data)
+		ref, rerr := refUnmarshal(data)
+		if errClass(err) != errClass(rerr) {
+			t.Fatalf("Unmarshal says %v, the reference decoder %v", err, rerr)
+		}
+		if !reflect.DeepEqual(r, ref) {
+			t.Fatalf("Unmarshal decodes %+v, the reference decoder %+v", r, ref)
+		}
 		if err != nil {
 			return
 		}

@@ -7,11 +7,9 @@
 package gateway
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/stumps"
@@ -189,72 +187,90 @@ const recordHeaderBytes = 4 /* session */ + 2 /* ecu len */ + 2 /* windows */ + 
 // Marshal serializes a record for off-board transfer (failure
 // analysis export).
 func Marshal(r Record) ([]byte, error) {
+	return appendRecord(make([]byte, 0, wireSize(r)), r)
+}
+
+// wireSize is the encoded length of r.
+func wireSize(r Record) int {
+	return recordHeaderBytes + len(r.ECU) + entryBytes*len(r.Fail.Entries)
+}
+
+// entryBytes is the encoded length of one fail entry.
+const entryBytes = 2 /* window */ + 8 /* got */ + 8 /* want */
+
+// appendRecord appends r's wire encoding to buf.
+func appendRecord(buf []byte, r Record) ([]byte, error) {
 	if len(r.ECU) > 0xFFFF {
 		return nil, fmt.Errorf("gateway: ECU name too long")
 	}
 	if r.Fail.Windows > 0xFFFF || len(r.Fail.Entries) > 0xFFFF {
 		return nil, fmt.Errorf("gateway: fail data too large to marshal")
 	}
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, r.Session)
-	binary.Write(&buf, binary.LittleEndian, uint16(len(r.ECU)))
-	buf.WriteString(r.ECU)
-	binary.Write(&buf, binary.LittleEndian, uint16(r.Fail.Windows))
-	binary.Write(&buf, binary.LittleEndian, uint16(len(r.Fail.Entries)))
+	buf = binary.LittleEndian.AppendUint32(buf, r.Session)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.ECU)))
+	buf = append(buf, r.ECU...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(r.Fail.Windows))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Fail.Entries)))
 	for _, e := range r.Fail.Entries {
 		if e.Window < 0 || e.Window > 0xFFFF {
 			return nil, fmt.Errorf("gateway: window index %d out of range", e.Window)
 		}
-		binary.Write(&buf, binary.LittleEndian, uint16(e.Window))
-		binary.Write(&buf, binary.LittleEndian, e.Got)
-		binary.Write(&buf, binary.LittleEndian, e.Want)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(e.Window))
+		buf = binary.LittleEndian.AppendUint64(buf, e.Got)
+		buf = binary.LittleEndian.AppendUint64(buf, e.Want)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// Unmarshal parses a record produced by Marshal.
+// Unmarshal's rejections, built once: rejecting a blob allocates
+// nothing.
+var (
+	errTruncHeader   = fmt.Errorf("%w: header", ErrTruncated)
+	errTruncName     = fmt.Errorf("%w: ECU name", ErrTruncated)
+	errTruncEntries  = fmt.Errorf("%w: fail entries", ErrTruncated)
+	errTrailingBytes = fmt.Errorf("%w: bytes after the last fail entry", ErrTrailingGarbage)
+)
+
+// Unmarshal parses a record produced by Marshal. It reads the fields
+// straight from data and checks the declared entry count against the
+// remaining length before allocating the entry slice, so a hostile
+// count allocates nothing.
 func Unmarshal(data []byte) (Record, error) {
-	buf := bytes.NewReader(data)
-	var r Record
-	var ecuLen, windows, nEntries uint16
-	if err := binary.Read(buf, binary.LittleEndian, &r.Session); err != nil {
-		return Record{}, fmt.Errorf("%w: session: %v", ErrTruncated, err)
+	if len(data) < 6 {
+		return Record{}, errTruncHeader
 	}
-	if err := binary.Read(buf, binary.LittleEndian, &ecuLen); err != nil {
-		return Record{}, fmt.Errorf("%w: name length: %v", ErrTruncated, err)
-	}
-	name := make([]byte, ecuLen)
-	if _, err := io.ReadFull(buf, name); err != nil {
-		// io.ReadFull never tolerates a short read the way buf.Read does:
-		// a blob ending inside the declared name is truncated, full stop,
+	nameEnd := 6 + int(binary.LittleEndian.Uint16(data[4:]))
+	if len(data) < nameEnd {
+		// A blob ending inside the declared name is truncated, full stop,
 		// regardless of what (if anything) follows.
-		return Record{}, fmt.Errorf("%w: ECU name: %v", ErrTruncated, err)
+		return Record{}, errTruncName
 	}
-	r.ECU = string(name)
-	if err := binary.Read(buf, binary.LittleEndian, &windows); err != nil {
-		return Record{}, fmt.Errorf("%w: windows: %v", ErrTruncated, err)
+	if len(data) < nameEnd+4 {
+		return Record{}, errTruncHeader
 	}
-	if err := binary.Read(buf, binary.LittleEndian, &nEntries); err != nil {
-		return Record{}, fmt.Errorf("%w: entry count: %v", ErrTruncated, err)
+	nEntries := int(binary.LittleEndian.Uint16(data[nameEnd+2:]))
+	body := data[nameEnd+4:]
+	switch want := entryBytes * nEntries; {
+	case len(body) < want:
+		return Record{}, errTruncEntries
+	case len(body) > want:
+		return Record{}, errTrailingBytes
 	}
-	r.Fail.Windows = int(windows)
-	for i := 0; i < int(nEntries); i++ {
-		var w uint16
-		var e stumps.FailEntry
-		if err := binary.Read(buf, binary.LittleEndian, &w); err != nil {
-			return Record{}, fmt.Errorf("%w: entry %d: %v", ErrTruncated, i, err)
+	r := Record{
+		ECU:     string(data[6:nameEnd]),
+		Session: binary.LittleEndian.Uint32(data),
+		Fail:    stumps.FailData{Windows: int(binary.LittleEndian.Uint16(data[nameEnd:]))},
+	}
+	if nEntries > 0 {
+		r.Fail.Entries = make([]stumps.FailEntry, nEntries)
+		for i := range r.Fail.Entries {
+			e := body[entryBytes*i:]
+			r.Fail.Entries[i] = stumps.FailEntry{
+				Window: int(binary.LittleEndian.Uint16(e)),
+				Got:    binary.LittleEndian.Uint64(e[2:]),
+				Want:   binary.LittleEndian.Uint64(e[10:]),
+			}
 		}
-		if err := binary.Read(buf, binary.LittleEndian, &e.Got); err != nil {
-			return Record{}, fmt.Errorf("%w: entry %d: %v", ErrTruncated, i, err)
-		}
-		if err := binary.Read(buf, binary.LittleEndian, &e.Want); err != nil {
-			return Record{}, fmt.Errorf("%w: entry %d: %v", ErrTruncated, i, err)
-		}
-		e.Window = int(w)
-		r.Fail.Entries = append(r.Fail.Entries, e)
-	}
-	if buf.Len() != 0 {
-		return Record{}, fmt.Errorf("%w: %d trailing bytes", ErrTrailingGarbage, buf.Len())
 	}
 	return r, nil
 }
@@ -262,24 +278,21 @@ func Unmarshal(data []byte) (Record, error) {
 // Export serializes the whole fail memory, length-prefixing each
 // record.
 func (c *Collector) Export() ([]byte, error) {
-	var buf bytes.Buffer
+	size := 0
+	c.forEach(func(r *Record) { size += 4 + wireSize(*r) })
+	buf := make([]byte, 0, size)
 	var exportErr error
 	c.forEach(func(r *Record) {
 		if exportErr != nil {
 			return
 		}
-		b, err := Marshal(*r)
-		if err != nil {
-			exportErr = err
-			return
-		}
-		binary.Write(&buf, binary.LittleEndian, uint32(len(b)))
-		buf.Write(b)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(wireSize(*r)))
+		buf, exportErr = appendRecord(buf, *r)
 	})
 	if exportErr != nil {
 		return nil, exportErr
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // Import parses an Export blob into a fresh record list. It rejects

@@ -175,7 +175,7 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestUnmarshalTruncatedName pins the io.ReadFull fix: a blob whose
+// TestUnmarshalTruncatedName pins the short-name fix: a blob whose
 // declared ECU name runs past the end of the data is a truncated
 // record, reported with ErrTruncated — regardless of how many bytes
 // happen to follow the short name.
