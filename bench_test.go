@@ -292,10 +292,11 @@ func benchDSEWith(b *testing.B, setup func(*core.Explorer, *moea.Options)) {
 // the full case study, stepped shard by shard (EpochStep, 2 shards) and
 // merged centrally (MergeShards), swept over worker counts. Each
 // iteration re-steps the same epoch from the same post-migration
-// checkpoint, so the work includes the per-epoch resume rebuild the
-// worker processes pay — the honest critical path of an orchestrated
-// campaign. evals/s counts the epoch's campaign evaluations (islands ×
-// pop × migrate-every); rebuild re-evaluations ride along as overhead.
+// checkpoint, so the work includes the per-epoch restore the worker
+// processes pay (zipping stored genotypes and objectives; nothing is
+// evaluated again) — the critical path of an orchestrated campaign.
+// evals/s counts the epoch's campaign evaluations (islands × pop ×
+// migrate-every), which are all the evaluations an iteration makes.
 func BenchmarkIslandEpoch(b *testing.B) {
 	spec, err := casestudy.Build(casestudy.Options{})
 	if err != nil {
@@ -307,16 +308,16 @@ func BenchmarkIslandEpoch(b *testing.B) {
 	}
 	ex := core.NewExplorer(spec, dec)
 	step := func(b *testing.B, opt moea.Options, full *moea.IslandCheckpoint, procs int) *moea.IslandCheckpoint {
-		shards := make([]*moea.IslandShard, procs)
-		for k := range shards {
+		parts := make([]*moea.IslandCheckpoint, procs)
+		for k := range parts {
 			first, count := moea.ShardRange(opt.Islands, procs, k)
-			sh, err := ex.EpochStep(context.Background(), opt, full, first, count)
+			part, err := ex.EpochStep(context.Background(), opt, full, first, count)
 			if err != nil {
 				b.Fatal(err)
 			}
-			shards[k] = sh
+			parts[k] = part
 		}
-		merged, _, err := moea.MergeShards(shards, opt)
+		merged, _, err := moea.MergeShards(parts, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

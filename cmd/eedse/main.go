@@ -23,10 +23,10 @@
 // -procs P shards the island campaign across P worker processes: each
 // migration epoch the orchestrator re-execs itself P times in worker
 // mode (one contiguous island subset per worker), merges the partial
-// shard checkpoints, performs the ring migration centrally, writes the
-// full campaign checkpoint (-checkpoint, the recovery point — killing
-// the orchestrator mid-epoch loses at most the epoch in flight) and
-// loops. The front is byte-identical to the in-process -islands run at
+// island checkpoints they write, performs the ring migration centrally,
+// writes the full campaign checkpoint (-checkpoint, the recovery point
+// — killing the orchestrator mid-epoch loses at most the epoch in
+// flight) and loops. The front is byte-identical to the in-process -islands run at
 // any -procs and any -workers; -max-epochs N stops deterministically
 // after N merged epochs (continue with -resume). Total evaluation
 // goroutines are -procs × -workers.
@@ -34,7 +34,7 @@
 // -epoch-step is the worker mode -procs spawns internally: advance the
 // islands of shard -island-shard k/P by exactly one migration epoch
 // from the -resume campaign checkpoint (without -resume, bootstrap
-// epoch 0), write the partial shard checkpoint to -shard-out, print
+// epoch 0), write the shard's partial island checkpoint to -shard-out, print
 // nothing, exit.
 //
 // -robust adds the degraded-mode transfer score (expected BIST transfer
@@ -147,7 +147,7 @@ func run() (err error) {
 
 		epochStep   = flag.Bool("epoch-step", false, "worker mode: advance the -island-shard island subset exactly one migration epoch from -resume (or bootstrap epoch 0), write -shard-out, exit")
 		islandShard = flag.String("island-shard", "", "worker mode: contiguous island subset to step, as k/P (shard k of P, requires -epoch-step)")
-		shardOut    = flag.String("shard-out", "", "worker mode: write the partial island shard checkpoint to this file (requires -epoch-step)")
+		shardOut    = flag.String("shard-out", "", "worker mode: write the shard's partial island checkpoint to this file (requires -epoch-step)")
 
 		checkpoint      = flag.String("checkpoint", "", "periodically write the NSGA-II campaign state to this file (atomically); SIGINT writes a final checkpoint before exiting")
 		checkpointEvery = flag.Int("checkpoint-every", 10, "checkpoint period in generations (at least 1)")
@@ -508,9 +508,9 @@ func run() (err error) {
 
 // runEpochStep is the -epoch-step worker body: advance one contiguous
 // island shard exactly one migration epoch from the full campaign
-// checkpoint (or bootstrap epoch 0) and write the partial shard
-// checkpoint. It prints nothing on success — the orchestrator owns all
-// reporting.
+// checkpoint (or bootstrap epoch 0) and write the shard's partial
+// island checkpoint. It prints nothing on success — the orchestrator
+// owns all reporting.
 func runEpochStep(ctx context.Context, ex *core.Explorer, mopt moea.Options, shardSpec, resumePath, outPath string) error {
 	k, p, err := parseShardSpec(shardSpec)
 	if err != nil {
@@ -526,11 +526,11 @@ func runEpochStep(ctx context.Context, ex *core.Explorer, mopt moea.Options, sha
 			return err
 		}
 	}
-	sh, err := ex.EpochStep(ctx, mopt, full, first, count)
+	part, err := ex.EpochStep(ctx, mopt, full, first, count)
 	if err != nil {
 		return err
 	}
-	return sh.WriteFile(outPath)
+	return part.WriteFile(outPath)
 }
 
 // parseShardSpec parses the -island-shard "k/P" argument.

@@ -250,27 +250,29 @@ func (e *Explorer) RunContext(ctx context.Context, opt moea.Options) (*Result, e
 // of an island campaign by exactly one migration epoch — the worker
 // unit of the multi-process orchestrator (internal/shard). full is the
 // campaign checkpoint to step from (nil bootstraps epoch 0); the
-// returned shard holds the post-epoch state plus the objective vectors
-// the orchestrator needs to migrate centrally. See moea.EpochStep.
-func (e *Explorer) EpochStep(ctx context.Context, opt moea.Options, full *moea.IslandCheckpoint, first, count int) (*moea.IslandShard, error) {
+// returned partial checkpoint holds the post-epoch state of those
+// islands, objective vectors included, which is what the orchestrator
+// migrates on. See moea.EpochStep.
+func (e *Explorer) EpochStep(ctx context.Context, opt moea.Options, full *moea.IslandCheckpoint, first, count int) (*moea.IslandCheckpoint, error) {
 	runCtx, cancel, _ := e.beginRun(ctx)
 	defer cancel()
 	defer e.endRun()
 
 	opt.Obs = e.Obs
-	sh, err := moea.EpochStep(runCtx, e, opt, full, first, count)
+	part, err := moea.EpochStep(runCtx, e, opt, full, first, count)
 	if verr := e.takeRunError(); verr != nil {
 		return nil, verr
 	}
-	return sh, err
+	return part, err
 }
 
 // CollectIslands turns a full island-campaign checkpoint into the
 // exploration Result without advancing any island: the per-island
-// states are restored (re-evaluating their genotypes) and the archives
-// fold in island order — the same merge moea.Run performs, so a
-// completed multi-process campaign reports a byte-identical front, and
-// a mid-campaign checkpoint yields the partial front.
+// states are restored (evaluating nothing) and the archives fold in
+// island order — the same merge moea.Run performs, so a completed
+// multi-process campaign reports a byte-identical front, and a
+// mid-campaign checkpoint yields the partial front. The merged archive
+// members are decoded again to report their implementations (collect).
 func (e *Explorer) CollectIslands(ctx context.Context, opt moea.Options, cp *moea.IslandCheckpoint) (*Result, error) {
 	runCtx, cancel, start := e.beginRun(ctx)
 	defer cancel()

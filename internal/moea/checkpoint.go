@@ -1,35 +1,25 @@
 package moea
 
-import "fmt"
-
-// Checkpoint file format identifiers. Version is bumped on any change
-// to the serialized layout; readers reject unknown versions instead of
-// silently misinterpreting state.
-const (
-	CheckpointFormat  = "eedse-dse-checkpoint"
-	CheckpointVersion = 1
+import (
+	"fmt"
+	"math"
 )
 
-// AlgorithmNSGA2 is the optimizer tag every island state records.
-const AlgorithmNSGA2 = "nsga2"
-
 // Checkpoint is a complete snapshot of one NSGA-II island at a
-// generation boundary, embedded per island in an IslandCheckpoint or
-// IslandShard. Only genotypes are stored: objectives and payloads are
-// rebuilt on resume by re-evaluating them, which is exact because
-// decoders and objective evaluation are deterministic. Together with
-// the serialized PRNG state this makes a resumed run byte-identical to
-// the uninterrupted one, at any worker count.
+// generation boundary, embedded per island in an IslandCheckpoint. It
+// stores every population and archive member as its genotype plus its
+// objective vector, so restoring an island evaluates nothing: the
+// members are zipped back together, and only the offspring a resumed
+// run breeds reach Problem.Evaluate. Payloads are not stored; restored
+// members carry none. Together with the serialized PRNG state this
+// makes a resumed run byte-identical to the uninterrupted one, at any
+// worker count.
 type Checkpoint struct {
-	Format    string `json:"format"`
-	Version   int    `json:"version"`
-	Algorithm string `json:"algorithm"` // always "nsga2"
-
 	Seed        int64     `json:"seed"`
 	GenotypeLen int       `json:"genotype_len"`
 	RNG         [4]uint64 `json:"rng"`
 	// Evaluations is the cumulative Problem.Evaluate count of the run so
-	// far (resume restores it; rebuild evaluations are not counted).
+	// far; a resumed run continues it.
 	Evaluations int `json:"evaluations"`
 
 	// The run continues at NextGeneration.
@@ -38,23 +28,20 @@ type Checkpoint struct {
 	NextGeneration int         `json:"next_generation,omitempty"`
 	ArchiveEpsilon []float64   `json:"archive_epsilon,omitempty"`
 	Population     [][]float64 `json:"population,omitempty"`
+	// PopulationObjectives and ArchiveObjectives hold the objective
+	// vector of each Population and Archive member, element for element,
+	// as math.Float64bits words: every value round-trips bit for bit,
+	// ±Inf and NaN included, which a JSON number cannot carry.
+	PopulationObjectives [][]uint64 `json:"population_objectives,omitempty"`
 
 	// Archive holds the all-time non-dominated genotypes in insertion
 	// order; re-inserting them in order reproduces the archive exactly.
-	Archive [][]float64 `json:"archive"`
+	Archive           [][]float64 `json:"archive"`
+	ArchiveObjectives [][]uint64  `json:"archive_objectives"`
 }
 
 // check validates an island state against the problem resuming it.
 func (cp *Checkpoint) check(genLen int) error {
-	if cp.Format != CheckpointFormat {
-		return fmt.Errorf("moea: resume: not a checkpoint file (format %q)", cp.Format)
-	}
-	if cp.Version != CheckpointVersion {
-		return fmt.Errorf("moea: resume: unsupported checkpoint version %d (want %d)", cp.Version, CheckpointVersion)
-	}
-	if cp.Algorithm != AlgorithmNSGA2 {
-		return fmt.Errorf("moea: resume: checkpoint is for optimizer %q, run uses %q", cp.Algorithm, AlgorithmNSGA2)
-	}
 	if cp.GenotypeLen != genLen {
 		return fmt.Errorf("moea: resume: checkpoint genotype length %d does not match problem length %d", cp.GenotypeLen, genLen)
 	}
@@ -81,15 +68,45 @@ func genotypes(pop []*Individual) [][]float64 {
 	return out
 }
 
-// equalEpsilon compares ε-archive configurations for resume validation.
-func equalEpsilon(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+// objectiveBits extracts the objective vectors of a population as
+// math.Float64bits words, aligned with genotypes(). The vectors share
+// one backing array, each capped at its own length.
+func objectiveBits(pop []*Individual) [][]uint64 {
+	n := 0
+	for _, ind := range pop {
+		n += len(ind.Objectives)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	out := make([][]uint64, len(pop))
+	flat := make([]uint64, 0, n)
+	for i, ind := range pop {
+		start := len(flat)
+		for _, v := range ind.Objectives {
+			flat = append(flat, math.Float64bits(v))
 		}
+		out[i] = flat[start:len(flat):len(flat)]
 	}
-	return true
+	return out
+}
+
+// restoreIndividuals zips stored genotypes and objective words back
+// into individuals, without payloads, allocated together. The genotypes
+// are shared with the checkpoint: nothing mutates a genotype or an
+// objective vector once it is evaluated.
+func restoreIndividuals(genos [][]float64, objs [][]uint64) []*Individual {
+	n := 0
+	for _, words := range objs {
+		n += len(words)
+	}
+	out := make([]*Individual, len(genos))
+	slab := make([]Individual, len(genos))
+	flat := make(Objectives, 0, n)
+	for i, g := range genos {
+		start := len(flat)
+		for _, w := range objs[i] {
+			flat = append(flat, math.Float64frombits(w))
+		}
+		slab[i] = Individual{Genotype: g, Objectives: flat[start:len(flat):len(flat)]}
+		out[i] = &slab[i]
+	}
+	return out
 }

@@ -3,7 +3,11 @@ package moea
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -81,8 +85,8 @@ func TestResumeValidation(t *testing.T) {
 		edit func(st *Checkpoint)
 		want string
 	}{
-		{"state format", func(st *Checkpoint) { st.Format = IslandCheckpointFormat }, "not a checkpoint file"},
-		{"state version", func(st *Checkpoint) { st.Version = CheckpointVersion + 99 }, "unsupported checkpoint version"},
+		{"population objectives", func(st *Checkpoint) { st.PopulationObjectives = st.PopulationObjectives[1:] }, "population objective vectors"},
+		{"archive objective length", func(st *Checkpoint) { st.ArchiveObjectives[0] = st.ArchiveObjectives[0][1:] }, "objective vector of length 1"},
 		{"genotype length", func(st *Checkpoint) { st.GenotypeLen = 7 }, "genotype length 7"},
 		{"population genotype", func(st *Checkpoint) { st.Population[0] = st.Population[0][1:] }, "population genotype length"},
 		{"archive genotype", func(st *Checkpoint) { st.Archive[0] = st.Archive[0][1:] }, "archive genotype length"},
@@ -147,7 +151,7 @@ func TestNSGA2ResumeByteIdentical(t *testing.T) {
 			t.Errorf("workers=%d: resumed front differs from uninterrupted run", workers)
 		}
 		if got.Evaluations != ref.Evaluations {
-			t.Errorf("workers=%d: resumed evaluations = %d, want %d (rebuild must not count)",
+			t.Errorf("workers=%d: resumed evaluations = %d, want %d",
 				workers, got.Evaluations, ref.Evaluations)
 		}
 	}
@@ -322,5 +326,117 @@ func TestAdditiveEpsilonInfSafe(t *testing.T) {
 	ref := []Objectives{{inf, 0}}
 	if d := AdditiveEpsilon(approx, ref); math.IsNaN(d) {
 		t.Fatal("AdditiveEpsilon produced NaN on matching Inf coordinates")
+	}
+}
+
+// TestRestoreEvaluatesOnlyOffspring pins the restore contract: a
+// checkpoint carries every member's objective vector, so a resumed Run
+// and an EpochStep from a full checkpoint evaluate exactly the
+// offspring they breed, and MergeIslandCheckpoint evaluates nothing.
+func TestRestoreEvaluatesOnlyOffspring(t *testing.T) {
+	p := zdt1{n: 10}
+	opt := Options{PopSize: 16, Generations: 12, Seed: 3, Islands: 3, MigrateEvery: 4, Migrants: 2}
+	full, cps := runCapturing(t, p, opt, 5) // checkpoints at generations 5 and 10
+	evals := 0
+	counting := countingProblem{p: p, evals: &evals}
+
+	ro := opt
+	ro.Resume = cps[0]
+	res, err := Run(context.Background(), counting, ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := opt.Islands * (opt.Generations - 5) * opt.PopSize; evals != want {
+		t.Errorf("resumed Run evaluated %d genotypes, want the %d offspring of generations 5..11", evals, want)
+	}
+	archivesEqual(t, full.Archive, res.Archive, "resumed campaign")
+	if res.Evaluations != full.Evaluations {
+		t.Errorf("resumed evaluations %d, want %d", res.Evaluations, full.Evaluations)
+	}
+
+	// From generation 5 the epoch ends at the next migration, 8.
+	evals = 0
+	part, err := EpochStep(context.Background(), counting, opt, cps[0], 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * (8 - 5) * opt.PopSize; evals != want {
+		t.Errorf("EpochStep evaluated %d genotypes, want the %d offspring of its two islands", evals, want)
+	}
+	if part.First != 1 || len(part.States) != 2 || part.States[0].NextGeneration != 8 {
+		t.Errorf("EpochStep part covers [%d,%d) at generation %d, want [1,3) at 8",
+			part.First, part.First+len(part.States), part.States[0].NextGeneration)
+	}
+
+	evals = 0
+	if _, err := MergeIslandCheckpoint(context.Background(), counting, opt, cps[1]); err != nil {
+		t.Fatal(err)
+	}
+	if evals != 0 {
+		t.Errorf("MergeIslandCheckpoint evaluated %d genotypes, want 0", evals)
+	}
+}
+
+// TestObjectiveBitsRoundTrip: stored objective vectors come back bit
+// for bit through the checkpoint file, non-finite values and signed
+// zeros included.
+func TestObjectiveBitsRoundTrip(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_0000_0000_0abc)
+	obj := Objectives{math.Inf(1), math.Inf(-1), nan, math.Copysign(0, -1), 5e-324, math.MaxFloat64}
+	pop := []*Individual{{Genotype: []float64{0.5}, Objectives: obj}}
+	data, err := json.Marshal(objectiveBits(pop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words [][]uint64
+	if err := json.Unmarshal(data, &words); err != nil {
+		t.Fatal(err)
+	}
+	got := restoreIndividuals(genotypes(pop), words)[0].Objectives
+	for k := range obj {
+		if math.Float64bits(got[k]) != math.Float64bits(obj[k]) {
+			t.Errorf("objective %d: %#x, want %#x", k, math.Float64bits(got[k]), math.Float64bits(obj[k]))
+		}
+	}
+}
+
+// TestReadIslandCheckpointV1Rejected: a version 1 file (genotypes
+// only) is corrupt for this reader, and the error names its version; it
+// is never evaluated back into shape.
+func TestReadIslandCheckpointV1Rejected(t *testing.T) {
+	v1 := fmt.Sprintf(`{"format":%q,"version":1,"seed":5,"islands":1,"migrate_every":5,"migrants":2,`+
+		`"states":[{"format":"eedse-dse-checkpoint","version":1,"algorithm":"nsga2","seed":5,"genotype_len":2,`+
+		`"rng":[1,2,3,4],"evaluations":40,"pop_size":2,"generations":10,"next_generation":5,`+
+		`"population":[[0.25,0.5],[0.1,1e-9]],"archive":[[0.125,1]]}]}`, IslandCheckpointFormat)
+	path := filepath.Join(t.TempDir(), "v1.json")
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadIslandCheckpointFile(path)
+	if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 checkpoint: err = %v, want ErrCheckpointCorrupt naming version 1", err)
+	}
+}
+
+// extraObjective appends a constant objective to its problem's.
+type extraObjective struct{ Problem }
+
+func (e extraObjective) Evaluate(g []float64) (Objectives, any) {
+	obj, payload := e.Problem.Evaluate(g)
+	return append(obj, 0), payload
+}
+
+// TestResumeRejectsOtherObjectiveCount: a checkpoint of a problem with
+// a different number of objectives stops the resumed run with an error
+// at its first step, instead of mixing vectors of two lengths.
+func TestResumeRejectsOtherObjectiveCount(t *testing.T) {
+	p := zdt1{n: 6}
+	opt := Options{PopSize: 8, Generations: 4, Seed: 3}
+	_, cps := runCapturing(t, p, opt, 2)
+	ro := opt
+	ro.Resume = cps[0]
+	_, err := Run(context.Background(), extraObjective{p}, ro)
+	if err == nil || !strings.Contains(err.Error(), "problem yields 3 objectives, the restored population has 2") {
+		t.Fatalf("err = %v, want an objective-count mismatch", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,36 +44,43 @@ func TestShardRangePartition(t *testing.T) {
 }
 
 // stepEpochSharded runs one migration epoch the way the orchestrator
-// does: procs EpochStep calls over the shard partition, each shard
-// JSON-round-tripped (modelling the file hop between processes), then
-// MergeShards. opt.Workers may differ per call — it must not matter.
+// does: procs EpochStep calls over the shard partition, each partial
+// checkpoint JSON-round-tripped (modelling the file hop between
+// processes), then MergeShards. opt.Workers may differ per call — it
+// must not matter.
 func stepEpochSharded(t *testing.T, p Problem, opt Options, cur *IslandCheckpoint, procs int) (*IslandCheckpoint, bool) {
 	t.Helper()
 	if procs > opt.Islands {
 		procs = opt.Islands
 	}
-	shards := make([]*IslandShard, procs)
+	parts := make([]*IslandCheckpoint, procs)
 	for k := 0; k < procs; k++ {
 		first, count := ShardRange(opt.Islands, procs, k)
-		sh, err := EpochStep(context.Background(), p, opt, cur, first, count)
+		part, err := EpochStep(context.Background(), p, opt, cur, first, count)
 		if err != nil {
 			t.Fatalf("epoch step %d/%d: %v", k, procs, err)
 		}
-		data, err := json.Marshal(sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt := &IslandShard{}
-		if err := json.Unmarshal(data, rt); err != nil {
-			t.Fatal(err)
-		}
-		shards[k] = rt
+		parts[k] = roundTrip(t, part)
 	}
-	merged, done, err := MergeShards(shards, opt)
+	merged, done, err := MergeShards(parts, opt)
 	if err != nil {
 		t.Fatalf("merge at procs=%d: %v", procs, err)
 	}
 	return merged, done
+}
+
+// roundTrip returns a deep copy of cp made through its JSON encoding.
+func roundTrip(tb testing.TB, cp *IslandCheckpoint) *IslandCheckpoint {
+	tb.Helper()
+	data, err := json.Marshal(cp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := &IslandCheckpoint{}
+	if err := json.Unmarshal(data, out); err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }
 
 // TestShardedCampaignMatchesInProcess is the process-sharding
@@ -176,9 +184,9 @@ func TestShardedResumeFromInProcessCheckpoint(t *testing.T) {
 	}
 }
 
-// TestEpochStepErrors: invalid shard ranges, topology mismatches and
-// stepping a finished campaign are rejected with errors, not silently
-// mangled state.
+// TestEpochStepErrors: invalid shard ranges, topology mismatches,
+// partial checkpoints and stepping a finished campaign are rejected with
+// errors, not silently mangled state.
 func TestEpochStepErrors(t *testing.T) {
 	p := zdt1{n: 10}
 	opt := Options{PopSize: 8, Generations: 4, Seed: 1, Islands: 2, MigrateEvery: 2, Migrants: 1}
@@ -189,6 +197,15 @@ func TestEpochStepErrors(t *testing.T) {
 		if _, err := EpochStep(context.Background(), p, opt, nil, tc.first, tc.count); err == nil {
 			t.Fatalf("range [%d,%d) accepted", tc.first, tc.first+tc.count)
 		}
+	}
+
+	// A worker's partial checkpoint is not a campaign to step from.
+	part, err := EpochStep(context.Background(), p, opt, nil, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := EpochStep(context.Background(), p, opt, part, 0, 1); err == nil || !strings.Contains(err.Error(), "partial checkpoint") {
+		t.Fatalf("stepping from a partial checkpoint: err = %v", err)
 	}
 
 	// Drive the campaign to completion, then ask for one more epoch.
@@ -211,7 +228,7 @@ func TestEpochStepErrors(t *testing.T) {
 		t.Fatal("topology mismatch accepted")
 	}
 
-	// Cancellation aborts without emitting a shard.
+	// Cancellation aborts without emitting a checkpoint.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := EpochStep(ctx, p, opt, nil, 0, 1); err != context.Canceled {
@@ -219,27 +236,32 @@ func TestEpochStepErrors(t *testing.T) {
 	}
 }
 
-// TestMergeShardsErrors: incomplete, inconsistent or stale shard sets
-// must be rejected — in particular a shard left over from an earlier
-// epoch (the mid-epoch-kill recovery hazard).
+// TestMergeShardsErrors: incomplete, inconsistent or stale sets of
+// partial checkpoints must be rejected — in particular a part left over
+// from an earlier epoch (the mid-epoch-kill recovery hazard).
 func TestMergeShardsErrors(t *testing.T) {
 	p := zdt1{n: 10}
 	opt := Options{PopSize: 8, Generations: 8, Seed: 3, Islands: 2, MigrateEvery: 2, Migrants: 1}
 
-	step := func(cur *IslandCheckpoint, k int, seed int64) *IslandShard {
+	step := func(cur *IslandCheckpoint, k int, seed int64) *IslandCheckpoint {
 		o := opt
 		o.Seed = seed
 		first, count := ShardRange(opt.Islands, 2, k)
-		sh, err := EpochStep(context.Background(), p, o, cur, first, count)
+		part, err := EpochStep(context.Background(), p, o, cur, first, count)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sh
+		return part
+	}
+	edit := func(part *IslandCheckpoint, f func(st *Checkpoint)) *IslandCheckpoint {
+		c := roundTrip(t, part)
+		f(c.States[0])
+		return c
 	}
 
-	// Epoch 0 shards, merged; then epoch 1 shards.
+	// Epoch 0 parts, merged; then epoch 1 parts.
 	e0s0, e0s1 := step(nil, 0, 3), step(nil, 1, 3)
-	merged, done, err := MergeShards([]*IslandShard{e0s0, e0s1}, opt)
+	merged, done, err := MergeShards([]*IslandCheckpoint{e0s0, e0s1}, opt)
 	if err != nil || done {
 		t.Fatalf("epoch 0 merge: done=%v err=%v", done, err)
 	}
@@ -248,28 +270,39 @@ func TestMergeShardsErrors(t *testing.T) {
 	other := opt
 	other.MigrateEvery = 3
 	cases := []struct {
-		name   string
-		shards []*IslandShard
-		opt    Options
-		want   string
+		name  string
+		parts []*IslandCheckpoint
+		opt   Options
+		want  string
 	}{
 		{"empty", nil, opt, "no shards"},
-		{"nil shard", []*IslandShard{e1s0, nil}, opt, "missing shard"},
-		{"stale epoch", []*IslandShard{e0s0, e1s1}, opt, "stale shard"},
-		{"duplicate coverage", []*IslandShard{e1s0, e1s0}, opt, "cover"},
-		{"partial coverage", []*IslandShard{e1s1}, opt, "cover"},
-		{"seed mismatch", []*IslandShard{e1s0, step(nil, 1, 4)}, opt, "seed"},
-		{"topology mismatch", []*IslandShard{e1s0, e1s1}, other, "topology"},
+		{"nil shard", []*IslandCheckpoint{e1s0, nil}, opt, "missing shard"},
+		{"stale epoch", []*IslandCheckpoint{e0s0, e1s1}, opt, "stale shard"},
+		{"duplicate coverage", []*IslandCheckpoint{e1s0, e1s0}, opt, "cover"},
+		{"partial coverage", []*IslandCheckpoint{e1s1}, opt, "cover"},
+		{"seed mismatch", []*IslandCheckpoint{e1s0, step(nil, 1, 4)}, opt, "seed"},
+		{"topology mismatch", []*IslandCheckpoint{e1s0, e1s1}, other, "topology"},
+		{"objective misalignment", []*IslandCheckpoint{e1s0, edit(e1s1, func(st *Checkpoint) {
+			st.ArchiveObjectives = st.ArchiveObjectives[1:]
+		})}, opt, "archive objective vectors"},
+		{"objective length", []*IslandCheckpoint{e1s0, edit(e1s1, func(st *Checkpoint) {
+			for i := range st.PopulationObjectives {
+				st.PopulationObjectives[i] = append(st.PopulationObjectives[i], 0)
+			}
+			for i := range st.ArchiveObjectives {
+				st.ArchiveObjectives[i] = append(st.ArchiveObjectives[i], 0)
+			}
+		})}, opt, "island 1: objective vector of length 3, expected 2"},
 	}
 	for _, tc := range cases {
-		if _, _, err := MergeShards(tc.shards, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := MergeShards(tc.parts, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 
 	// The untouched epoch-1 set still merges (the error paths above must
-	// not have mutated the shards).
-	if _, _, err := MergeShards([]*IslandShard{e1s1, e1s0}, opt); err != nil {
+	// not have mutated the parts).
+	if _, _, err := MergeShards([]*IslandCheckpoint{e1s1, e1s0}, opt); err != nil {
 		t.Fatalf("epoch 1 merge after error cases: %v", err)
 	}
 }
@@ -303,18 +336,17 @@ func TestReadIslandCheckpointFileErrors(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"wrong format", mutate(func(c *IslandCheckpoint) { c.Format = CheckpointFormat }), "not an island checkpoint"},
+		{"wrong format", mutate(func(c *IslandCheckpoint) { c.Format = "eedse-dse-checkpoint" }), "not an island checkpoint"},
 		{"wrong version", mutate(func(c *IslandCheckpoint) { c.Version = 99 }), "unsupported version"},
 		{"truncated json", valid[:len(valid)/2], "unexpected end of JSON"},
 		{"not json", []byte("generation 12 of 40\n"), "invalid character"},
 		{"null state", mutate(func(c *IslandCheckpoint) { c.States[1] = nil }), "island 1: missing state"},
-		{"missing state", mutate(func(c *IslandCheckpoint) { c.States = c.States[:1] }), "1 states for 2 islands"},
+		{"extra state", mutate(func(c *IslandCheckpoint) { c.States = append(c.States, c.States[0]) }), "3 states from island 0 outside campaign of 2 islands"},
 		{"foreign state seed", mutate(func(c *IslandCheckpoint) { c.States[1].Seed = c.Seed }), "island 1: state seed"},
 		{"population size", mutate(func(c *IslandCheckpoint) { c.States[1].PopSize = 6 }), "island 1: population"},
 		{"population count", mutate(func(c *IslandCheckpoint) { c.States[0].Population = c.States[0].Population[1:] }), "island 0: 7 genotypes"},
 		{"generation budget", mutate(func(c *IslandCheckpoint) { c.States[1].Generations = 9 }), "island 1: population"},
 		{"generation past budget", mutate(func(c *IslandCheckpoint) { c.States[0].NextGeneration = 9 }), "island 0: at generation 9 of 8"},
-		{"random-search state", mutate(func(c *IslandCheckpoint) { c.States[0].Algorithm = "random" }), "optimizer"},
 		{"zero epoch", mutate(func(c *IslandCheckpoint) { c.MigrateEvery = 0 }), "topology"},
 	}
 	dir := t.TempDir()
@@ -334,26 +366,27 @@ func TestReadIslandCheckpointFileErrors(t *testing.T) {
 	}
 }
 
-// TestReadIslandShardFileErrors mirrors the checkpoint error paths for
-// the worker shard format the orchestrator merges.
-func TestReadIslandShardFileErrors(t *testing.T) {
+// TestReadPartialCheckpointFileErrors mirrors the checkpoint error
+// paths for the partial checkpoints epoch-step workers write and the
+// orchestrator merges.
+func TestReadPartialCheckpointFileErrors(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := Options{PopSize: 8, Generations: 8, Seed: 2, Islands: 2, MigrateEvery: 4, Migrants: 1}
-	sh, err := EpochStep(context.Background(), p, opt, nil, 0, 2)
+	opt := Options{PopSize: 8, Generations: 8, Seed: 2, Islands: 3, MigrateEvery: 4, Migrants: 1}
+	part, err := EpochStep(context.Background(), p, opt, nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid, err := json.Marshal(sh)
+	valid, err := json.Marshal(part)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutate := func(f func(s *IslandShard)) []byte {
-		s := &IslandShard{}
-		if err := json.Unmarshal(valid, s); err != nil {
+	mutate := func(f func(c *IslandCheckpoint)) []byte {
+		c := &IslandCheckpoint{}
+		if err := json.Unmarshal(valid, c); err != nil {
 			t.Fatal(err)
 		}
-		f(s)
-		data, err := json.Marshal(s)
+		f(c)
+		data, err := json.Marshal(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,11 +397,13 @@ func TestReadIslandShardFileErrors(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"wrong format", mutate(func(s *IslandShard) { s.Format = IslandCheckpointFormat }), "not an island shard"},
-		{"wrong version", mutate(func(s *IslandShard) { s.Version = 7 }), "unsupported island shard version"},
-		{"range outside campaign", mutate(func(s *IslandShard) { s.First = 1 }), "outside campaign"},
-		{"objective misalignment", mutate(func(s *IslandShard) { s.PopObjectives[0] = s.PopObjectives[0][:1] }), "population objectives"},
-		{"boundary mismatch", mutate(func(s *IslandShard) { s.Boundary++ }), "shard boundary"},
+		{"wrong format", mutate(func(c *IslandCheckpoint) { c.Format = "eedse-dse-island-shard" }), "not an island checkpoint"},
+		{"wrong version", mutate(func(c *IslandCheckpoint) { c.Version = 7 }), "unsupported version 7"},
+		{"range outside campaign", mutate(func(c *IslandCheckpoint) { c.First = 2 }), "outside campaign"},
+		{"objective misalignment", mutate(func(c *IslandCheckpoint) {
+			c.States[0].PopulationObjectives = c.States[0].PopulationObjectives[:1]
+		}), "population objective vectors"},
+		{"boundary mismatch", mutate(func(c *IslandCheckpoint) { c.States[1].NextGeneration++ }), "one partial checkpoint"},
 		{"truncated json", valid[:len(valid)-1], "unexpected end of JSON"},
 	}
 	dir := t.TempDir()
@@ -377,9 +412,24 @@ func TestReadIslandShardFileErrors(t *testing.T) {
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadIslandShardFile(path); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		_, err := ReadIslandCheckpointFile(path)
+		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want ErrCheckpointCorrupt with %q", tc.name, err, tc.want)
 		}
+	}
+	// The valid part reads back, and a campaign does not resume from it.
+	path := filepath.Join(dir, "part.json")
+	if err := part.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadIslandCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro := opt
+	ro.Resume = loaded
+	if _, err := Run(context.Background(), p, ro); err == nil || !strings.Contains(err.Error(), "partial checkpoint of islands [0,2) of 3") {
+		t.Fatalf("Run resumed from a partial checkpoint: err = %v", err)
 	}
 }
 
@@ -395,11 +445,12 @@ func FuzzIslandCheckpointRoundTrip(f *testing.F) {
 		Version: IslandCheckpointVersion,
 		Seed:    5, Islands: 1, MigrateEvery: 5, Migrants: 2,
 		States: []*Checkpoint{{
-			Format: CheckpointFormat, Version: CheckpointVersion, Algorithm: "nsga2",
 			Seed: 5, GenotypeLen: 2, RNG: [4]uint64{1, 2, 3, 4}, Evaluations: 40,
 			PopSize: 2, Generations: 10, NextGeneration: 5,
-			Population: [][]float64{{0.25, 0.5}, {0.1, 1e-9}},
-			Archive:    [][]float64{{0.125, 1}},
+			Population:           [][]float64{{0.25, 0.5}, {0.1, 1e-9}},
+			PopulationObjectives: [][]uint64{bitsOf(0.25, 2), bitsOf(0.1, 3)},
+			Archive:              [][]float64{{0.125, 1}},
+			ArchiveObjectives:    [][]uint64{bitsOf(0.125, 1)},
 		}},
 	}
 	data, err := json.Marshal(seed)
@@ -407,9 +458,25 @@ func FuzzIslandCheckpointRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(data)
-	f.Add([]byte(fmt.Sprintf(`{"format":%q,"version":1,"states":[null]}`, IslandCheckpointFormat)))
+	f.Add([]byte(fmt.Sprintf(`{"format":%q,"version":2,"states":[null]}`, IslandCheckpointFormat)))
 	f.Add([]byte(`{"seed":-1,"islands":1000000}`))
 	f.Add([]byte(`{`))
+	// Non-finite objectives: a restore must carry them, not choke on them.
+	nonFinite := roundTrip(f, seed)
+	st := nonFinite.States[0]
+	st.PopulationObjectives = [][]uint64{bitsOf(math.Inf(1), math.Inf(-1)), bitsOf(math.NaN(), 0)}
+	st.ArchiveObjectives = [][]uint64{bitsOf(math.Inf(-1), math.NaN())}
+	if data, err = json.Marshal(nonFinite); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	// Objective vectors of unequal length inside one file.
+	ragged := roundTrip(f, seed)
+	ragged.States[0].ArchiveObjectives = [][]uint64{bitsOf(0.125)}
+	if data, err = json.Marshal(ragged); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp := &IslandCheckpoint{}
 		if err := json.Unmarshal(data, cp); err != nil {
@@ -444,4 +511,9 @@ func FuzzIslandCheckpointRoundTrip(f *testing.F) {
 		}
 		_, _ = MergeIslandCheckpoint(context.Background(), zdt1{n: 2}, opt, cp) // may fail, must not panic
 	})
+}
+
+// bitsOf encodes an objective vector as a checkpoint stores it.
+func bitsOf(v ...float64) []uint64 {
+	return objectiveBits([]*Individual{{Objectives: v}})[0]
 }

@@ -148,7 +148,7 @@ func TestCarriedRanksMatchFreshSort(t *testing.T) {
 			}
 			opt.Resume, opt.OnCheckpoint = mid, nil
 		}
-		opt = opt.withDefaults(c.p.GenotypeLen())
+		opt = opt.withDefaults()
 		pool := newEvalPool(c.p, opt.Workers)
 		states, err := buildIslandStates(c.p, opt, opt.Resume, 0, opt.Islands, pool)
 		if err != nil {
@@ -204,7 +204,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	p := gridProblem{5}
 	pool := newEvalPool(p, 1)
 	defer pool.close()
-	s, err := newNSGA2(p, Options{PopSize: pop, Seed: 7}.withDefaults(p.GenotypeLen()), nil, pool)
+	s, err := newNSGA2(p, Options{PopSize: pop, Seed: 7}.withDefaults(), nil, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		s.step()
 	}
 	archive := len(s.archive)
-	got := testing.AllocsPerRun(20, s.step)
+	got := testing.AllocsPerRun(20, func() { s.step() })
 	if len(s.archive) != archive {
 		t.Fatalf("archive changed from %d to %d members while measuring", archive, len(s.archive))
 	}

@@ -5,31 +5,39 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/durable"
 )
 
-// ErrCheckpointCorrupt marks a checkpoint or shard file that exists
-// but cannot be trusted — unparseable JSON, wrong format or version,
-// or internally inconsistent state. Callers distinguish it (errors.Is)
+// ErrCheckpointCorrupt marks a checkpoint file that exists but cannot
+// be trusted — unparseable JSON, wrong format or version, or
+// internally inconsistent state. Callers distinguish it (errors.Is)
 // from a merely missing file: missing means start fresh, corrupt means
 // stop and name the file rather than silently discarding progress.
 var ErrCheckpointCorrupt = errors.New("checkpoint corrupt")
 
 // Island checkpoint file format identifiers. The file embeds one
 // Checkpoint per island, so every island's state is individually
-// resumable.
+// resumable; its format and version cover the states inside it.
+// Version 2 stores each member's objective vector next to its genotype
+// and adds First; a version 1 file (genotypes only) is rejected, not
+// evaluated again.
 const (
 	IslandCheckpointFormat  = "eedse-dse-island-checkpoint"
-	IslandCheckpointVersion = 1
+	IslandCheckpointVersion = 2
 )
 
-// IslandCheckpoint is a complete snapshot of an island campaign at a
-// generation boundary. States holds each island's standard optimizer
-// checkpoint in island order; a snapshot taken at a migration barrier
-// stores the post-migration populations, so resuming proceeds straight
-// into the next epoch without re-migrating.
+// IslandCheckpoint is a snapshot of an island campaign at a generation
+// boundary. States holds the standard optimizer checkpoints of islands
+// [First, First+len(States)) in island order. A full checkpoint covers
+// every island; a snapshot taken at a migration barrier stores the
+// post-migration populations, so resuming proceeds straight into the
+// next epoch without re-migrating. A partial checkpoint is what one
+// epoch-step worker emits (EpochStep): its islands all stand at the
+// same generation, the epoch boundary, and MergeShards assembles the
+// parts of one epoch into the next full checkpoint.
 type IslandCheckpoint struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
@@ -39,14 +47,18 @@ type IslandCheckpoint struct {
 	MigrateEvery int   `json:"migrate_every"`
 	Migrants     int   `json:"migrants"`
 
+	First  int           `json:"first"`
 	States []*Checkpoint `json:"states"`
 }
 
 // validate checks the checkpoint's internal consistency, independent of
-// any run: format and version, a positive topology, and one NSGA-II
-// state per island whose seed is that island's derived stream, whose
-// population size and generation budget agree across islands, and
-// whose population and generation fit them.
+// any run: format and version, a positive topology, states covering a
+// contiguous island range of the campaign, and one NSGA-II state per
+// island whose seed is that island's derived stream, whose population
+// size and generation budget agree across islands, whose population and
+// generation fit them, and whose members each carry an objective
+// vector, all of one length. The islands of a partial checkpoint must
+// stand at one generation.
 func (cp *IslandCheckpoint) validate() error {
 	if cp.Format != IslandCheckpointFormat {
 		return fmt.Errorf("not an island checkpoint file (format %q)", cp.Format)
@@ -57,37 +69,58 @@ func (cp *IslandCheckpoint) validate() error {
 	if cp.Islands < 1 || cp.MigrateEvery < 1 {
 		return fmt.Errorf("invalid topology: %d islands, migrate every %d", cp.Islands, cp.MigrateEvery)
 	}
-	if len(cp.States) != cp.Islands {
-		return fmt.Errorf("%d states for %d islands", len(cp.States), cp.Islands)
+	if len(cp.States) == 0 || cp.First < 0 || cp.First+len(cp.States) > cp.Islands {
+		return fmt.Errorf("%d states from island %d outside campaign of %d islands", len(cp.States), cp.First, cp.Islands)
 	}
-	for i, st := range cp.States {
+	ref := cp.States[0]
+	partial := len(cp.States) < cp.Islands
+	nobj := -1
+	for j, st := range cp.States {
+		i := cp.First + j
 		switch {
 		case st == nil:
 			return fmt.Errorf("island %d: missing state", i)
-		case st.Algorithm != AlgorithmNSGA2:
-			return fmt.Errorf("island %d: state is for optimizer %q", i, st.Algorithm)
 		case st.Seed != IslandSeed(cp.Seed, i):
 			return fmt.Errorf("island %d: state seed %d is not the island's stream of campaign seed %d", i, st.Seed, cp.Seed)
-		case st.PopSize != cp.States[0].PopSize || st.Generations != cp.States[0].Generations:
-			return fmt.Errorf("island %d: population %d / %d generations, island 0 has %d / %d",
-				i, st.PopSize, st.Generations, cp.States[0].PopSize, cp.States[0].Generations)
+		case st.PopSize != ref.PopSize || st.Generations != ref.Generations:
+			return fmt.Errorf("island %d: population %d / %d generations, island %d has %d / %d",
+				i, st.PopSize, st.Generations, cp.First, ref.PopSize, ref.Generations)
 		case len(st.Population) != st.PopSize:
 			return fmt.Errorf("island %d: %d genotypes for population %d", i, len(st.Population), st.PopSize)
 		case st.NextGeneration < 0 || st.NextGeneration > st.Generations:
 			return fmt.Errorf("island %d: at generation %d of %d", i, st.NextGeneration, st.Generations)
+		case partial && st.NextGeneration != ref.NextGeneration:
+			return fmt.Errorf("island %d: at generation %d, island %d at %d in one partial checkpoint", i, st.NextGeneration, cp.First, ref.NextGeneration)
+		case len(st.PopulationObjectives) != len(st.Population):
+			return fmt.Errorf("island %d: %d population objective vectors for %d genotypes", i, len(st.PopulationObjectives), len(st.Population))
+		case len(st.ArchiveObjectives) != len(st.Archive):
+			return fmt.Errorf("island %d: %d archive objective vectors for %d genotypes", i, len(st.ArchiveObjectives), len(st.Archive))
+		}
+		for _, objs := range [][][]uint64{st.PopulationObjectives, st.ArchiveObjectives} {
+			for _, v := range objs {
+				if nobj < 0 {
+					nobj = len(v)
+				}
+				if len(v) != nobj {
+					return fmt.Errorf("island %d: objective vector of length %d, expected %d", i, len(v), nobj)
+				}
+			}
 		}
 	}
 	return nil
 }
 
 // check validates an island checkpoint against the campaign resuming it
-// (opt must carry defaults).
+// (opt must carry defaults). Only a full checkpoint resumes a campaign.
 func (cp *IslandCheckpoint) check(opt Options) error {
 	if err := cp.validate(); err != nil {
 		return fmt.Errorf("moea: resume: %w: %v", ErrCheckpointCorrupt, err)
 	}
 	st := cp.States[0]
 	switch {
+	case cp.First != 0 || len(cp.States) != cp.Islands:
+		return fmt.Errorf("moea: resume: partial checkpoint of islands [%d,%d) of %d; a campaign resumes from a full one",
+			cp.First, cp.First+len(cp.States), cp.Islands)
 	case cp.Islands != opt.Islands:
 		return fmt.Errorf("moea: resume: checkpoint has %d islands, run uses %d", cp.Islands, opt.Islands)
 	case cp.MigrateEvery != opt.MigrateEvery:
@@ -102,7 +135,7 @@ func (cp *IslandCheckpoint) check(opt Options) error {
 		return fmt.Errorf("moea: resume: checkpoint targets %d generations, run targets %d", st.Generations, opt.Generations)
 	}
 	for _, st := range cp.States {
-		if !equalEpsilon(st.ArchiveEpsilon, opt.ArchiveEpsilon) {
+		if !slices.Equal(st.ArchiveEpsilon, opt.ArchiveEpsilon) {
 			return fmt.Errorf("moea: resume: checkpoint ε-archive %v does not match ArchiveEpsilon %v", st.ArchiveEpsilon, opt.ArchiveEpsilon)
 		}
 	}
@@ -198,8 +231,9 @@ func selectMigrants(archive []*Individual, k int) []*Individual {
 // so the exchange is simultaneous and ring order cannot influence what
 // is sent. Populations are mutated in place. The function is a pure
 // transformation of (genotypes, objectives, order) — Run and the
-// orchestrator's central merge of worker shards call exactly this code, which is what keeps the multi-process campaign
-// byte-identical to the in-process one.
+// orchestrator's central merge of worker checkpoints call exactly this
+// code, which is what keeps the multi-process campaign byte-identical
+// to the in-process one.
 func migrateRing(pops, archives [][]*Individual, migrants int) {
 	n := len(pops)
 	if n <= 1 {
@@ -234,10 +268,10 @@ func mergeIslandArchives(states []*nsga2, eps []float64) []*Individual {
 // buildIslandStates constructs the stepping optimizers for the
 // contiguous island subset [first, first+count): each island runs the
 // base options with its derived seed (IslandSeed). When resume is
-// non-nil, island i restores from resume.States[i] (re-evaluating the
-// stored genotypes exactly); it must have passed check. opt must
-// already carry defaults. Run, EpochStep and MergeIslandCheckpoint all
-// build their islands here, so the paths cannot drift apart.
+// non-nil, island i restores from resume.States[i] without evaluating
+// anything; it must have passed check. opt must already carry defaults.
+// Run, EpochStep and MergeIslandCheckpoint all build their islands
+// here, so the paths cannot drift apart.
 func buildIslandStates(p Problem, opt Options, resume *IslandCheckpoint, first, count int, pool *evalPool) ([]*nsga2, error) {
 	states := make([]*nsga2, count)
 	for j := range states {
@@ -257,9 +291,10 @@ func buildIslandStates(p Problem, opt Options, resume *IslandCheckpoint, first, 
 	return states, nil
 }
 
-// snapshotIslands captures a full campaign checkpoint from in-memory
-// island states (states must cover every island, in island order).
-func snapshotIslands(states []*nsga2, opt Options) *IslandCheckpoint {
+// snapshotIslands captures a checkpoint of islands
+// [first, first+len(states)) from their in-memory states, in island
+// order: a full campaign checkpoint when they are every island.
+func snapshotIslands(states []*nsga2, opt Options, first int) *IslandCheckpoint {
 	cp := &IslandCheckpoint{
 		Format:       IslandCheckpointFormat,
 		Version:      IslandCheckpointVersion,
@@ -267,6 +302,7 @@ func snapshotIslands(states []*nsga2, opt Options) *IslandCheckpoint {
 		Islands:      opt.Islands,
 		MigrateEvery: opt.MigrateEvery,
 		Migrants:     opt.Migrants,
+		First:        first,
 		States:       make([]*Checkpoint, len(states)),
 	}
 	for i, s := range states {

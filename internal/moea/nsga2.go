@@ -3,6 +3,7 @@ package moea
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -26,16 +27,7 @@ type Problem interface {
 type Options struct {
 	PopSize     int
 	Generations int
-	// CrossoverRate is the per-pair probability of uniform crossover
-	// (default 0.9); MutationRate the per-gene probability of resampling
-	// (default 1/len).
-	CrossoverRate float64
-	MutationRate  float64
-	// MutationStep is the stddev-like half-width of the polynomial-ish
-	// perturbation (default 0.15); with probability ½ a mutated gene is
-	// resampled uniformly instead, keeping global exploration alive.
-	MutationStep float64
-	Seed         int64
+	Seed        int64
 	// Workers > 1 evaluates each generation's individuals concurrently
 	// on that many goroutines. Problem.Evaluate must then be safe for
 	// concurrent use. Results are deterministic: genotype generation
@@ -86,7 +78,17 @@ type Options struct {
 	Obs *obs.Tracer
 }
 
-func (o Options) withDefaults(genLen int) Options {
+// The variation operators' rates: crossoverRate is the per-pair
+// probability of uniform crossover, and mutationStep the half-width of
+// the jitter a mutated gene receives (with probability ½ it is
+// resampled uniformly instead, keeping global exploration alive). The
+// per-gene mutation probability is 1/GenotypeLen.
+const (
+	crossoverRate = 0.9
+	mutationStep  = 0.15
+)
+
+func (o Options) withDefaults() Options {
 	if o.PopSize <= 0 {
 		o.PopSize = 64
 	}
@@ -95,15 +97,6 @@ func (o Options) withDefaults(genLen int) Options {
 	}
 	if o.Generations <= 0 {
 		o.Generations = 50
-	}
-	if o.CrossoverRate == 0 {
-		o.CrossoverRate = 0.9
-	}
-	if o.MutationRate == 0 && genLen > 0 {
-		o.MutationRate = 1.0 / float64(genLen)
-	}
-	if o.MutationStep == 0 {
-		o.MutationStep = 0.15
 	}
 	if o.Islands < 1 {
 		o.Islands = 1
@@ -156,9 +149,10 @@ type nsga2 struct {
 // newNSGA2 builds a stepping optimizer, restored from resume when it is
 // non-nil. The pool is borrowed, not owned: the caller creates it for
 // the run and closes it afterwards, which is what hoists worker-pool
-// construction out of the per-batch (per-generation) loop. opt must
-// already carry defaults, and resume must have passed
-// IslandCheckpoint.check against opt.
+// construction out of the per-batch (per-generation) loop; restoring
+// evaluates nothing, so a restored optimizer that never steps needs no
+// pool (nil). opt must already carry defaults, and resume must have
+// passed IslandCheckpoint.check against opt.
 func newNSGA2(p Problem, opt Options, resume *Checkpoint, pool *evalPool) (*nsga2, error) {
 	genLen := p.GenotypeLen()
 	if genLen <= 0 {
@@ -174,13 +168,12 @@ func newNSGA2(p Problem, opt Options, resume *Checkpoint, pool *evalPool) (*nsga
 		if err := s.src.setState(cp.RNG); err != nil {
 			return nil, err
 		}
-		// Rebuild objectives and payloads by re-evaluating the stored
-		// genotypes (deterministic, so the state is exact). The archive is
-		// re-inserted in checkpoint order without re-filtering: its entries
-		// are mutually non-dominated by construction. Rebuild evaluations
-		// are not counted — Evaluations continues from the checkpoint.
-		s.pop = pool.evaluate(cp.Population)
-		s.archive = pool.evaluate(cp.Archive)
+		// Zip the stored genotypes and objective vectors back together:
+		// restoring evaluates nothing. The archive is re-inserted in
+		// checkpoint order without re-filtering: its entries are mutually
+		// non-dominated by construction.
+		s.pop = restoreIndividuals(cp.Population, cp.PopulationObjectives)
+		s.archive = restoreIndividuals(cp.Archive, cp.ArchiveObjectives)
 		s.evals = cp.Evaluations
 		s.gen = cp.NextGeneration
 		return s, nil
@@ -210,8 +203,10 @@ func (s *nsga2) evaluateBatch(genos [][]float64) []*Individual {
 // (sequential, one PRNG stream), batch evaluation on the pool,
 // environmental selection and the serial archive fold. The archive is
 // touched only here, on the stepping goroutine, in offspring index
-// order — workers never contend on it.
-func (s *nsga2) step() {
+// order — workers never contend on it. It fails when the offspring's
+// objective vectors differ in length from the population's, which only
+// a checkpoint of another problem can cause.
+func (s *nsga2) step() error {
 	opt := s.opt
 	sp := opt.Obs.Start(obs.StageGeneration)
 	defer sp.End()
@@ -226,12 +221,13 @@ func (s *nsga2) step() {
 	// Breed the whole offspring batch sequentially (rng order), then
 	// evaluate it, possibly in parallel.
 	genos := s.genos[:0]
+	mutationRate := 1.0 / float64(s.genLen)
 	for len(genos) < opt.PopSize {
 		p1 := tournament(s.rng, s.pop)
 		p2 := tournament(s.rng, s.pop)
-		c1, c2 := crossover(s.rng, p1.Genotype, p2.Genotype, opt.CrossoverRate)
-		mutate(s.rng, c1, opt.MutationRate, opt.MutationStep)
-		mutate(s.rng, c2, opt.MutationRate, opt.MutationStep)
+		c1, c2 := crossover(s.rng, p1.Genotype, p2.Genotype, crossoverRate)
+		mutate(s.rng, c1, mutationRate, mutationStep)
+		mutate(s.rng, c2, mutationRate, mutationStep)
 		genos = append(genos, c1)
 		if len(genos) < opt.PopSize {
 			genos = append(genos, c2)
@@ -239,6 +235,9 @@ func (s *nsga2) step() {
 	}
 	s.genos = genos
 	offspring := s.evaluateBatch(genos)
+	if got, want := len(offspring[0].Objectives), len(s.pop[0].Objectives); got != want {
+		return fmt.Errorf("moea: problem yields %d objectives, the restored population has %d", got, want)
+	}
 	// Environmental selection over parents ∪ offspring. The survivors
 	// are whole fronts plus part of one, so their ranks are the union's,
 	// and so is the crowding of every whole front: a sort of the new
@@ -273,25 +272,25 @@ func (s *nsga2) step() {
 	}
 	s.archive = updateArchiveEps(s.archive, offspring, opt.ArchiveEpsilon)
 	s.gen++
+	return nil
 }
 
 // snapshot captures the resumable optimizer state; the run continues at
 // generation s.gen.
 func (s *nsga2) snapshot() *Checkpoint {
 	return &Checkpoint{
-		Format:         CheckpointFormat,
-		Version:        CheckpointVersion,
-		Algorithm:      AlgorithmNSGA2,
-		Seed:           s.opt.Seed,
-		GenotypeLen:    s.genLen,
-		RNG:            s.src.state(),
-		Evaluations:    s.evals,
-		PopSize:        s.opt.PopSize,
-		Generations:    s.opt.Generations,
-		NextGeneration: s.gen,
-		ArchiveEpsilon: s.opt.ArchiveEpsilon,
-		Population:     genotypes(s.pop),
-		Archive:        genotypes(s.archive),
+		Seed:                 s.opt.Seed,
+		GenotypeLen:          s.genLen,
+		RNG:                  s.src.state(),
+		Evaluations:          s.evals,
+		PopSize:              s.opt.PopSize,
+		Generations:          s.opt.Generations,
+		NextGeneration:       s.gen,
+		ArchiveEpsilon:       s.opt.ArchiveEpsilon,
+		Population:           genotypes(s.pop),
+		PopulationObjectives: objectiveBits(s.pop),
+		Archive:              genotypes(s.archive),
+		ArchiveObjectives:    objectiveBits(s.archive),
 	}
 }
 
@@ -356,14 +355,10 @@ func injectMigrants(pop, migrants []*Individual) {
 // the call — the evaluation pool is created once for the run and
 // released before returning.
 func Run(ctx context.Context, p Problem, opt Options) (*Result, error) {
-	genLen := p.GenotypeLen()
-	if genLen <= 0 {
-		return nil, errEmptyGenotype
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt = opt.withDefaults(genLen)
+	opt = opt.withDefaults()
 	if opt.Resume != nil {
 		if err := opt.Resume.check(opt); err != nil {
 			return nil, err
@@ -375,7 +370,7 @@ func Run(ctx context.Context, p Problem, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	snapshot := func() *IslandCheckpoint { return snapshotIslands(states, opt) }
+	snapshot := func() *IslandCheckpoint { return snapshotIslands(states, opt, 0) }
 	start := time.Now()
 
 	err = advance(ctx, states, opt.Generations, func(gen int) error {
@@ -424,7 +419,7 @@ func Run(ctx context.Context, p Problem, opt Options) (*Result, error) {
 // each step; then after(g) runs. Islands ahead of g (a checkpoint taken
 // mid-generation) wait for the others, so a resumed campaign follows
 // the uninterrupted schedule exactly. It returns ctx.Err() on
-// cancellation or the first error from after.
+// cancellation or the first error from a step or from after.
 func advance(ctx context.Context, states []*nsga2, end int, after func(gen int) error) error {
 	gen := end
 	for _, s := range states {
@@ -438,7 +433,9 @@ func advance(ctx context.Context, states []*nsga2, end int, after func(gen int) 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			s.step()
+			if err := s.step(); err != nil {
+				return err
+			}
 		}
 		if after != nil {
 			if err := after(gen); err != nil {

@@ -2,10 +2,12 @@
 // multiple worker processes. Each migration epoch it spawns P epoch-step
 // workers (eedse -epoch-step -island-shard k/P), every worker advancing
 // a contiguous island subset by exactly one epoch from the same full
-// campaign checkpoint; it then collects the partial shard checkpoints,
-// performs the synchronous ring migration centrally (moea.MergeShards —
-// the same lexicographic migrant selection, worst-replacement injection
-// and island-order merge the in-process moea.Run uses), atomically writes
+// campaign checkpoint; it then reads the partial island checkpoints the
+// workers wrote (moea.ReadIslandCheckpointFile — one on-disk format for
+// all island state), performs the synchronous ring migration centrally
+// on their stored objective vectors (moea.MergeShards — the same
+// lexicographic migrant selection, worst-replacement injection and
+// island-order merge the in-process moea.Run uses), atomically writes
 // the next full checkpoint as the recovery point, and loops.
 //
 // Determinism: for a fixed (seed, islands, migrate-every, migrants)
@@ -14,9 +16,10 @@
 // at any process count and any per-process worker count. Killing the
 // orchestrator mid-epoch loses nothing: the last written full
 // checkpoint is the recovery point, a resumed run recomputes the
-// interrupted epoch bit for bit, and workers write shards atomically so
-// a stale or torn file can never be merged (shards carry their epoch
-// boundary and are rejected on mismatch).
+// interrupted epoch bit for bit, and workers write their checkpoints
+// atomically so a stale or torn file can never be merged (a part's
+// islands carry the generation they reached, and a part whose generation
+// disagrees with the others is rejected).
 package shard
 
 import (
@@ -45,7 +48,8 @@ type WorkerSpec struct {
 	// ResumePath is the full campaign checkpoint to step from; empty on
 	// the epoch-0 bootstrap.
 	ResumePath string
-	// OutPath is where the worker must atomically write its shard.
+	// OutPath is where the worker must atomically write its partial
+	// island checkpoint.
 	OutPath string
 }
 
@@ -209,15 +213,15 @@ func Run(ctx context.Context, cfg Config) (*moea.IslandCheckpoint, bool, error) 
 		}
 
 		msp := cfg.Obs.Start(obs.StageShardMerge)
-		shards := make([]*moea.IslandShard, procs)
+		parts := make([]*moea.IslandCheckpoint, procs)
 		for k, w := range specs {
-			sh, err := moea.ReadIslandShardFile(w.OutPath)
+			part, err := moea.ReadIslandCheckpointFile(w.OutPath)
 			if err != nil {
 				return cur, false, err
 			}
-			shards[k] = sh
+			parts[k] = part
 		}
-		merged, done, err := moea.MergeShards(shards, moea.Options{
+		merged, done, err := moea.MergeShards(parts, moea.Options{
 			Islands: cfg.Islands, MigrateEvery: cfg.MigrateEvery, Migrants: cfg.Migrants,
 		})
 		if err != nil {
@@ -235,12 +239,10 @@ func Run(ctx context.Context, cfg Config) (*moea.IslandCheckpoint, bool, error) 
 				Procs:   procs,
 				Elapsed: time.Since(start),
 			}
+			// A merge leaves every island at the epoch boundary.
+			ep.Boundary, ep.Generations = merged.States[0].NextGeneration, merged.States[0].Generations
 			for _, st := range merged.States {
 				ep.Evaluations += st.Evaluations
-				ep.Generations = st.Generations
-				if st.NextGeneration > ep.Boundary {
-					ep.Boundary = st.NextGeneration
-				}
 			}
 			cfg.OnEpoch(ep)
 		}
