@@ -124,8 +124,10 @@ bench-json:
 	@echo "wrote $(BENCH_OUT)"
 
 # Benchmark-regression gate: run the gated benchmarks (the per-candidate
-# decode+evaluate hot loop at 4 and at 36 profiles per ECU, and the DSE
-# worker sweep) and compare against the committed baseline. Fails on
+# evaluation campaigns run, with the greedy decoder on the full case
+# study and with the SAT decoder at 4 and at 36 profiles per ECU, the DSE
+# worker sweep, the island epoch, fleet ingest with and without the WAL,
+# and WAL recovery) and compare against the committed baseline. Fails on
 # >$(MAX_REGRESS) growth in ns/op or allocs/op, or loss in evals/s, for
 # any benchmark present in both reports. allocs/op is machine-independent
 # and gates exactly; the throughput gate assumes the runner class is no
@@ -141,7 +143,7 @@ MAX_REGRESS ?= 15%
 # fail it.
 GATE_BENCHTIME ?= 1s
 bench-gate:
-	$(GO) test -run=NONE -bench 'DecodeEvaluate$$|DecodeEvaluateFull$$|DSEParallel|IslandEpoch|FleetIngest' \
+	$(GO) test -run=NONE -bench 'EvalThroughput$$|DecodeEvaluate$$|DecodeEvaluateFull$$|DSEParallel|IslandEpoch|FleetIngest|FleetRecovery' \
 		-benchmem -benchtime=$(GATE_BENCHTIME) -count 5 . | \
 		$(GO) run ./cmd/benchjson -out bench-current.json \
 			-compare BENCH_BASELINE.json -max-regress $(MAX_REGRESS)

@@ -104,32 +104,11 @@ func BenchmarkFig6_MemorySplit(b *testing.B) {
 // --- E4: headline — evaluation throughput -------------------------------
 
 // BenchmarkEvalThroughput measures one decode + objective evaluation on
-// the full case study. The paper's rate is ~57 evals/s (100k in 29 min)
+// the full case study, on the path campaigns run (the greedy decoder's
+// per-worker state). The paper's rate is ~57 evals/s (100k in 29 min)
 // on 2013 hardware.
 func BenchmarkEvalThroughput(b *testing.B) {
-	spec, err := casestudy.Build(casestudy.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec, err := core.NewGreedyDecoder(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex := core.NewExplorer(spec, dec)
-	rng := rand.New(rand.NewSource(1))
-	genotypes := make([][]float64, 64)
-	for i := range genotypes {
-		g := make([]float64, dec.GenotypeLen())
-		for j := range g {
-			g[j] = rng.Float64()
-		}
-		genotypes[i] = g
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex.Evaluate(genotypes[i%len(genotypes)])
-	}
+	benchEvaluate(b, casestudy.Options{}, false, nil)
 }
 
 // BenchmarkDecodeEvaluate measures the full per-candidate hot loop of
@@ -138,37 +117,15 @@ func BenchmarkEvalThroughput(b *testing.B) {
 // case study encoding (4 profiles per ECU). This is the path the
 // solver's propagation, the reusable decoder state and the indexed
 // objectives optimize; -benchmem shows the allocation trajectory.
-func BenchmarkDecodeEvaluate(b *testing.B) { benchDecodeEvaluate(b, 4) }
+func BenchmarkDecodeEvaluate(b *testing.B) {
+	benchEvaluate(b, casestudy.Options{ProfilesPerECU: 4}, true, nil)
+}
 
 // BenchmarkDecodeEvaluateFull is BenchmarkDecodeEvaluate at paper
 // scale: all 36 profiles per ECU, the ~55k-variable encoding the
 // paper's own SAT-decoding runs on.
-func BenchmarkDecodeEvaluateFull(b *testing.B) { benchDecodeEvaluate(b, 36) }
-
-func benchDecodeEvaluate(b *testing.B, profilesPerECU int) {
-	spec, err := casestudy.Build(casestudy.Options{ProfilesPerECU: profilesPerECU})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec, err := core.NewSATDecoder(spec, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex := core.NewExplorer(spec, dec)
-	rng := rand.New(rand.NewSource(1))
-	genotypes := make([][]float64, 64)
-	for i := range genotypes {
-		g := make([]float64, dec.GenotypeLen())
-		for j := range g {
-			g[j] = rng.Float64()
-		}
-		genotypes[i] = g
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex.Evaluate(genotypes[i%len(genotypes)])
-	}
+func BenchmarkDecodeEvaluateFull(b *testing.B) {
+	benchEvaluate(b, casestudy.Options{ProfilesPerECU: 36}, true, nil)
 }
 
 // BenchmarkDecodeEvaluateObs is the hot loop of BenchmarkDecodeEvaluate
@@ -176,16 +133,30 @@ func benchDecodeEvaluate(b *testing.B, profilesPerECU int) {
 // metering overhead against the untraced baseline. The gated baseline
 // stays the untraced variant — this one is informational.
 func BenchmarkDecodeEvaluateObs(b *testing.B) {
-	spec, err := casestudy.Build(casestudy.Options{ProfilesPerECU: 4})
+	benchEvaluate(b, casestudy.Options{ProfilesPerECU: 4}, true,
+		obs.NewTracer(obs.NewRegistry(), obs.TracerConfig{Record: true, BufferCap: 1024}))
+}
+
+// benchEvaluate times Explorer.Evaluate on worker 0 — the call the
+// evaluation pool makes for every genotype of a campaign — over 64
+// fixed random genotypes, decoding with the SAT decoder when sat is set
+// and the greedy decoder otherwise.
+func benchEvaluate(b *testing.B, opts casestudy.Options, sat bool, tr *obs.Tracer) {
+	spec, err := casestudy.Build(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dec, err := core.NewSATDecoder(spec, 0)
+	var dec core.Decoder
+	if sat {
+		dec, err = core.NewSATDecoder(spec, 0)
+	} else {
+		dec, err = core.NewGreedyDecoder(spec)
+	}
 	if err != nil {
 		b.Fatal(err)
 	}
 	ex := core.NewExplorer(spec, dec)
-	ex.Obs = obs.NewTracer(obs.NewRegistry(), obs.TracerConfig{Record: true, BufferCap: 1024})
+	ex.Obs = tr
 	rng := rand.New(rand.NewSource(1))
 	genotypes := make([][]float64, 64)
 	for i := range genotypes {
@@ -198,7 +169,7 @@ func BenchmarkDecodeEvaluateObs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex.Evaluate(genotypes[i%len(genotypes)])
+		ex.Evaluate(0, genotypes[i%len(genotypes)])
 	}
 }
 

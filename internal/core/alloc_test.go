@@ -144,7 +144,7 @@ func TestGreedyEvaluateWorkerAllocs(t *testing.T) {
 	genotypes := identityGenotypes(spec, dec.GenotypeLen())[:16]
 	evaluate := func() {
 		for _, g := range genotypes {
-			if _, payload := ex.EvaluateWorker(1, g); payload != nil {
+			if _, payload := ex.Evaluate(1, g); payload != nil {
 				t.Fatalf("evaluation of a borrowed implementation kept payload %T", payload)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/casestudy"
 	"repro/internal/model"
 	"repro/internal/moea"
+	"repro/internal/objective"
 )
 
 func smallSpec(t *testing.T) *model.Specification {
@@ -275,7 +276,7 @@ func TestMemorySplitOf(t *testing.T) {
 // off; local storage costs more memory money but shuts off fast.
 func TestStorageAblation(t *testing.T) {
 	spec := smallSpec(t)
-	decode := func(storage int) Solution {
+	score := func(storage int) objective.Vector {
 		dec, err := NewGreedyDecoder(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -289,22 +290,15 @@ func TestStorageAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := NewExplorer(spec, dec)
-		obj, payload := ex.Evaluate(g)
-		_ = obj
-		sol := payload.(Solution)
-		if sol.Impl == nil {
-			sol.Impl = x
-		}
-		return sol
+		return objective.Evaluate(x)
 	}
-	local := decode(1)
-	gateway := decode(-1)
-	if gateway.Objectives.CostTotal >= local.Objectives.CostTotal {
-		t.Fatalf("gateway storage not cheaper: %v vs %v", gateway.Objectives.CostTotal, local.Objectives.CostTotal)
+	local := score(1)
+	gateway := score(-1)
+	if gateway.CostTotal >= local.CostTotal {
+		t.Fatalf("gateway storage not cheaper: %v vs %v", gateway.CostTotal, local.CostTotal)
 	}
-	if gateway.Objectives.ShutOffMS <= local.Objectives.ShutOffMS {
-		t.Fatalf("gateway storage not slower: %v vs %v", gateway.Objectives.ShutOffMS, local.Objectives.ShutOffMS)
+	if gateway.ShutOffMS <= local.ShutOffMS {
+		t.Fatalf("gateway storage not slower: %v vs %v", gateway.ShutOffMS, local.ShutOffMS)
 	}
 }
 

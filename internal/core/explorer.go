@@ -83,25 +83,19 @@ func NewExplorer(spec *model.Specification, dec Decoder) *Explorer {
 // GenotypeLen implements moea.Problem.
 func (e *Explorer) GenotypeLen() int { return e.Decoder.GenotypeLen() }
 
-// Evaluate implements moea.Problem: decode, verify (optionally), and
-// score. Decode failures are punished with a finite all-worst objective
-// vector (objective.WorstCase) so the MOEA steers away from them
-// without leaking ±Inf into crowding-distance or indicator
-// normalization. Evaluate is safe for concurrent use when the decoder
-// is (both built-in decoders are).
-func (e *Explorer) Evaluate(genotype []float64) (moea.Objectives, any) {
-	sp := e.Obs.StartW(0, obs.StageDecode)
-	x, err := e.Decoder.Decode(genotype)
-	sp.End()
-	return e.score(0, x, err)
-}
-
-// EvaluateWorker implements moea.WorkerProblem: identical scoring to
-// Evaluate, but decoded on the worker's pinned decoder state when the
-// decoder supports it. Decoding is a pure function of the genotype, so
-// the result never depends on the worker index — the property the
-// byte-identical-fronts invariant rests on.
-func (e *Explorer) EvaluateWorker(worker int, genotype []float64) (moea.Objectives, any) {
+// Evaluate implements moea.Problem: decode on the worker's pinned
+// decoder state when the decoder supports it (WorkerDecoder), verify
+// (optionally), and score. Decoding is a pure function of the genotype,
+// so the result never depends on the worker index — the property the
+// byte-identical-fronts invariant rests on. Decode failures are
+// punished with a finite all-worst objective vector
+// (objective.WorstCase) so the MOEA steers away from them without
+// leaking ±Inf into crowding-distance or indicator normalization. A
+// borrowed implementation gets no payload: the decoder overwrites it
+// with its next decode, and collect decodes the archive's payload-less
+// members again instead. Evaluate is safe for concurrent use when the
+// decoder is (both built-in decoders are).
+func (e *Explorer) Evaluate(worker int, genotype []float64) (moea.Objectives, any) {
 	sp := e.Obs.StartW(worker, obs.StageDecode)
 	var (
 		x   *model.Implementation
@@ -113,15 +107,6 @@ func (e *Explorer) EvaluateWorker(worker int, genotype []float64) (moea.Objectiv
 		x, err = e.Decoder.Decode(genotype)
 	}
 	sp.End()
-	return e.score(worker, x, err)
-}
-
-// score turns a decode outcome into the MOEA objective vector and
-// Solution payload; shared by the plain and per-worker evaluation
-// paths. A borrowed implementation gets no payload: the decoder
-// overwrites it with its next decode, and collect decodes the archive's
-// payload-less members again instead.
-func (e *Explorer) score(worker int, x *model.Implementation, err error) (moea.Objectives, any) {
 	if err != nil {
 		e.decodeFailures.Add(1)
 		return e.penaltyObjectives(), nil
@@ -135,7 +120,7 @@ func (e *Explorer) score(worker int, x *model.Implementation, err error) (moea.O
 			return e.penaltyObjectives(), nil
 		}
 	}
-	sp := e.Obs.StartW(worker, obs.StageObjective)
+	sp = e.Obs.StartW(worker, obs.StageObjective)
 	v := objective.EvaluateRobust(x, e.Robust)
 	sp.End()
 	if x.Borrowed() {

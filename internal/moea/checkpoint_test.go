@@ -421,8 +421,8 @@ func TestReadIslandCheckpointV1Rejected(t *testing.T) {
 // extraObjective appends a constant objective to its problem's.
 type extraObjective struct{ Problem }
 
-func (e extraObjective) Evaluate(g []float64) (Objectives, any) {
-	obj, payload := e.Problem.Evaluate(g)
+func (e extraObjective) Evaluate(w int, g []float64) (Objectives, any) {
+	obj, payload := e.Problem.Evaluate(w, g)
 	return append(obj, 0), payload
 }
 

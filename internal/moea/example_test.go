@@ -13,7 +13,7 @@ type oneMax struct{}
 
 func (oneMax) GenotypeLen() int { return 8 }
 
-func (oneMax) Evaluate(g []float64) (moea.Objectives, any) {
+func (oneMax) Evaluate(_ int, g []float64) (moea.Objectives, any) {
 	sum := 0.0
 	for _, v := range g {
 		sum += v

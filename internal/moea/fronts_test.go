@@ -74,7 +74,7 @@ type gridProblem struct{ levels float64 }
 
 func (gridProblem) GenotypeLen() int { return 4 }
 
-func (p gridProblem) Evaluate(g []float64) (Objectives, any) {
+func (p gridProblem) Evaluate(_ int, g []float64) (Objectives, any) {
 	q := func(v float64) float64 { return math.Floor(v * p.levels) }
 	return Objectives{q(g[0]) + q(g[3]), q(1-g[0]) + q(g[1]), q(g[2]) + q(1-g[1])}, nil
 }

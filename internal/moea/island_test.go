@@ -199,12 +199,12 @@ type countingProblem struct {
 
 func (c countingProblem) GenotypeLen() int { return c.p.GenotypeLen() }
 
-func (c countingProblem) Evaluate(g []float64) (Objectives, any) {
+func (c countingProblem) Evaluate(w int, g []float64) (Objectives, any) {
 	*c.evals++
 	if *c.evals == c.cancelAt {
 		c.cancel()
 	}
-	return c.p.Evaluate(g)
+	return c.p.Evaluate(w, g)
 }
 
 func TestIslandSeedDerivation(t *testing.T) {

@@ -26,9 +26,10 @@ func TestDominates(t *testing.T) {
 	}
 }
 
-// TestParetoFilterProperties: the filtered set is mutually
-// non-dominated and every removed point is dominated by (or duplicates)
-// a kept point.
+// TestParetoFilterProperties: the archive fold of a population
+// (updateArchive from an empty archive) keeps a mutually non-dominated
+// set, and every dropped point is dominated by (or duplicates) a kept
+// point.
 func TestParetoFilterProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -39,7 +40,7 @@ func TestParetoFilterProperties(t *testing.T) {
 				math.Floor(rng.Float64() * 5), math.Floor(rng.Float64() * 5),
 			}}
 		}
-		front := ParetoFilter(pop)
+		front := updateArchive(nil, pop)
 		if len(front) == 0 {
 			return false
 		}
@@ -113,7 +114,7 @@ type zdt1 struct{ n int }
 
 func (z zdt1) GenotypeLen() int { return z.n }
 
-func (z zdt1) Evaluate(g []float64) (Objectives, any) {
+func (z zdt1) Evaluate(_ int, g []float64) (Objectives, any) {
 	f1 := g[0]
 	sum := 0.0
 	for _, v := range g[1:] {

@@ -18,9 +18,19 @@ var errEmptyGenotype = errors.New("moea: problem has empty genotype")
 // Problem is the optimization problem seen by NSGA-II: a genotype
 // length and an evaluation function mapping a genotype to (minimized)
 // objectives plus an optional payload.
+//
+// The evaluation pool calls Evaluate with a stable worker index in
+// [0, workers) (0 in serial mode), so the problem can pin expensive
+// scratch (a decoder state, a solver) to the worker for the lifetime
+// of the run instead of paying a pool checkout per evaluation — and
+// instead of re-allocating the scratch whenever a GC cycle empties a
+// sync.Pool mid-campaign. Evaluate must be a pure function of the
+// genotype: the result must not depend on the worker index, on which
+// worker evaluates which genotype, or on evaluation order. That
+// contract is what keeps fronts byte-identical at every worker count.
 type Problem interface {
 	GenotypeLen() int
-	Evaluate(genotype []float64) (Objectives, any)
+	Evaluate(worker int, genotype []float64) (Objectives, any)
 }
 
 // Options configure an NSGA-II run.

@@ -44,33 +44,6 @@ type Individual struct {
 // (0 = first front).
 func (ind *Individual) Rank() int { return ind.rank }
 
-// ParetoFilter returns the non-dominated subset of the individuals
-// (first front only), preserving order.
-func ParetoFilter(pop []*Individual) []*Individual {
-	var out []*Individual
-	for i, a := range pop {
-		dominated := false
-		for j, b := range pop {
-			if i == j {
-				continue
-			}
-			if Dominates(b.Objectives, a.Objectives) {
-				dominated = true
-				break
-			}
-			// Resolve duplicates: keep the first occurrence only.
-			if j < i && equalObjectives(a.Objectives, b.Objectives) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 func equalObjectives(a, b Objectives) bool {
 	if len(a) != len(b) {
 		return false

@@ -5,23 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// WorkerProblem is an optional extension of Problem for per-worker
-// evaluation state. When the problem implements it, the evaluation pool
-// calls EvaluateWorker with a stable worker index in [0, workers), so
-// the problem can pin expensive scratch (a decoder state, a solver) to
-// the worker for the lifetime of the run instead of paying a pool
-// checkout per evaluation — and instead of re-allocating the scratch
-// whenever a GC cycle empties a sync.Pool mid-campaign.
-//
-// EvaluateWorker must be a pure function of the genotype: the result
-// must not depend on the worker index, on which worker evaluates which
-// genotype, or on evaluation order. That contract is what keeps fronts
-// byte-identical at every worker count.
-type WorkerProblem interface {
-	Problem
-	EvaluateWorker(worker int, genotype []float64) (Objectives, any)
-}
-
 // evalChunk is the number of consecutive indices a worker claims per
 // cursor bump: large enough to amortize the atomic and avoid false
 // sharing on neighboring result slots, small enough to keep the tail of
@@ -51,7 +34,6 @@ type evalJob struct {
 // run does so before returning, keeping runs leak-free.
 type evalPool struct {
 	p       Problem
-	wp      WorkerProblem // non-nil when p implements the extension
 	workers int
 	jobs    chan *evalJob // nil in serial mode
 }
@@ -61,7 +43,6 @@ type evalPool struct {
 // evaluation runs inline on the caller with worker index 0.
 func newEvalPool(p Problem, workers int) *evalPool {
 	pl := &evalPool{p: p, workers: workers}
-	pl.wp, _ = p.(WorkerProblem)
 	if workers > 1 {
 		pl.jobs = make(chan *evalJob, workers)
 		for w := 0; w < workers; w++ {
@@ -81,10 +62,10 @@ func (pl *evalPool) close() {
 }
 
 // worker drains batches until the pool closes. The worker index is
-// stable for the pool's lifetime, so WorkerProblem implementations can
-// key per-worker state on it. The channel is passed explicitly: close()
-// nils the field, and a worker whose goroutine is scheduled late must
-// still see the (closed) channel, not a nil field, to exit.
+// stable for the pool's lifetime, so problems can key per-worker state
+// on it. The channel is passed explicitly: close() nils the field, and
+// a worker whose goroutine is scheduled late must still see the
+// (closed) channel, not a nil field, to exit.
 func (pl *evalPool) worker(w int, jobs <-chan *evalJob) {
 	for job := range jobs {
 		pl.drain(w, job)
@@ -113,13 +94,7 @@ func (pl *evalPool) drain(w int, job *evalJob) {
 
 // eval evaluates one genotype on the given worker.
 func (pl *evalPool) eval(w int, g []float64) *Individual {
-	var obj Objectives
-	var payload any
-	if pl.wp != nil {
-		obj, payload = pl.wp.EvaluateWorker(w, g)
-	} else {
-		obj, payload = pl.p.Evaluate(g)
-	}
+	obj, payload := pl.p.Evaluate(w, g)
 	return &Individual{Genotype: g, Objectives: obj, Payload: payload}
 }
 

@@ -11,7 +11,7 @@ type flatProblem struct{ n int }
 
 func (f flatProblem) GenotypeLen() int { return f.n }
 
-func (f flatProblem) Evaluate(g []float64) (Objectives, any) {
+func (f flatProblem) Evaluate(_ int, g []float64) (Objectives, any) {
 	s := 0.0
 	for _, v := range g {
 		s += v
@@ -19,14 +19,11 @@ func (f flatProblem) Evaluate(g []float64) (Objectives, any) {
 	return Objectives{s, -s}, nil
 }
 
-// workerTag records which worker evaluated each genotype, proving the
-// WorkerProblem extension receives stable worker indices.
-type workerTag struct {
-	flatProblem
-	seen []int32
-}
+// workerTag returns the worker index it was evaluated on as the
+// payload, proving the pool hands Evaluate stable worker indices.
+type workerTag struct{ flatProblem }
 
-func (w *workerTag) EvaluateWorker(worker int, g []float64) (Objectives, any) {
+func (workerTag) Evaluate(worker int, g []float64) (Objectives, any) {
 	return Objectives{g[0], -g[0]}, worker
 }
 
@@ -90,22 +87,21 @@ func TestPoolOutputOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestPoolWorkerProblemIndices: every worker index handed to
-// EvaluateWorker is in [0, workers), and the serial path uses index 0.
-func TestPoolWorkerProblemIndices(t *testing.T) {
+// TestPoolWorkerIndices: every worker index handed to Evaluate is in
+// [0, workers), and the serial path uses index 0.
+func TestPoolWorkerIndices(t *testing.T) {
 	genos := make([][]float64, 128)
 	for i := range genos {
 		genos[i] = []float64{float64(i), 0}
 	}
 	for _, workers := range []int{1, 4} {
-		wt := &workerTag{}
-		pl := newEvalPool(wt, workers)
+		pl := newEvalPool(workerTag{}, workers)
 		out := pl.evaluate(genos)
 		pl.close()
 		for i, ind := range out {
 			w, ok := ind.Payload.(int)
 			if !ok {
-				t.Fatalf("workers=%d: EvaluateWorker not used for slot %d", workers, i)
+				t.Fatalf("workers=%d: slot %d carries no worker index", workers, i)
 			}
 			if w < 0 || w >= workers {
 				t.Fatalf("workers=%d: slot %d evaluated on worker %d", workers, i, w)

@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"sync/atomic"
-	"time"
 )
 
 // DurationBuckets is the default latency bucket ladder: roughly
@@ -59,11 +58,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveDuration records d in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(d.Seconds())
 }
 
 // HistSnapshot is a point-in-time copy of a histogram. Counts are

@@ -161,16 +161,6 @@ func (r *Recorder) writeLine(l TraceLine) {
 	}
 }
 
-// DroppedWrites returns the trace lines lost to write failures.
-func (r *Recorder) DroppedWrites() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.droppedWrites
-}
-
 // Close stops the flush loop, performs a final drain, and closes the
 // file. The returned error is terminal: the first failure seen
 // anywhere in the stream, annotated with how many trace lines it cost.

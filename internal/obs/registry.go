@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -45,33 +44,10 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a float64 that can go up and down, stored as bits in an
-// atomic word. The zero value is ready; a nil *Gauge is a no-op.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
@@ -97,7 +73,6 @@ type metric struct {
 	kind   metricKind
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64 // kindCounterFunc / kindGaugeFunc
 }
@@ -163,15 +138,6 @@ func (r *Registry) CounterL(name, labels, help string) *Counter {
 	}
 	m := r.register(&metric{name: name, labels: labels, help: help, kind: kindCounter, counter: &Counter{}})
 	return m.counter
-}
-
-// Gauge registers (or returns the existing) gauge series.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	m := r.register(&metric{name: name, help: help, kind: kindGauge, gauge: &Gauge{}})
-	return m.gauge
 }
 
 // CounterFunc registers a pull-style counter: fn is called at
@@ -256,8 +222,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch m.kind {
 		case kindCounter:
 			p("%s%s %d\n", m.name, suffix, m.counter.Value())
-		case kindGauge:
-			p("%s%s %s\n", m.name, suffix, formatFloat(m.gauge.Value()))
 		case kindCounterFunc, kindGaugeFunc:
 			p("%s%s %s\n", m.name, suffix, formatFloat(m.fn()))
 		case kindHistogram:
@@ -300,8 +264,6 @@ func (r *Registry) Snapshot() map[string]any {
 		switch m.kind {
 		case kindCounter:
 			out[key] = m.counter.Value()
-		case kindGauge:
-			out[key] = m.gauge.Value()
 		case kindCounterFunc, kindGaugeFunc:
 			out[key] = m.fn()
 		case kindHistogram:
@@ -317,19 +279,4 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 	}
 	return out
-}
-
-// Names returns the sorted family names — handy for smoke checks.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

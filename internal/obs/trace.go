@@ -219,6 +219,3 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	return t.dropped.Load()
 }
-
-// Recording reports whether events are buffered for a recorder.
-func (t *Tracer) Recording() bool { return t != nil && t.record }

@@ -19,7 +19,7 @@ type zdt1 struct{ n int }
 
 func (z zdt1) GenotypeLen() int { return z.n }
 
-func (z zdt1) Evaluate(g []float64) (moea.Objectives, any) {
+func (z zdt1) Evaluate(_ int, g []float64) (moea.Objectives, any) {
 	f1 := g[0]
 	s := 0.0
 	for _, v := range g[1:] {
