@@ -40,8 +40,6 @@ type WorkerDecoder interface {
 // the functional constraints.
 type SATDecoder struct {
 	Enc *encode.Encoding
-	// MaxConflicts bounds the per-decode search (0 = solver default).
-	MaxConflicts int
 
 	// states pools DecoderStates for callers of the plain Decode path
 	// (tools, tests, ad-hoc decodes). The MOEA evaluation path goes
@@ -81,7 +79,7 @@ func (d *SATDecoder) Decode(genotype []float64) (*model.Implementation, error) {
 		// still gets pooling.
 		st = d.Enc.NewDecoderState()
 	}
-	x, res, err := st.Decode(genotype, d.MaxConflicts)
+	x, res, err := st.Decode(genotype)
 	d.states.Put(st)
 	if res != nil {
 		d.conflicts.Add(int64(res.Conflicts))
@@ -100,7 +98,7 @@ func (d *SATDecoder) Decode(genotype []float64) (*model.Implementation, error) {
 // state performs it, so the result is identical to Decode's.
 func (d *SATDecoder) DecodeWorker(worker int, genotype []float64) (*model.Implementation, error) {
 	st := d.workerStates.get(worker, d.Enc.NewDecoderState)
-	x, res, err := st.Decode(genotype, d.MaxConflicts)
+	x, res, err := st.Decode(genotype)
 	if res != nil {
 		d.conflicts.Add(int64(res.Conflicts))
 		d.propagations.Add(int64(res.Propagated))

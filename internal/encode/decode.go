@@ -70,10 +70,9 @@ func (e *Encoding) NewDecoderState() *DecoderState {
 
 // Decode runs the full SAT-decoding pipeline — genotype → branching →
 // solver → implementation — reusing the state's solver and buffers.
-// maxConflicts bounds the search (0 = solver default). The returned
-// Result's Model aliases solver memory and is invalidated by the next
-// Decode on the same state.
-func (d *DecoderState) Decode(genotype []float64, maxConflicts int) (*model.Implementation, *pbsat.Result, error) {
+// The returned Result's Model aliases solver memory and is invalidated
+// by the next Decode on the same state.
+func (d *DecoderState) Decode(genotype []float64) (*model.Implementation, *pbsat.Result, error) {
 	e := d.enc
 	if len(genotype) != len(e.mapOrder) {
 		return nil, nil, fmt.Errorf("encode: genotype length %d, want %d", len(genotype), len(e.mapOrder))
@@ -87,7 +86,6 @@ func (d *DecoderState) Decode(genotype []float64, maxConflicts int) (*model.Impl
 		d.pref[i] = g >= 0.5
 	}
 	d.branch.SetDense(d.prio, d.pref)
-	d.solver.MaxConflicts = maxConflicts // 0 restores the solver default
 	res := d.solver.Solve(d.branch)
 	if !res.SAT {
 		return nil, &res, fmt.Errorf("encode: no feasible implementation found (aborted=%v, conflicts=%d)", res.Aborted, res.Conflicts)
@@ -212,12 +210,11 @@ func (e *Encoding) Stats() Stats {
 }
 
 // SolveWithGenotype runs the full SAT-decoding pipeline: genotype →
-// branching → solver → implementation. maxConflicts bounds the search
-// (0 = solver default). It builds a fresh DecoderState per call; hot
-// loops should hold a DecoderState (or core.SATDecoder, which pools
-// them) instead.
-func (e *Encoding) SolveWithGenotype(genotype []float64, maxConflicts int) (*model.Implementation, *pbsat.Result, error) {
-	return e.NewDecoderState().Decode(genotype, maxConflicts)
+// branching → solver → implementation. It builds a fresh DecoderState
+// per call; hot loops should hold a DecoderState (or core.SATDecoder,
+// which pools them) instead.
+func (e *Encoding) SolveWithGenotype(genotype []float64) (*model.Implementation, *pbsat.Result, error) {
+	return e.NewDecoderState().Decode(genotype)
 }
 
 // MappingOrder exposes the deterministic mapping-edge order backing the

@@ -140,7 +140,7 @@ func TestDecodeRoutesEveryDestination(t *testing.T) {
 	for i := range g {
 		g[i] = 0.5
 	}
-	x, _, err := e.SolveWithGenotype(g, 0)
+	x, _, err := e.SolveWithGenotype(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func TestDecoderStateReuseMatchesFresh(t *testing.T) {
 		for i := range g {
 			g[i] = rng.Float64()
 		}
-		got, gotRes, err := st.Decode(g, 0)
+		got, gotRes, err := st.Decode(g)
 		if err != nil {
 			t.Fatalf("round %d: reused decode: %v", round, err)
 		}
-		want, wantRes, err := e.SolveWithGenotype(g, 0)
+		want, wantRes, err := e.SolveWithGenotype(g)
 		if err != nil {
 			t.Fatalf("round %d: fresh decode: %v", round, err)
 		}
@@ -212,7 +212,7 @@ func TestSolveNeutralGenotypeIsFeasible(t *testing.T) {
 	for i := range g {
 		g[i] = 0.5
 	}
-	x, res, err := e.SolveWithGenotype(g, 0)
+	x, res, err := e.SolveWithGenotype(g)
 	if err != nil {
 		t.Fatalf("solve: %v (res=%+v)", err, res)
 	}
@@ -248,7 +248,7 @@ func TestGenotypeSteersBISTSelection(t *testing.T) {
 	g[geneOf("t1", "ecu1")] = 0.95
 	g[geneOf("t2", "ecu2")] = 0.94
 
-	x, _, err := e.SolveWithGenotype(g, 0)
+	x, _, err := e.SolveWithGenotype(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRandomGenotypesAlwaysFeasible(t *testing.T) {
 		for i := range g {
 			g[i] = rng.Float64()
 		}
-		x, _, err := e.SolveWithGenotype(g, 0)
+		x, _, err := e.SolveWithGenotype(g)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -312,7 +312,7 @@ func TestEq3aAtMostOneProfile(t *testing.T) {
 			g[i] = 0.5
 		}
 	}
-	x, _, err := e.SolveWithGenotype(g, 0)
+	x, _, err := e.SolveWithGenotype(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestDecodeRejectsMessageAddedAfterBuild(t *testing.T) {
 	for i := range g {
 		g[i] = 0.5
 	}
-	if _, _, err := e.SolveWithGenotype(g, 0); err == nil || !strings.Contains(err.Error(), "messages") {
+	if _, _, err := e.SolveWithGenotype(g); err == nil || !strings.Contains(err.Error(), "messages") {
 		t.Fatalf("decode after adding a message: err = %v, want a message-count mismatch", err)
 	}
 }
@@ -450,7 +450,7 @@ func TestDecodeRejectsLinkAddedAfterBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := make([]float64, e.GenotypeLen())
-	if _, _, err := e.SolveWithGenotype(g, 0); err == nil || !strings.Contains(err.Error(), "specification changed") {
+	if _, _, err := e.SolveWithGenotype(g); err == nil || !strings.Contains(err.Error(), "specification changed") {
 		t.Fatalf("decode after Connect: err = %v, want the stale encoding refused", err)
 	}
 }
@@ -478,7 +478,7 @@ func TestMemoryCapacityEncoded(t *testing.T) {
 			g[i] = 0.5
 		}
 	}
-	x, _, err := e.SolveWithGenotype(g, 0)
+	x, _, err := e.SolveWithGenotype(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestAblationA3Without2h(t *testing.T) {
 			g[i] = 0.1
 		}
 	}
-	x, _, err := e.SolveWithGenotype(g, 0)
+	x, _, err := e.SolveWithGenotype(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func TestAblationA3Without2h(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, _, err := e2.SolveWithGenotype(g, 0)
+	x2, _, err := e2.SolveWithGenotype(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +611,7 @@ func TestPaperScaleDecodeIdentity(t *testing.T) {
 		for i := range g {
 			g[i] = rng.Float64()
 		}
-		x, res, err := st.Decode(g, 0)
+		x, res, err := st.Decode(g)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

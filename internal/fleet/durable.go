@@ -106,29 +106,19 @@ func decodeCommitEntry(b []byte) (commitEntry, error) {
 	return e, nil
 }
 
-// snapECU / snapState are the snapshot codec: the committed counters,
-// per-stream bookkeeping, and resident records (gateway wire blobs, in
-// ring order shard by shard). encoding/json sorts map keys, so equal
-// state serializes to equal bytes.
-type snapECU struct {
-	Sessions      uint32 `json:"s"`
-	LastSession   uint32 `json:"ls"`
-	LastCommitted uint32 `json:"lc"`
-	FailSessions  uint32 `json:"fs"`
-	Failing       bool   `json:"f,omitempty"`
-	LastEntries   int    `json:"le,omitempty"`
-	LastWindows   int    `json:"lw,omitempty"`
-}
-
+// snapState is the snapshot codec: the committed counters, per-stream
+// state, and resident records (gateway wire blobs, in ring order shard
+// by shard). encoding/json sorts map keys, so equal state serializes
+// to equal bytes.
 type snapState struct {
 	// Counters: chunks, chunkErrors, opened, completed, corrupt — the
 	// committed portion only. Wire-noise counters that were never part
 	// of a commit (stale replays, backpressure rejections) are volatile
 	// by design: a crash loses them along with the unacked traffic that
 	// caused them, and the senders' resumed traffic recreates neither.
-	Counters [5]uint64                     `json:"counters"`
-	Vehicles map[string]map[string]snapECU `json:"vehicles"`
-	Records  [][]byte                      `json:"records"`
+	Counters [5]uint64                         `json:"counters"`
+	Vehicles map[string]map[string]streamState `json:"vehicles"`
+	Records  [][]byte                          `json:"records"`
 }
 
 // DurableConfig wires a Server to a durable.Store.
@@ -247,26 +237,14 @@ func (s *Server) captureState() ([]byte, uint64, error) {
 		}
 	}()
 
-	st := snapState{Vehicles: make(map[string]map[string]snapECU)}
+	st := snapState{Vehicles: make(map[string]map[string]streamState)}
+	var c IngestStats
 	for _, sh := range s.shards {
-		cc := &sh.committed
-		st.Counters[0] += cc.chunks
-		st.Counters[1] += cc.chunkErrors
-		st.Counters[2] += cc.opened
-		st.Counters[3] += cc.completed
-		st.Counters[4] += cc.corrupt
+		c.add(sh.committed)
 		for id, vs := range sh.vehicles {
-			ecus := make(map[string]snapECU, len(vs.ecus))
+			ecus := make(map[string]streamState, len(vs.ecus))
 			for name, es := range vs.ecus {
-				ecus[name] = snapECU{
-					Sessions:      es.Sessions,
-					LastSession:   es.LastSession,
-					LastCommitted: es.LastCommitted,
-					FailSessions:  es.FailSessions,
-					Failing:       es.Failing,
-					LastEntries:   es.LastEntries,
-					LastWindows:   es.LastWindows,
-				}
+				ecus[name] = es.streamState
 			}
 			st.Vehicles[id] = ecus
 		}
@@ -278,6 +256,7 @@ func (s *Server) captureState() ([]byte, uint64, error) {
 			st.Records = append(st.Records, blob)
 		}
 	}
+	st.Counters = [5]uint64{c.Chunks, c.ChunkErrors, c.SessionsOpened, c.SessionsCompleted, c.CorruptRecords}
 	data, err := json.Marshal(st)
 	if err != nil {
 		return nil, 0, err
@@ -295,46 +274,27 @@ func (s *Server) restoreState(data []byte) error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.vehicles = make(map[string]*vehicleState)
-		sh.open = 0
 		sh.collector.Clear()
-		sh.stats = counters{}
-		sh.committed = committedCounters{}
+		sh.stats, sh.committed = IngestStats{}, IngestStats{}
 		sh.mu.Unlock()
 	}
 	// Seed the live counters from the committed ones: the recovered
 	// server starts exactly where the committed history ends. Shard 0
 	// carries the recovered sums — Summary, Stats and the next snapshot
 	// only ever read the sums across shards.
+	c := st.Counters
 	sh0 := s.shards[0]
 	sh0.mu.Lock()
-	sh0.committed = committedCounters{
-		chunks:      st.Counters[0],
-		chunkErrors: st.Counters[1],
-		opened:      st.Counters[2],
-		completed:   st.Counters[3],
-		corrupt:     st.Counters[4],
-	}
-	sh0.stats.Chunks = st.Counters[0]
-	sh0.stats.ChunkErrors = st.Counters[1]
-	sh0.stats.SessionsOpened = st.Counters[2]
-	sh0.stats.SessionsCompleted = st.Counters[3]
-	sh0.stats.CorruptRecords = st.Counters[4]
+	sh0.committed = IngestStats{Chunks: c[0], ChunkErrors: c[1], SessionsOpened: c[2], SessionsCompleted: c[3], CorruptRecords: c[4]}
+	sh0.stats = sh0.committed
 	sh0.mu.Unlock()
 
 	for vehicle, ecus := range st.Vehicles {
 		sh := s.shards[s.ShardOf(vehicle)]
 		sh.mu.Lock()
 		vs := &vehicleState{ecus: make(map[string]*ecuState, len(ecus))}
-		for name, se := range ecus {
-			vs.ecus[name] = &ecuState{
-				Sessions:      se.Sessions,
-				LastSession:   se.LastSession,
-				LastCommitted: se.LastCommitted,
-				FailSessions:  se.FailSessions,
-				Failing:       se.Failing,
-				LastEntries:   se.LastEntries,
-				LastWindows:   se.LastWindows,
-			}
+		for name, ss := range ecus {
+			vs.ecus[name] = &ecuState{streamState: ss}
 		}
 		sh.vehicles[vehicle] = vs
 		sh.mu.Unlock()
@@ -367,16 +327,7 @@ func (s *Server) applyEntry(lsn uint64, entry []byte) error {
 	sh := s.shards[s.ShardOf(e.vehicle)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	vs := sh.vehicles[e.vehicle]
-	if vs == nil {
-		vs = &vehicleState{ecus: make(map[string]*ecuState)}
-		sh.vehicles[e.vehicle] = vs
-	}
-	es := vs.ecus[e.ecu]
-	if es == nil {
-		es = &ecuState{}
-		vs.ecus[e.ecu] = es
-	}
+	es := sh.stream(e.vehicle, e.ecu)
 	sh.stats.Chunks += e.chunks
 	sh.stats.ChunkErrors += e.chunkErrors
 	sh.stats.SessionsOpened++

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -387,7 +388,7 @@ func TestCommittedCountersSnapshotRestore(t *testing.T) {
 			fs := durable.NewMemFS()
 			cfg := DurableConfig{SnapshotEvery: 1 << 20} // snapshots only when asked
 			srv, _ := openDurable(t, shards, fs, cfg)
-			var want committedCounters
+			var want IngestStats
 			next := uint32(1)
 			// round ingests one session on each of 12 vehicles × 2 ECUs:
 			// every third stream's record names the wrong ECU (corrupt),
@@ -409,8 +410,8 @@ func TestCommittedCountersSnapshotRestore(t *testing.T) {
 							if err := srv.IngestChunk(vehicle, ecu, bad); !errors.Is(err, gateway.ErrChunkCRC) {
 								t.Fatalf("bad-CRC chunk: %v", err)
 							}
-							want.chunks++
-							want.chunkErrors++
+							want.Chunks++
+							want.ChunkErrors++
 						}
 						for k, c := range chunks {
 							err := srv.IngestChunk(vehicle, ecu, c)
@@ -422,12 +423,12 @@ func TestCommittedCountersSnapshotRestore(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
-						want.chunks += uint64(len(chunks))
-						want.opened++
+						want.Chunks += uint64(len(chunks))
+						want.SessionsOpened++
 						if named != ecu {
-							want.corrupt++
+							want.CorruptRecords++
 						} else {
-							want.completed++
+							want.SessionsCompleted++
 						}
 					}
 				}
@@ -435,14 +436,14 @@ func TestCommittedCountersSnapshotRestore(t *testing.T) {
 			}
 			check := func(srv *Server, step string) {
 				t.Helper()
-				var got committedCounters
+				var got IngestStats
 				for _, sh := range srv.shards {
 					sh.mu.Lock()
-					got.chunks += sh.committed.chunks
-					got.chunkErrors += sh.committed.chunkErrors
-					got.opened += sh.committed.opened
-					got.completed += sh.committed.completed
-					got.corrupt += sh.committed.corrupt
+					got.Chunks += sh.committed.Chunks
+					got.ChunkErrors += sh.committed.ChunkErrors
+					got.SessionsOpened += sh.committed.SessionsOpened
+					got.SessionsCompleted += sh.committed.SessionsCompleted
+					got.CorruptRecords += sh.committed.CorruptRecords
 					sh.mu.Unlock()
 				}
 				if got != want {
@@ -456,7 +457,7 @@ func TestCommittedCountersSnapshotRestore(t *testing.T) {
 				if err := json.Unmarshal(data, &st); err != nil {
 					t.Fatal(err)
 				}
-				if st.Counters != [5]uint64{want.chunks, want.chunkErrors, want.opened, want.completed, want.corrupt} {
+				if st.Counters != [5]uint64{want.Chunks, want.ChunkErrors, want.SessionsOpened, want.SessionsCompleted, want.CorruptRecords} {
 					t.Fatalf("%s: snapshot counters %v, running totals %+v", step, st.Counters, want)
 				}
 			}
@@ -502,4 +503,82 @@ func TestCommittedCountersSnapshotRestore(t *testing.T) {
 			}
 		})
 	}
+}
+
+// literalSnapshot pins the snapshot format: two vehicles on a
+// two-shard server, one stream with a corrupt session, one whose
+// session first saw a bad-CRC chunk, and one with two stored sessions.
+const literalSnapshot = `{"counters":[9,1,4,3,1],"vehicles":{"veh00001":{"ecuA":{"s":1,"ls":1,"lc":1,"fs":1,"f":true,"le":2,"lw":64},"ecuB":{"s":0,"ls":0,"lc":1,"fs":0}},"veh00002":{"ecuA":{"s":2,"ls":2,"lc":2,"fs":1,"f":true,"le":1,"lw":64}}},"records":["AQAAAA0AdmVoMDAwMDIvZWN1QUAAAAA=","AgAAAA0AdmVoMDAwMDIvZWN1QUAAAQAAAAAAAAAAAAAAAQAAAAAAAAA=","AQAAAA0AdmVoMDAwMDEvZWN1QUAAAgAAAAAAAAAAAAAAAQAAAAAAAAABAAEAAAAAAAAAAAAAAAAAAAA="]}`
+
+// literalSummary is SummaryJSON of literalSnapshot restored.
+const literalSummary = `{
+  "vehicles": 2,
+  "streams": 3,
+  "chunks": 9,
+  "chunk_errors": 1,
+  "sessions_opened": 4,
+  "sessions_completed": 3,
+  "sessions_rejected": 0,
+  "stale_sessions": 0,
+  "corrupt_records": 1,
+  "open_sessions": 0,
+  "records_stored": 3,
+  "failing_vehicles": 2,
+  "failing_streams": 2,
+  "failing_ecus": {
+    "ecuA": 2
+  }
+}`
+
+// TestRestoreLiteralSnapshot: a snapshot written by an earlier build
+// restores to a known summary and is re-emitted byte for byte, so the
+// on-disk format cannot move unnoticed.
+func TestRestoreLiteralSnapshot(t *testing.T) {
+	srv, _ := openDurable(t, 2, durable.NewMemFS(), DurableConfig{SnapshotEvery: 1 << 20})
+	defer srv.KillDurable()
+	if err := srv.restoreState([]byte(literalSnapshot)); err != nil {
+		t.Fatal(err)
+	}
+	if got := summaryJSON(t, srv); string(got) != literalSummary {
+		t.Fatalf("restored summary:\n%s\nwant\n%s", got, literalSummary)
+	}
+	data, _, err := srv.captureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != literalSnapshot {
+		t.Fatalf("re-captured snapshot:\n%s\nwant\n%s", data, literalSnapshot)
+	}
+}
+
+// FuzzRestoreState: the snapshot reader never panics, and whatever it
+// accepts reaches a capture → restore → capture fixpoint in one round.
+func FuzzRestoreState(f *testing.F) {
+	f.Add([]byte(literalSnapshot))
+	for _, n := range []int{0, 1, 12, 40, len(literalSnapshot) / 2, len(literalSnapshot) - 1} {
+		f.Add([]byte(literalSnapshot[:n]))
+	}
+	f.Add([]byte(strings.Replace(literalSnapshot, "[9,1,4,3,1]", "[9,1,4,3,1,7]", 1)))
+	f.Add([]byte(strings.Replace(literalSnapshot, "[9,1,4,3,1]", "[9,1]", 1)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srv, _ := openDurable(t, 2, durable.NewMemFS(), DurableConfig{SnapshotEvery: 1 << 20})
+		defer srv.KillDurable()
+		if srv.restoreState(data) != nil {
+			return
+		}
+		first, _, err := srv.captureState()
+		if err != nil {
+			t.Fatalf("capture of an accepted snapshot: %v", err)
+		}
+		if err := srv.restoreState(first); err != nil {
+			t.Fatalf("restore of a captured snapshot: %v\n%s", err, first)
+		}
+		second, _, err := srv.captureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("no fixpoint:\n%s\nvs\n%s", first, second)
+		}
+	})
 }

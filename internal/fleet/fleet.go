@@ -164,15 +164,16 @@ type shard struct {
 	srv       *Server
 	cfg       Config
 	collector gateway.Collector
-	open      int            // streams with an open reassembly session
 	free      []*openSession // recycled sessions (pool discipline)
 	vehicles  map[string]*vehicleState
-	stats     counters
+	// stats are the shard's live counters; its OpenSessions gauge counts
+	// the streams with an open reassembly session.
+	stats IngestStats
 	// committed is the portion of stats already folded into commit
 	// entries — the only counters a snapshot persists (summed over the
 	// shards). stats also counts in-flight wire activity that a crash
 	// legitimately loses (the senders redo it identically on resume).
-	committed committedCounters
+	committed IngestStats
 
 	// entryBuf is the reused WAL-entry scratch buffer of the durable
 	// commit path.
@@ -198,12 +199,6 @@ type vehicleState struct {
 	ecus map[string]*ecuState
 }
 
-// committedCounters is one shard's durably committed portion of the
-// ingest counters.
-type committedCounters struct {
-	chunks, chunkErrors, opened, completed, corrupt uint64
-}
-
 // ecuState tracks one (vehicle, ECU) stream. An ECU streams its
 // sessions sequentially, so at most one session per stream is open at
 // a time.
@@ -214,43 +209,41 @@ type ecuState struct {
 	// built on the stream's first stored record.
 	key string
 
+	streamState
+}
+
+// streamState is the persisted part of a stream: a snapshot stores it
+// whole under these JSON tags.
+type streamState struct {
 	// Sessions counts completed (stored) sessions.
-	Sessions uint32
+	Sessions uint32 `json:"s"`
 	// LastSession is the highest completed session number.
-	LastSession uint32
+	LastSession uint32 `json:"ls"`
 	// LastCommitted is the highest session number whose outcome —
 	// stored or corrupt — was committed. The stale check dedups on it,
 	// so a session replayed after a crash-recovery (or a sender resume)
 	// can never be double-counted.
-	LastCommitted uint32
+	LastCommitted uint32 `json:"lc"`
 	// FailSessions counts completed sessions with non-empty fail data.
-	FailSessions uint32
+	FailSessions uint32 `json:"fs"`
 	// Failing mirrors the most recent session's verdict.
-	Failing bool
+	Failing bool `json:"f,omitempty"`
 	// LastEntries/LastWindows describe the most recent fail data.
-	LastEntries int
-	LastWindows int
+	LastEntries int `json:"le,omitempty"`
+	LastWindows int `json:"lw,omitempty"`
 }
 
-// counters are one shard's monotonic ingest statistics.
-type counters struct {
-	Chunks            uint64 // chunks offered to the shard
-	ChunkErrors       uint64 // chunks rejected by the assembler (CRC, gap, duplicate)
-	SessionsOpened    uint64
-	SessionsCompleted uint64
-	SessionsRejected  uint64 // backpressure rejections (either cap)
-	StaleSessions     uint64
-	CorruptRecords    uint64 // completed sessions whose record failed to parse
-}
-
-func (c *counters) add(o counters) {
-	c.Chunks += o.Chunks
-	c.ChunkErrors += o.ChunkErrors
-	c.SessionsOpened += o.SessionsOpened
-	c.SessionsCompleted += o.SessionsCompleted
-	c.SessionsRejected += o.SessionsRejected
-	c.StaleSessions += o.StaleSessions
-	c.CorruptRecords += o.CorruptRecords
+// status is the stream's public view under its ECU name.
+func (es *ecuState) status(name string) ECUStatus {
+	return ECUStatus{
+		ECU:          name,
+		Sessions:     es.Sessions,
+		LastSession:  es.LastSession,
+		FailSessions: es.FailSessions,
+		Failing:      es.Failing,
+		LastEntries:  es.LastEntries,
+		LastWindows:  es.LastWindows,
+	}
 }
 
 // IngestChunk processes one delivered chunk of a (vehicle, ECU)
@@ -286,20 +279,11 @@ func (sh *shard) ingest(vehicle, ecu string, c gateway.Chunk) error {
 	defer sh.mu.Unlock()
 	sh.stats.Chunks++
 
-	vs := sh.vehicles[vehicle]
-	if vs == nil {
-		if sh.cfg.PerShardVehicles > 0 && len(sh.vehicles) >= sh.cfg.PerShardVehicles {
-			sh.stats.SessionsRejected++
-			return fmt.Errorf("%w: %d tracked", ErrVehiclesFull, len(sh.vehicles))
-		}
-		vs = &vehicleState{ecus: make(map[string]*ecuState)}
-		sh.vehicles[vehicle] = vs
+	if sh.cfg.PerShardVehicles > 0 && len(sh.vehicles) >= sh.cfg.PerShardVehicles && sh.vehicles[vehicle] == nil {
+		sh.stats.SessionsRejected++
+		return fmt.Errorf("%w: %d tracked", ErrVehiclesFull, len(sh.vehicles))
 	}
-	es := vs.ecus[ecu]
-	if es == nil {
-		es = &ecuState{}
-		vs.ecus[ecu] = es
-	}
+	es := sh.stream(vehicle, ecu)
 
 	os := es.open
 	if os != nil && c.Session != os.asm.Session && c.Seq == 0 {
@@ -320,16 +304,16 @@ func (sh *shard) ingest(vehicle, ecu string, c gateway.Chunk) error {
 			return fmt.Errorf("%w: %s/%s session %d, last committed %d",
 				ErrStaleSession, vehicle, ecu, c.Session, es.LastCommitted)
 		}
-		if sh.open >= sh.cfg.PerShardSessions {
+		if sh.stats.OpenSessions >= sh.cfg.PerShardSessions {
 			sh.stats.SessionsRejected++
-			return fmt.Errorf("%w: %d open", ErrSessionsFull, sh.open)
+			return fmt.Errorf("%w: %d open", ErrSessionsFull, sh.stats.OpenSessions)
 		}
 		var err error
 		if os, err = sh.takeSession(c.Session, c.Total); err != nil {
 			return err
 		}
 		es.open = os
-		sh.open++
+		sh.stats.OpenSessions++
 		sh.stats.SessionsOpened++
 		if sh.obs != nil {
 			os.openedAt = time.Now()
@@ -392,13 +376,13 @@ func (sh *shard) ingest(vehicle, ecu string, c gateway.Chunk) error {
 // both roads lead to identical state.
 func (sh *shard) applyCommit(es *ecuState, outcome byte, session uint32, chunks, chunkErrors uint64, rec gateway.Record, vehicle, ecu string) {
 	cc := &sh.committed
-	cc.chunks += chunks
-	cc.chunkErrors += chunkErrors
-	cc.opened++
+	cc.Chunks += chunks
+	cc.ChunkErrors += chunkErrors
+	cc.SessionsOpened++
 	es.LastCommitted = session
 	if outcome == entryCorrupt {
 		sh.stats.CorruptRecords++
-		cc.corrupt++
+		cc.CorruptRecords++
 		return
 	}
 	if es.key == "" {
@@ -417,7 +401,23 @@ func (sh *shard) applyCommit(es *ecuState, outcome byte, session uint32, chunks,
 		es.FailSessions++
 	}
 	sh.stats.SessionsCompleted++
-	cc.completed++
+	cc.SessionsCompleted++
+}
+
+// stream returns the (vehicle, ECU) stream's state, creating the
+// vehicle and the stream on first sight.
+func (sh *shard) stream(vehicle, ecu string) *ecuState {
+	vs := sh.vehicles[vehicle]
+	if vs == nil {
+		vs = &vehicleState{ecus: make(map[string]*ecuState)}
+		sh.vehicles[vehicle] = vs
+	}
+	es := vs.ecus[ecu]
+	if es == nil {
+		es = &ecuState{}
+		vs.ecus[ecu] = es
+	}
+	return es
 }
 
 // takeSession arms a pooled open session, or a fresh one.
@@ -446,5 +446,5 @@ func (sh *shard) closeSession(es *ecuState) {
 		sh.free = append(sh.free, es.open)
 	}
 	es.open = nil
-	sh.open--
+	sh.stats.OpenSessions--
 }

@@ -27,16 +27,11 @@ type PopulationConfig struct {
 	SessionsPerECU int
 	// FailProb is the probability a session carries fail data.
 	FailProb float64
-	// Windows is the BIST window count per session (default 64);
-	// MaxEntries the largest fail-entry count of a failing session
-	// (default 8).
-	Windows    int
-	MaxEntries int
 	// Seed roots every vehicle's deterministic streams.
 	Seed uint64
-	// Bus and ErrorRate describe each vehicle's CAN segment to the
-	// gateway; Session tunes the sender's retry machinery.
-	Bus       can.Bus
+	// ErrorRate is the bit error rate of each vehicle's CAN segment
+	// (popBus) to the gateway; Session tunes the sender's retry
+	// machinery.
 	ErrorRate float64
 	Session   gateway.SessionConfig
 	// Workers is the ingest concurrency (default 1). Vehicles are
@@ -57,23 +52,23 @@ func (c PopulationConfig) withDefaults() PopulationConfig {
 	if c.SessionsPerECU <= 0 {
 		c.SessionsPerECU = 1
 	}
-	if c.Windows <= 0 {
-		c.Windows = 64
-	}
-	if c.MaxEntries <= 0 {
-		c.MaxEntries = 8
-	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.Bus.BitRate == 0 {
-		c.Bus = can.Bus{Name: "diag", BitRate: 500_000, Format: can.Standard}
 	}
 	if c.Obs != nil {
 		c.Session.Obs = c.Obs
 	}
 	return c
 }
+
+// Every simulated session reports popWindows BIST windows, a failing
+// one 1 to popMaxEntries fail entries, over the 500 kbit/s popBus.
+const (
+	popWindows    = 64
+	popMaxEntries = 8
+)
+
+var popBus = can.Bus{Name: "diag", BitRate: 500_000, Format: can.Standard}
 
 // PopulationResult aggregates the sender-side outcome of a population
 // run.
@@ -134,15 +129,15 @@ func sessionSeed(root uint64, v, e, n int) uint64 {
 
 // genFail draws one session's fail data from the stream.
 func genFail(rng *can.ErrorStream, cfg PopulationConfig) stumps.FailData {
-	fd := stumps.FailData{Windows: cfg.Windows}
+	fd := stumps.FailData{Windows: popWindows}
 	if rng.Float64() >= cfg.FailProb {
 		return fd
 	}
-	n := 1 + int(rng.Uint64()%uint64(cfg.MaxEntries))
+	n := 1 + int(rng.Uint64()%popMaxEntries)
 	for i := 0; i < n; i++ {
 		got := rng.Uint64()
 		fd.Entries = append(fd.Entries, stumps.FailEntry{
-			Window: int(rng.Uint64() % uint64(cfg.Windows)),
+			Window: int(rng.Uint64() % popWindows),
 			Got:    got,
 			Want:   got ^ 1, // a fail entry is a signature mismatch by definition
 		})
@@ -176,7 +171,7 @@ func runVehicle(ctx context.Context, srv *Server, cfg PopulationConfig, v int) (
 			}
 			seed := sessionSeed(cfg.Seed, v, e, n)
 			rng := can.NewErrorStream(seed)
-			ch := gateway.NewFaultyChannel(cfg.Bus,
+			ch := gateway.NewFaultyChannel(popBus,
 				can.ErrorModel{BitErrorRate: cfg.ErrorRate, Seed: seed ^ 0x94D049BB133111EB},
 				sink)
 			sess, err := gateway.NewSession(ecu, sid, genFail(rng, cfg), cfg.Session)

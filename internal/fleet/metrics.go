@@ -2,21 +2,37 @@ package fleet
 
 import "repro/internal/obs"
 
-// IngestStats is the service's cheap counter block: the monotonic
-// per-shard ingest counters summed, plus the live open-session and
-// stored-record gauges. Unlike Summary it never walks per-vehicle
-// state, so it is safe to read on every metrics scrape.
+// IngestStats is the service's one counter record: the monotonic
+// ingest counters plus the live open-session and stored-record gauges.
+// Each shard keeps two (its live counters and their committed
+// portion); Stats and Summary sum them across shards, and a snapshot
+// persists the committed ones. Unlike Summary, Stats never walks
+// per-vehicle state, so it is safe to read on every metrics scrape.
 type IngestStats struct {
-	Chunks            uint64
-	ChunkErrors       uint64
-	SessionsOpened    uint64
-	SessionsCompleted uint64
-	SessionsRejected  uint64
-	StaleSessions     uint64
-	CorruptRecords    uint64
+	Chunks            uint64 `json:"chunks"`       // chunks offered to the shard
+	ChunkErrors       uint64 `json:"chunk_errors"` // chunks rejected by the assembler (CRC, gap, duplicate)
+	SessionsOpened    uint64 `json:"sessions_opened"`
+	SessionsCompleted uint64 `json:"sessions_completed"`
+	SessionsRejected  uint64 `json:"sessions_rejected"` // backpressure rejections (either cap)
+	StaleSessions     uint64 `json:"stale_sessions"`
+	CorruptRecords    uint64 `json:"corrupt_records"` // completed sessions whose record failed to parse
 
-	OpenSessions  int
-	RecordsStored int
+	// OpenSessions and RecordsStored describe the live state: reassembly
+	// sessions in flight and records resident in the bounded shard rings.
+	OpenSessions  int `json:"open_sessions"`
+	RecordsStored int `json:"records_stored"`
+}
+
+func (c *IngestStats) add(o IngestStats) {
+	c.Chunks += o.Chunks
+	c.ChunkErrors += o.ChunkErrors
+	c.SessionsOpened += o.SessionsOpened
+	c.SessionsCompleted += o.SessionsCompleted
+	c.SessionsRejected += o.SessionsRejected
+	c.StaleSessions += o.StaleSessions
+	c.CorruptRecords += o.CorruptRecords
+	c.OpenSessions += o.OpenSessions
+	c.RecordsStored += o.RecordsStored
 }
 
 // Stats sums the shard counters.
@@ -24,14 +40,7 @@ func (s *Server) Stats() IngestStats {
 	var st IngestStats
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		st.Chunks += sh.stats.Chunks
-		st.ChunkErrors += sh.stats.ChunkErrors
-		st.SessionsOpened += sh.stats.SessionsOpened
-		st.SessionsCompleted += sh.stats.SessionsCompleted
-		st.SessionsRejected += sh.stats.SessionsRejected
-		st.StaleSessions += sh.stats.StaleSessions
-		st.CorruptRecords += sh.stats.CorruptRecords
-		st.OpenSessions += sh.open
+		st.add(sh.stats)
 		st.RecordsStored += sh.collector.Len()
 		sh.mu.Unlock()
 	}

@@ -19,19 +19,8 @@ type Summary struct {
 	Vehicles int `json:"vehicles"`
 	Streams  int `json:"streams"`
 
-	// Ingest counters, summed across shards.
-	Chunks            uint64 `json:"chunks"`
-	ChunkErrors       uint64 `json:"chunk_errors"`
-	SessionsOpened    uint64 `json:"sessions_opened"`
-	SessionsCompleted uint64 `json:"sessions_completed"`
-	SessionsRejected  uint64 `json:"sessions_rejected"`
-	StaleSessions     uint64 `json:"stale_sessions"`
-	CorruptRecords    uint64 `json:"corrupt_records"`
-
-	// OpenSessions and RecordsStored describe the live state: reassembly
-	// sessions in flight and records resident in the bounded shard rings.
-	OpenSessions  int `json:"open_sessions"`
-	RecordsStored int `json:"records_stored"`
+	// The ingest counters and live gauges, summed across shards.
+	IngestStats
 
 	// FailingVehicles counts vehicles whose latest session on at least
 	// one ECU failed; FailingStreams the failing (vehicle, ECU) streams;
@@ -112,24 +101,15 @@ type vehicleSnapshot struct {
 // snapshot copies the per-vehicle state of every shard, sorted by
 // vehicle ID (and ECU within a vehicle) so downstream float
 // accumulation is order-deterministic.
-func (s *Server) snapshot() (vehicles []vehicleSnapshot, stats counters, open, stored int) {
+func (s *Server) snapshot() (vehicles []vehicleSnapshot, stats IngestStats) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		stats.add(sh.stats)
-		open += sh.open
-		stored += sh.collector.Len()
+		stats.RecordsStored += sh.collector.Len()
 		for id, vs := range sh.vehicles {
 			snap := vehicleSnapshot{vehicle: id}
 			for name, es := range vs.ecus {
-				snap.ecus = append(snap.ecus, ECUStatus{
-					ECU:          name,
-					Sessions:     es.Sessions,
-					LastSession:  es.LastSession,
-					FailSessions: es.FailSessions,
-					Failing:      es.Failing,
-					LastEntries:  es.LastEntries,
-					LastWindows:  es.LastWindows,
-				})
+				snap.ecus = append(snap.ecus, es.status(name))
 			}
 			sort.Slice(snap.ecus, func(i, j int) bool { return snap.ecus[i].ECU < snap.ecus[j].ECU })
 			vehicles = append(vehicles, snap)
@@ -137,25 +117,13 @@ func (s *Server) snapshot() (vehicles []vehicleSnapshot, stats counters, open, s
 		sh.mu.Unlock()
 	}
 	sort.Slice(vehicles, func(i, j int) bool { return vehicles[i].vehicle < vehicles[j].vehicle })
-	return vehicles, stats, open, stored
+	return vehicles, stats
 }
 
 // Summary aggregates the fleet-level statistics.
 func (s *Server) Summary() Summary {
-	vehicles, stats, open, stored := s.snapshot()
-	sum := Summary{
-		Vehicles:          len(vehicles),
-		Chunks:            stats.Chunks,
-		ChunkErrors:       stats.ChunkErrors,
-		SessionsOpened:    stats.SessionsOpened,
-		SessionsCompleted: stats.SessionsCompleted,
-		SessionsRejected:  stats.SessionsRejected,
-		StaleSessions:     stats.StaleSessions,
-		CorruptRecords:    stats.CorruptRecords,
-		OpenSessions:      open,
-		RecordsStored:     stored,
-		FailingECUs:       make(map[string]int),
-	}
+	vehicles, stats := s.snapshot()
+	sum := Summary{Vehicles: len(vehicles), IngestStats: stats, FailingECUs: make(map[string]int)}
 	var failingStreams []ECUStatus
 	for _, v := range vehicles {
 		sum.Streams += len(v.ecus)
@@ -226,19 +194,8 @@ func (s *Server) Vehicle(id string) (VehicleStatus, bool) {
 	}
 	out := VehicleStatus{Vehicle: id}
 	for name, es := range vs.ecus {
-		st := ECUStatus{
-			ECU:          name,
-			Sessions:     es.Sessions,
-			LastSession:  es.LastSession,
-			FailSessions: es.FailSessions,
-			Failing:      es.Failing,
-			LastEntries:  es.LastEntries,
-			LastWindows:  es.LastWindows,
-		}
-		if st.Failing {
-			out.Failing = true
-		}
-		out.ECUs = append(out.ECUs, st)
+		out.Failing = out.Failing || es.Failing
+		out.ECUs = append(out.ECUs, es.status(name))
 	}
 	sort.Slice(out.ECUs, func(i, j int) bool { return out.ECUs[i].ECU < out.ECUs[j].ECU })
 	return out, true
@@ -247,7 +204,7 @@ func (s *Server) Vehicle(id string) (VehicleStatus, bool) {
 // Failing lists the currently failing (vehicle, ECU) streams, sorted by
 // (vehicle, ECU).
 func (s *Server) Failing() []FailingECU {
-	vehicles, _, _, _ := s.snapshot()
+	vehicles, _ := s.snapshot()
 	var out []FailingECU
 	for _, v := range vehicles {
 		for _, e := range v.ecus {

@@ -260,7 +260,7 @@ func mergeIslandArchives(states []*nsga2, eps []float64) []*Individual {
 	}
 	var merged []*Individual
 	for _, s := range states {
-		merged = updateArchiveEps(merged, s.archive, eps)
+		merged = updateArchive(merged, s.archive, eps)
 	}
 	return merged
 }

@@ -40,7 +40,7 @@ func TestParetoFilterProperties(t *testing.T) {
 				math.Floor(rng.Float64() * 5), math.Floor(rng.Float64() * 5),
 			}}
 		}
-		front := updateArchive(nil, pop)
+		front := updateArchive(nil, pop, nil)
 		if len(front) == 0 {
 			return false
 		}

@@ -64,7 +64,7 @@ func RandomSearch(ctx context.Context, p Problem, opt RandomOptions) (*Result, e
 			}
 			genos[i] = g
 		}
-		archive = updateArchive(archive, pool.evaluate(genos))
+		archive = updateArchive(archive, pool.evaluate(genos), nil)
 		res.Evaluations += len(genos)
 		if opt.OnProgress != nil {
 			opt.OnProgress(Progress{
