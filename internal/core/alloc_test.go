@@ -53,8 +53,9 @@ func TestExplorerRunSteadyStateAllocs(t *testing.T) {
 
 // TestGreedyDecodeSteadyStateAllocs pins the greedy decoder's
 // allocations on the full case study exactly: a decode allocates the
-// implementation, its binding slice and allocation bitset, and one
-// routing list sized up front — four per decode — and nothing per
+// implementation, its binding row, one array for its allocation and
+// bound-task bitsets, and one routing list sized up front — four per
+// decode — and nothing per
 // specification entity or per message. A decode that rescans the
 // specification (the per-ECU profile lists, the mapping targets, the
 // message list) fails the bound: the per-call decoder allocated 9,616
@@ -153,5 +154,36 @@ func TestGreedyEvaluateWorkerAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(20, evaluate)
 	if want := float64(len(genotypes)); got != want {
 		t.Fatalf("%d evaluations allocate %.0f times, want %.0f", len(genotypes), got, want)
+	}
+}
+
+// TestCloneAllocs pins Implementation.Clone exactly: the implementation,
+// its binding row, one array holding both the allocation bitset and the
+// binding's bound-task bitset, the routing list, and one hop slice per
+// route. Giving the bound-task bitset its own array adds one allocation
+// per clone and fails it.
+func TestCloneAllocs(t *testing.T) {
+	spec, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewGreedyDecoder(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range identityGenotypes(spec, dec.GenotypeLen())[:16] {
+		x, err := dec.Decode(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 4
+		for _, e := range x.Routing {
+			if len(e.Route.Hops) > 0 {
+				want++
+			}
+		}
+		if got := testing.AllocsPerRun(10, func() { x.Clone() }); got != float64(want) {
+			t.Fatalf("Clone of an implementation with %d routes allocates %.0f times, want %d", len(x.Routing), got, want)
+		}
 	}
 }

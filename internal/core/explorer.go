@@ -470,12 +470,12 @@ func MemorySplitOf(s Solution) MemorySplit {
 		CostTotal:   s.Objectives.CostTotal,
 		TestQuality: s.Objectives.TestQuality,
 	}
-	x := s.Impl
-	ix := x.Index()
+	b := s.Impl.Binding
+	ix := s.Impl.Index()
 	gwShared := make(map[int]int64)
-	for tp, t := range ix.Tasks {
-		r := x.Binding.At(int32(tp))
-		if r < 0 || t.Kind != model.KindBISTData {
+	for tp := b.Next(0); tp >= 0; tp = b.Next(tp + 1) {
+		t, r := ix.Tasks[tp], b.At(tp)
+		if t.Kind != model.KindBISTData {
 			continue
 		}
 		if r == ix.Gateway {

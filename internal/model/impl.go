@@ -103,16 +103,52 @@ func appendJSON(buf []byte, v any) []byte {
 // of the specification's Index, the position of the resource the task
 // is bound to, or -1 while it is unbound. Optional diagnosis tasks that
 // are not selected stay unbound.
+//
+// A decode binds a small share of the tasks (about 71 of the case
+// study's 1,126), so the binding also keeps the set of bound positions
+// as a bitset, and every walk over the bound tasks visits that set
+// instead of the whole row. Set keeps the two in step: the bitset is a
+// function of the row alone.
 type Binding struct {
-	ix  *Index
-	res []int32
+	ix    *Index
+	res   []int32
+	bound []uint64 // bit t is set iff res[t] >= 0
 }
 
 // At returns the resource position task position t is bound to, or -1.
 func (b Binding) At(t int32) int32 { return b.res[t] }
 
 // Set binds task position t to resource position r; r = -1 unbinds.
-func (b Binding) Set(t, r int32) { b.res[t] = r }
+func (b Binding) Set(t, r int32) {
+	b.res[t] = r
+	if r >= 0 {
+		b.bound[t>>6] |= 1 << (t & 63)
+	} else {
+		b.bound[t>>6] &^= 1 << (t & 63)
+	}
+}
+
+// Next returns the lowest bound task position at or after t, or -1 if
+// there is none. The loop
+//
+//	for t := b.Next(0); t >= 0; t = b.Next(t + 1)
+//
+// visits the bound tasks in ascending position order, which is task ID
+// order.
+func (b Binding) Next(t int32) int32 {
+	i := int(t >> 6)
+	if i >= len(b.bound) {
+		return -1
+	}
+	w := b.bound[i] &^ (1<<(t&63) - 1)
+	for w == 0 {
+		if i++; i == len(b.bound) {
+			return -1
+		}
+		w = b.bound[i]
+	}
+	return int32(i<<6 + bits.TrailingZeros64(w))
+}
 
 // Lookup returns the resource task id is bound to and whether it is
 // bound.
@@ -133,12 +169,12 @@ func (b Binding) Get(id TaskID) ResourceID {
 }
 
 // Len returns the number of bound tasks.
-func (b Binding) Len() int {
+func (b Binding) Len() int { return onesCount(b.bound) }
+
+func onesCount(words []uint64) int {
 	n := 0
-	for _, r := range b.res {
-		if r >= 0 {
-			n++
-		}
+	for _, w := range words {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -147,10 +183,8 @@ func (b Binding) Len() int {
 // per bound task, in task ID order.
 func (b Binding) Mappings() []Mapping {
 	var out []Mapping
-	for t, r := range b.res {
-		if r >= 0 {
-			out = append(out, Mapping{Task: b.ix.Tasks[t].ID, Resource: b.ix.Resources[r].ID})
-		}
+	for t := b.Next(0); t >= 0; t = b.Next(t + 1) {
+		out = append(out, Mapping{Task: b.ix.Tasks[t].ID, Resource: b.ix.Resources[b.res[t]].ID})
 	}
 	return out
 }
@@ -187,13 +221,7 @@ func (a Allocation) Has(r int32) bool { return a.bits[r>>6]&(1<<(r&63)) != 0 }
 func (a Allocation) Add(r int32) { a.bits[r>>6] |= 1 << (r & 63) }
 
 // Len returns the number of allocated resources.
-func (a Allocation) Len() int {
-	n := 0
-	for _, w := range a.bits {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
+func (a Allocation) Len() int { return onesCount(a.bits) }
 
 // Contains reports whether resource id is allocated.
 func (a Allocation) Contains(id ResourceID) bool {
@@ -245,11 +273,18 @@ type Implementation struct {
 // specification, numbered by its current Index.
 func NewImplementation(spec *Specification) *Implementation {
 	ix := spec.Index()
-	return &Implementation{
-		Spec:       spec,
-		Allocation: Allocation{ix: ix, bits: make([]uint64, (len(ix.Resources)+63)/64)},
-		Binding:    Binding{ix: ix, res: slices.Clone(ix.unbound)},
-	}
+	x := &Implementation{Spec: spec, Binding: Binding{ix: ix, res: slices.Clone(ix.unbound)}}
+	x.setWords(ix, make([]uint64, (len(ix.Resources)+63)/64+(len(ix.Tasks)+63)/64))
+	return x
+}
+
+// setWords hands the allocation bitset and the binding's bound-task
+// bitset their parts of words, one array holding the allocation's
+// words first, so an implementation costs one allocation for both.
+func (x *Implementation) setWords(ix *Index, words []uint64) {
+	na := (len(ix.Resources) + 63) / 64
+	x.Allocation = Allocation{ix: ix, bits: words[:na:na]}
+	x.Binding.bound = words[na:]
 }
 
 // NewBorrowedImplementation returns an empty implementation that a
@@ -268,9 +303,15 @@ func NewBorrowedImplementation(spec *Specification) *Implementation {
 func (x *Implementation) Borrowed() bool { return x.borrowed }
 
 // Reset empties x in place, keeping its memory: every task unbound,
-// nothing allocated, no routes.
+// nothing allocated, no routes. It unbinds only the bound tasks.
 func (x *Implementation) Reset() {
-	copy(x.Binding.res, x.Binding.ix.unbound)
+	b := x.Binding
+	for i, w := range b.bound {
+		for ; w != 0; w &= w - 1 {
+			b.res[i<<6+bits.TrailingZeros64(w)] = -1
+		}
+	}
+	clear(b.bound)
 	clear(x.Allocation.bits)
 	x.Routing = x.Routing[:0]
 }
@@ -361,11 +402,11 @@ func (x *Implementation) AllocatedResources() []ResourceID {
 // on one ECU (which Check rejects), the one with the highest task ID.
 // Sort the keys to visit the ECUs in a fixed order.
 func (x *Implementation) SelectedBIST() map[ResourceID]*Task {
-	ix := x.Binding.ix
+	b := x.Binding
 	out := make(map[ResourceID]*Task)
-	for t, r := range x.Binding.res {
-		if r >= 0 && ix.Kind[t] == KindBISTTest {
-			out[ix.Resources[r].ID] = ix.Tasks[t]
+	for t := b.Next(0); t >= 0; t = b.Next(t + 1) {
+		if b.ix.Kind[t] == KindBISTTest {
+			out[b.ix.Resources[b.res[t]].ID] = b.ix.Tasks[t]
 		}
 	}
 	return out
@@ -374,12 +415,10 @@ func (x *Implementation) SelectedBIST() map[ResourceID]*Task {
 // MemoryUse returns the permanent memory in bytes occupied on each
 // allocated resource by the bound tasks.
 func (x *Implementation) MemoryUse() map[ResourceID]int64 {
+	b := x.Binding
 	out := make(map[ResourceID]int64)
-	ix := x.Binding.ix
-	for t, r := range x.Binding.res {
-		if r >= 0 {
-			out[ix.Resources[r].ID] += ix.Tasks[t].MemBytes
-		}
+	for t := b.Next(0); t >= 0; t = b.Next(t + 1) {
+		out[b.ix.Resources[b.res[t]].ID] += b.ix.Tasks[t].MemBytes
 	}
 	return out
 }
@@ -559,8 +598,10 @@ func (x *Implementation) Feasible() bool { return len(x.Check()) == 0 }
 func (x *Implementation) Clone() *Implementation {
 	c := *x
 	c.borrowed = false
-	c.Allocation.bits = slices.Clone(x.Allocation.bits)
 	c.Binding.res = slices.Clone(x.Binding.res)
+	words := make([]uint64, len(x.Allocation.bits)+len(x.Binding.bound))
+	copy(words[copy(words, x.Allocation.bits):], x.Binding.bound)
+	c.setWords(x.Binding.ix, words)
 	if x.Routing != nil {
 		c.Routing = make(Routing, len(x.Routing))
 		for i, e := range x.Routing {

@@ -104,6 +104,17 @@ func TestValidateRejectsBadDataTaskMapping(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegativeMemory: a negative memory footprint is
+// rejected; the gateway pricing marks an empty profile slot with -1.
+func TestValidateRejectsNegativeMemory(t *testing.T) {
+	spec := buildTinySpec(t)
+	spec.App.Task("bD1").MemBytes = -1
+	err := spec.Validate()
+	if err == nil || !strings.Contains(err.Error(), "bD1") {
+		t.Fatalf("Validate = %v, want a negative-memory error naming bD1", err)
+	}
+}
+
 func TestDuplicateTaskRejected(t *testing.T) {
 	app := NewApplicationGraph()
 	if err := app.AddTask(&Task{ID: "a"}); err != nil {

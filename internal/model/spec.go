@@ -75,6 +75,7 @@ func (s *Specification) HasMapping(t TaskID, r ResourceID) bool {
 }
 
 // Validate checks structural consistency of the specification:
+//   - no task has a negative memory footprint;
 //   - every mandatory (functional/collect) task has at least one mapping
 //     option;
 //   - every BIST test task b^T has exactly one mapping option (its own
@@ -96,6 +97,9 @@ func (s *Specification) Validate() error {
 		return fmt.Errorf("model: gateway %q has kind %v", s.Gateway, gw.Kind)
 	}
 	for _, t := range s.App.Tasks() {
+		if t.MemBytes < 0 {
+			return fmt.Errorf("model: task %q has negative memory footprint %d", t.ID, t.MemBytes)
+		}
 		opts := s.byTask[t.ID]
 		switch t.Kind {
 		case KindFunctional, KindCollect:

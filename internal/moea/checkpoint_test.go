@@ -378,24 +378,34 @@ func TestRestoreEvaluatesOnlyOffspring(t *testing.T) {
 }
 
 // TestObjectiveBitsRoundTrip: stored objective vectors come back bit
-// for bit through the checkpoint file, non-finite values and signed
-// zeros included.
+// for bit through the checkpoint file, non-finite values, NaN payloads
+// and signed zeros included, and only non-finite values are written as
+// strings.
 func TestObjectiveBitsRoundTrip(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8_0000_0000_0abc)
-	obj := Objectives{math.Inf(1), math.Inf(-1), nan, math.Copysign(0, -1), 5e-324, math.MaxFloat64}
+	obj := Objectives{math.Inf(1), math.Inf(-1), nan, math.Copysign(0, -1), 5e-324, math.MaxFloat64, 0.1}
 	pop := []*Individual{{Genotype: []float64{0.5}, Objectives: obj}}
-	data, err := json.Marshal(objectiveBits(pop))
+	data, err := json.Marshal(objectiveVectors(pop))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var words [][]uint64
-	if err := json.Unmarshal(data, &words); err != nil {
+	const want = `[["0x7ff0000000000000","0xfff0000000000000","0x7ff8000000000abc",-0,5e-324,1.7976931348623157e+308,0.1]]`
+	if string(data) != want {
+		t.Fatalf("encoded %s, want %s", data, want)
+	}
+	var vecs []ExactVector
+	if err := json.Unmarshal(data, &vecs); err != nil {
 		t.Fatal(err)
 	}
-	got := restoreIndividuals(genotypes(pop), words)[0].Objectives
+	got := restoreIndividuals(genotypes(pop), vecs)[0].Objectives
 	for k := range obj {
 		if math.Float64bits(got[k]) != math.Float64bits(obj[k]) {
 			t.Errorf("objective %d: %#x, want %#x", k, math.Float64bits(got[k]), math.Float64bits(obj[k]))
+		}
+	}
+	for _, bad := range []string{`["0x3ff0000000000000"]`, `["0x7ff"]`, `["+Inf"]`, `[1e400]`, `[true]`} {
+		if err := json.Unmarshal([]byte(bad), &vecs); err == nil {
+			t.Errorf("decoded %s, want an error", bad)
 		}
 	}
 }
@@ -415,6 +425,26 @@ func TestReadIslandCheckpointV1Rejected(t *testing.T) {
 	_, err := ReadIslandCheckpointFile(path)
 	if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("v1 checkpoint: err = %v, want ErrCheckpointCorrupt naming version 1", err)
+	}
+}
+
+// TestReadIslandCheckpointV2Rejected: a version 2 file, whose objective
+// vectors are math.Float64bits integers, is corrupt for this reader and
+// the error names its version: its integers would decode as numbers
+// without complaint, so only the version tells the formats apart.
+func TestReadIslandCheckpointV2Rejected(t *testing.T) {
+	v2 := fmt.Sprintf(`{"format":%q,"version":2,"seed":5,"islands":1,"migrate_every":5,"migrants":2,`+
+		`"first":0,"states":[{"seed":5,"genotype_len":2,"rng":[1,2,3,4],"evaluations":40,`+
+		`"pop_size":2,"generations":10,"next_generation":5,"population":[[0.25,0.5],[0.1,1e-9]],`+
+		`"population_objectives":[[4598175219545276416,4611686018427387904],[4591870180066957722,4613937818241073152]],`+
+		`"archive":[[0.125,1]],"archive_objectives":[[4593671619917905920,4607182418800017408]]}]}`, IslandCheckpointFormat)
+	path := filepath.Join(t.TempDir(), "v2.json")
+	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadIslandCheckpointFile(path)
+	if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("v2 checkpoint: err = %v, want ErrCheckpointCorrupt naming version 2", err)
 	}
 }
 

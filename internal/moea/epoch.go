@@ -157,7 +157,7 @@ func MergeShards(parts []*IslandCheckpoint, opt Options) (cp *IslandCheckpoint, 
 		// pure reshuffle of already-stored vectors.
 		for i, st := range states {
 			st.Population = genotypes(pops[i])
-			st.PopulationObjectives = objectiveBits(pops[i])
+			st.PopulationObjectives = objectiveVectors(pops[i])
 		}
 	}
 	return cp, done, nil

@@ -448,9 +448,9 @@ func FuzzIslandCheckpointRoundTrip(f *testing.F) {
 			Seed: 5, GenotypeLen: 2, RNG: [4]uint64{1, 2, 3, 4}, Evaluations: 40,
 			PopSize: 2, Generations: 10, NextGeneration: 5,
 			Population:           [][]float64{{0.25, 0.5}, {0.1, 1e-9}},
-			PopulationObjectives: [][]uint64{bitsOf(0.25, 2), bitsOf(0.1, 3)},
+			PopulationObjectives: []ExactVector{{0.25, 2}, {0.1, 3}},
 			Archive:              [][]float64{{0.125, 1}},
-			ArchiveObjectives:    [][]uint64{bitsOf(0.125, 1)},
+			ArchiveObjectives:    []ExactVector{{0.125, 1}},
 		}},
 	}
 	data, err := json.Marshal(seed)
@@ -458,21 +458,21 @@ func FuzzIslandCheckpointRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(data)
-	f.Add([]byte(fmt.Sprintf(`{"format":%q,"version":2,"states":[null]}`, IslandCheckpointFormat)))
+	f.Add([]byte(fmt.Sprintf(`{"format":%q,"version":%d,"states":[null]}`, IslandCheckpointFormat, IslandCheckpointVersion)))
 	f.Add([]byte(`{"seed":-1,"islands":1000000}`))
 	f.Add([]byte(`{`))
 	// Non-finite objectives: a restore must carry them, not choke on them.
 	nonFinite := roundTrip(f, seed)
 	st := nonFinite.States[0]
-	st.PopulationObjectives = [][]uint64{bitsOf(math.Inf(1), math.Inf(-1)), bitsOf(math.NaN(), 0)}
-	st.ArchiveObjectives = [][]uint64{bitsOf(math.Inf(-1), math.NaN())}
+	st.PopulationObjectives = []ExactVector{{math.Inf(1), math.Inf(-1)}, {math.NaN(), 0}}
+	st.ArchiveObjectives = []ExactVector{{math.Inf(-1), math.NaN()}}
 	if data, err = json.Marshal(nonFinite); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(data)
 	// Objective vectors of unequal length inside one file.
 	ragged := roundTrip(f, seed)
-	ragged.States[0].ArchiveObjectives = [][]uint64{bitsOf(0.125)}
+	ragged.States[0].ArchiveObjectives = []ExactVector{{0.125}}
 	if data, err = json.Marshal(ragged); err != nil {
 		f.Fatal(err)
 	}
@@ -511,9 +511,4 @@ func FuzzIslandCheckpointRoundTrip(f *testing.F) {
 		}
 		_, _ = MergeIslandCheckpoint(context.Background(), zdt1{n: 2}, opt, cp) // may fail, must not panic
 	})
-}
-
-// bitsOf encodes an objective vector as a checkpoint stores it.
-func bitsOf(v ...float64) []uint64 {
-	return objectiveBits([]*Individual{{Objectives: v}})[0]
 }

@@ -21,12 +21,13 @@ var ErrCheckpointCorrupt = errors.New("checkpoint corrupt")
 // Island checkpoint file format identifiers. The file embeds one
 // Checkpoint per island, so every island's state is individually
 // resumable; its format and version cover the states inside it.
-// Version 2 stores each member's objective vector next to its genotype
-// and adds First; a version 1 file (genotypes only) is rejected, not
-// evaluated again.
+// Version 2 stored each member's objective vector next to its genotype,
+// as math.Float64bits integers, and added First; version 3 writes the
+// vectors as JSON numbers (see ExactVector). Files of versions 1
+// (genotypes only) and 2 are rejected, not evaluated again.
 const (
 	IslandCheckpointFormat  = "eedse-dse-island-checkpoint"
-	IslandCheckpointVersion = 2
+	IslandCheckpointVersion = 3
 )
 
 // IslandCheckpoint is a snapshot of an island campaign at a generation
@@ -96,7 +97,7 @@ func (cp *IslandCheckpoint) validate() error {
 		case len(st.ArchiveObjectives) != len(st.Archive):
 			return fmt.Errorf("island %d: %d archive objective vectors for %d genotypes", i, len(st.ArchiveObjectives), len(st.Archive))
 		}
-		for _, objs := range [][][]uint64{st.PopulationObjectives, st.ArchiveObjectives} {
+		for _, objs := range [][]ExactVector{st.PopulationObjectives, st.ArchiveObjectives} {
 			for _, v := range objs {
 				if nobj < 0 {
 					nobj = len(v)

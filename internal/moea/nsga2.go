@@ -298,9 +298,9 @@ func (s *nsga2) snapshot() *Checkpoint {
 		NextGeneration:       s.gen,
 		ArchiveEpsilon:       s.opt.ArchiveEpsilon,
 		Population:           genotypes(s.pop),
-		PopulationObjectives: objectiveBits(s.pop),
+		PopulationObjectives: objectiveVectors(s.pop),
 		Archive:              genotypes(s.archive),
-		ArchiveObjectives:    objectiveBits(s.archive),
+		ArchiveObjectives:    objectiveVectors(s.archive),
 	}
 }
 

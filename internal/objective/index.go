@@ -1,6 +1,7 @@
 package objective
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -24,6 +25,12 @@ type specIndex struct {
 	funcMsgs []funcMsg
 	// isECU marks the resources of ECU kind, by position.
 	isECU []bool
+	// slot numbers each BIST data task's profile, by task position, by
+	// its rank among the data tasks' distinct profiles (-1 for every
+	// other task), so ascending slot order is ascending profile order;
+	// slots is the number of distinct profiles.
+	slot  []int32
+	slots int
 }
 
 type funcMsg struct {
@@ -58,6 +65,23 @@ func indexOf(x *model.Implementation) *specIndex {
 	for r, res := range ix.Resources {
 		idx.isECU[r] = res.Kind == model.KindECU
 	}
+	var profiles []int
+	for t, task := range ix.Tasks {
+		if ix.Kind[t] == model.KindBISTData {
+			profiles = append(profiles, task.Profile)
+		}
+	}
+	slices.Sort(profiles)
+	profiles = slices.Compact(profiles)
+	idx.slots = len(profiles)
+	idx.slot = make([]int32, len(ix.Tasks))
+	for t, task := range ix.Tasks {
+		idx.slot[t] = -1
+		if ix.Kind[t] == model.KindBISTData {
+			p, _ := slices.BinarySearch(profiles, task.Profile)
+			idx.slot[t] = int32(p)
+		}
+	}
 	indexCache.Store(x.Spec, idx)
 	return idx
 }
@@ -70,26 +94,23 @@ type bistSel struct {
 
 // evalScratch holds the per-evaluation working memory, pooled so that
 // concurrent evaluations neither share state nor reallocate it. The
-// per-resource slices are sized to the specification at hand on
-// checkout and come back zeroed.
+// per-resource and per-slot slices are sized to the specification at
+// hand on checkout and come back zeroed (test and gwShared: all -1).
 type evalScratch struct {
-	bw       []float64     // mirrored bandwidth per resource
-	varRate  []float64     // delivery variance rate per resource (robustness)
-	used     []bool        // resources hosting ≥1 bound task
-	test     []int32       // per resource, its selected BIST test task or -1
-	gwShared map[int]int64 // gateway-stored bytes per profile
+	bw       []float64 // mirrored bandwidth per resource
+	varRate  []float64 // delivery variance rate per resource (robustness)
+	used     []bool    // resources hosting ≥1 bound task
+	test     []int32   // per resource, its selected BIST test task or -1
+	gwShared []int64   // gateway-stored bytes per profile slot, -1 if none
 	sel      []bistSel
 	data     []int32 // bound BIST data tasks
-	profiles []int
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &evalScratch{gwShared: make(map[int]int64)}
-}}
+var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
-func getScratch(n int) *evalScratch {
+func getScratch(idx *specIndex) *evalScratch {
 	sc := scratchPool.Get().(*evalScratch)
-	if len(sc.bw) != n {
+	if n := len(idx.ix.Resources); len(sc.bw) != n {
 		sc.bw = make([]float64, n)
 		sc.varRate = make([]float64, n)
 		sc.used = make([]bool, n)
@@ -98,17 +119,23 @@ func getScratch(n int) *evalScratch {
 			sc.test[i] = -1
 		}
 	}
+	if len(sc.gwShared) != idx.slots {
+		sc.gwShared = make([]int64, idx.slots)
+		for i := range sc.gwShared {
+			sc.gwShared[i] = -1
+		}
+	}
 	return sc
 }
 
+// putScratch returns sc to the pool. fillBound empties test and
+// monetaryCosts empties gwShared as they read them.
 func putScratch(sc *evalScratch) {
 	clear(sc.bw)
 	clear(sc.varRate)
 	clear(sc.used)
-	clear(sc.gwShared)
 	sc.sel = sc.sel[:0]
 	sc.data = sc.data[:0]
-	sc.profiles = sc.profiles[:0]
 	scratchPool.Put(sc)
 }
 
@@ -123,25 +150,25 @@ func fillBandwidths(x *model.Implementation, idx *specIndex, bw []float64) {
 	}
 }
 
-// fillBound walks the binding once by task position. It marks every
-// resource hosting a bound task, collects the selected BIST test tasks
-// in ECU order and the bound BIST data tasks in task order — the ID
-// orders the objectives accumulate in, since positions follow IDs. The
-// encoding selects at most one test task per ECU; if an unconstrained
-// implementation carries more, the one with the highest task ID counts.
+// fillBound walks the bound tasks once, in ascending position order.
+// It marks every resource hosting a bound task, collects the selected
+// BIST test tasks in ECU order and the bound BIST data tasks in task
+// order — the ID orders the objectives accumulate in, since positions
+// follow IDs. The walk skips only unbound tasks, which add nothing, so
+// every sum sees the same terms in the same order as a walk over all
+// tasks would. The encoding selects at most one test task per ECU; if
+// an unconstrained implementation carries more, the one with the
+// highest task ID counts.
 func fillBound(x *model.Implementation, sc *evalScratch) {
-	ix := x.Index()
-	for t := range ix.Tasks {
-		r := x.Binding.At(int32(t))
-		if r < 0 {
-			continue
-		}
+	ix, b := x.Index(), x.Binding
+	for t := b.Next(0); t >= 0; t = b.Next(t + 1) {
+		r := b.At(t)
 		sc.used[r] = true
 		switch ix.Kind[t] {
 		case model.KindBISTTest:
-			sc.test[r] = int32(t)
+			sc.test[r] = t
 		case model.KindBISTData:
-			sc.data = append(sc.data, int32(t))
+			sc.data = append(sc.data, t)
 		}
 	}
 	for r, t := range sc.test {

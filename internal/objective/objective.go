@@ -14,7 +14,6 @@ package objective
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/can"
 	"repro/internal/model"
@@ -75,9 +74,10 @@ func (c Costs) Total() float64 { return c.Hardware + c.BIST + c.Memory }
 // (same CUT type, identical pattern set) are therefore priced once,
 // while ECU-local storage is paid per ECU.
 func MonetaryCosts(x *model.Implementation) Costs {
-	sc := getScratch(len(x.Index().Resources))
+	idx := indexOf(x)
+	sc := getScratch(idx)
 	fillBound(x, sc)
-	c := monetaryCosts(x, sc)
+	c := monetaryCosts(x, idx, sc)
 	putScratch(sc)
 	return c
 }
@@ -85,8 +85,10 @@ func MonetaryCosts(x *model.Implementation) Costs {
 // monetaryCosts prices the implementation from the collected views.
 // Iteration stays in position order — ID order — throughout, so the
 // floating-point accumulation order is fixed and identical
-// implementations score identical costs between runs.
-func monetaryCosts(x *model.Implementation, sc *evalScratch) Costs {
+// implementations score identical costs between runs. Gateway-stored
+// data is summed by profile slot, ascending, which is ascending profile
+// order; each slot is emptied as it is read.
+func monetaryCosts(x *model.Implementation, idx *specIndex, sc *evalScratch) Costs {
 	var c Costs
 	ix := x.Index()
 	for r, res := range ix.Resources {
@@ -100,19 +102,18 @@ func monetaryCosts(x *model.Implementation, sc *evalScratch) Costs {
 	for _, d := range sc.data {
 		t, r := ix.Tasks[d], x.Binding.At(d)
 		if r == ix.Gateway {
-			sc.gwShared[t.Profile] = t.MemBytes // stored once per profile
+			sc.gwShared[idx.slot[d]] = t.MemBytes // stored once per profile
 			continue
 		}
 		c.Memory += float64(t.MemBytes) / 1024 * ix.Resources[r].MemCostPerKB
 	}
 	if ix.Gateway >= 0 {
 		gw := ix.Resources[ix.Gateway]
-		for p := range sc.gwShared {
-			sc.profiles = append(sc.profiles, p)
-		}
-		slices.Sort(sc.profiles)
-		for _, p := range sc.profiles {
-			c.Memory += float64(sc.gwShared[p]) / 1024 * gw.MemCostPerKB
+		for p, bytes := range sc.gwShared {
+			if bytes >= 0 {
+				c.Memory += float64(bytes) / 1024 * gw.MemCostPerKB
+				sc.gwShared[p] = -1
+			}
 		}
 	}
 	return c
@@ -124,7 +125,7 @@ func monetaryCosts(x *model.Implementation, sc *evalScratch) Costs {
 // allocated ECUs scores zero.
 func TestQuality(x *model.Implementation) float64 {
 	idx := indexOf(x)
-	sc := getScratch(len(idx.ix.Resources))
+	sc := getScratch(idx)
 	fillBound(x, sc)
 	q := testQuality(x, idx, sc)
 	putScratch(sc)
@@ -214,7 +215,7 @@ func TransferTimeMS(x *model.Implementation, bD *model.Task, r model.ResourceID)
 // implementation without BIST has shut-off time 0.
 func ShutOffTimeMS(x *model.Implementation) float64 {
 	idx := indexOf(x)
-	sc := getScratch(len(idx.ix.Resources))
+	sc := getScratch(idx)
 	fillBound(x, sc)
 	fillBandwidths(x, idx, sc.bw)
 	worst := shutOffTimeMS(x, sc)
@@ -248,11 +249,11 @@ func shutOffTimeMS(x *model.Implementation, sc *evalScratch) float64 {
 // and one walk of the binding across them.
 func Evaluate(x *model.Implementation) Vector {
 	idx := indexOf(x)
-	sc := getScratch(len(idx.ix.Resources))
+	sc := getScratch(idx)
 	fillBound(x, sc)
 	fillBandwidths(x, idx, sc.bw)
 	v := Vector{
-		CostTotal:   monetaryCosts(x, sc).Total(),
+		CostTotal:   monetaryCosts(x, idx, sc).Total(),
 		TestQuality: testQuality(x, idx, sc),
 		ShutOffMS:   shutOffTimeMS(x, sc),
 	}

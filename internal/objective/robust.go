@@ -84,7 +84,7 @@ func robustScore(x *model.Implementation, cfg RobustConfig) (scoreMS, missProb f
 	ix := idx.ix
 	m := cfg.errorModel()
 	format := can.Standard
-	sc := getScratch(len(ix.Resources))
+	sc := getScratch(idx)
 	bwEff, varRate := sc.bw, sc.varRate
 	for _, fm := range idx.funcMsgs {
 		r := x.Binding.At(fm.src)
