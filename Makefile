@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: ci build fmt-check vet test race bench-smoke bench bench-json \
+.PHONY: ci build fmt-check vet test perfbench-check race bench-smoke bench bench-json \
 	bench-gate island-smoke resume-smoke sigint-smoke robust-smoke shard-smoke \
 	fleet-smoke obs-smoke crash-smoke
 
-ci: build fmt-check vet test race bench-smoke resume-smoke sigint-smoke robust-smoke island-smoke shard-smoke fleet-smoke obs-smoke crash-smoke
+ci: build fmt-check vet test perfbench-check race bench-smoke resume-smoke sigint-smoke robust-smoke island-smoke shard-smoke fleet-smoke obs-smoke crash-smoke
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a Go module of its own (replace repro => ../), so the
+# root module's build, vet and test never compile it: check it against
+# the APIs it imports here.
+perfbench-check:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 # The concurrent packages: sharded fault simulation, the MOEA worker
 # pool, the explorer that drives it, the shared decode/propagation

@@ -134,7 +134,7 @@ func BenchmarkDecodeEvaluateFull(b *testing.B) {
 // stays the untraced variant — this one is informational.
 func BenchmarkDecodeEvaluateObs(b *testing.B) {
 	benchEvaluate(b, casestudy.Options{ProfilesPerECU: 4}, true,
-		obs.NewTracer(obs.NewRegistry(), obs.TracerConfig{Record: true, BufferCap: 1024}))
+		obs.NewTracer(obs.NewRegistry(), obs.TracerConfig{Record: true}))
 }
 
 // benchEvaluate times Explorer.Evaluate on worker 0 — the call the
@@ -427,25 +427,6 @@ func BenchmarkAblationDecoder(b *testing.B) {
 
 // --- substrate micro-benchmarks ------------------------------------------
 
-// BenchmarkFaultSimulation measures 64-pattern parallel fault
-// simulation throughput on the profile-generation CUT.
-func BenchmarkFaultSimulation(b *testing.B) {
-	cut := netlist.ScanCUT(5, 8, 10, 4)
-	faults := netlist.CollapsedFaults(cut)
-	cfg := stumps.Config{Chains: 8, ChainLen: 10, Seed: 17}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs := faultsim.NewFaultSim(cut, faults)
-		prpg, err := stumps.NewPRPG(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := fs.RunCoverage(prpg, 256); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFaultSimParallel sweeps the fault-list worker count on a
 // Table-I-scale case-study CUT (the bistprof default: 10 chains × 12
 // cells, 4 gates per cell) so the sharded speedup is visible in the
@@ -601,31 +582,6 @@ func BenchmarkPeriodicSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkSATDecodeCaseStudy measures one SAT-decoding pass on the
-// case study's constraint system (4 profiles per ECU) — the paper's
-// own evaluation path.
-func BenchmarkSATDecodeCaseStudy(b *testing.B) {
-	spec, err := casestudy.Build(casestudy.Options{ProfilesPerECU: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec, err := core.NewSATDecoder(spec, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	g := make([]float64, dec.GenotypeLen())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range g {
-			g[j] = rng.Float64()
-		}
-		if _, err := dec.Decode(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- E12: fault-tolerant transfer ---------------------------------------
 
 // BenchmarkTransferUnderErrors measures the reliable gateway session
@@ -638,7 +594,7 @@ func BenchmarkTransferUnderErrors(b *testing.B) {
 		fd.Entries = append(fd.Entries, stumps.FailEntry{Window: w, Got: uint64(0xdead0000 + w), Want: 0xbeef})
 	}
 	m := can.ErrorModel{BitErrorRate: 1e-3, Seed: 11}
-	cfg := gateway.SessionConfig{ChunkBytes: 64, MaxRetries: 8, BackoffMS: 1}
+	cfg := gateway.SessionConfig{ChunkBytes: 64}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var collector gateway.Collector

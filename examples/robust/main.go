@@ -74,7 +74,7 @@ func main() {
 
 	// --- 2. Reliable delivery through a lossy channel. ---------------
 	var collector gateway.Collector
-	scfg := gateway.SessionConfig{ChunkBytes: 32, MaxRetries: 8, BackoffMS: 1}
+	scfg := gateway.SessionConfig{ChunkBytes: 32}
 	res, err := collector.IngestReliable("ecu03", fd, bus, can.ErrorModel{BitErrorRate: 1e-3, Seed: 7}, scfg)
 	if err != nil {
 		log.Fatal(err)

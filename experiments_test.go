@@ -496,7 +496,7 @@ func TestExperimentE12(t *testing.T) {
 	// harsh burst, then a resume that re-sends nothing.
 	fd := stumps.FailData{Windows: 16, Entries: []stumps.FailEntry{{Window: 3, Got: 0xdead, Want: 0xbeef}}}
 	var collector gateway.Collector
-	scfg := gateway.SessionConfig{ChunkBytes: 32, MaxRetries: 8, BackoffMS: 1}
+	scfg := gateway.SessionConfig{ChunkBytes: 32}
 	res, err := collector.IngestReliable("ecu03", fd, bus, can.ErrorModel{BitErrorRate: 1e-3, Seed: 7}, scfg)
 	if err != nil {
 		t.Fatal(err)

@@ -81,13 +81,11 @@ func (c ErrorCounters) State() ControllerState {
 	return ErrorActive
 }
 
-// Error-frame overhead bounds of ISO 11898: 6-bit error flag, up to 6
-// echoed flag bits, 8-bit delimiter and 3-bit intermission — 17 bits
-// minimum, 31 bits worst case.
-const (
-	MinErrorFrameBits = 17
-	MaxErrorFrameBits = 31
-)
+// MaxErrorFrameBits is the worst-case error-frame overhead of ISO
+// 11898 that every error costs: 6-bit error flag, up to 6 echoed flag
+// bits, 8-bit delimiter, 3-bit intermission and an error-passive
+// transmitter's 8-bit suspend transmission (17 bits at best).
+const MaxErrorFrameBits = 31
 
 // ErrorModel is a deterministic, seeded CAN error process: every
 // transmitted bit is corrupted independently with probability
@@ -101,27 +99,10 @@ type ErrorModel struct {
 	BitErrorRate float64
 	// Seed selects the deterministic error stream for simulation.
 	Seed uint64
-	// ErrorFrameBits is the recovery overhead per error occurrence
-	// (default MaxErrorFrameBits; clamped to [17,31]).
-	ErrorFrameBits int
 }
 
 // Enabled reports whether the model injects any errors.
 func (m ErrorModel) Enabled() bool { return m.BitErrorRate > 0 }
-
-// errorFrameBits returns the configured per-error overhead with the
-// default and the ISO bounds applied.
-func (m ErrorModel) errorFrameBits() int {
-	switch {
-	case m.ErrorFrameBits == 0:
-		return MaxErrorFrameBits
-	case m.ErrorFrameBits < MinErrorFrameBits:
-		return MinErrorFrameBits
-	case m.ErrorFrameBits > MaxErrorFrameBits:
-		return MaxErrorFrameBits
-	}
-	return m.ErrorFrameBits
-}
 
 // FrameErrorProb returns the probability that a frame of the given
 // wire length is corrupted: 1 − (1−BER)^bits.

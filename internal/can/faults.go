@@ -57,7 +57,7 @@ func slotWireBits(bus Bus, f Frame) int {
 // gap, and each costs an error frame plus the retransmission of the
 // longest frame of the set:
 //
-//	E(t) = ⌈t / T_err⌉ · (errorFrameBits·τ_bit + max_k C_k)
+//	E(t) = ⌈t / T_err⌉ · (MaxErrorFrameBits·τ_bit + max_k C_k)
 //
 // added to every busy-period and response-time recurrence. With a
 // disabled model the result is bit-identical to AnalyzeBus.
@@ -75,7 +75,7 @@ func AnalyzeBusUnderErrors(bus Bus, frames []Frame, m ErrorModel) ([]ResponseTim
 			cMax = c
 		}
 	}
-	cErr := float64(m.errorFrameBits())*bus.BitTimeMS() + cMax
+	cErr := float64(MaxErrorFrameBits)*bus.BitTimeMS() + cMax
 	return analyzeBus(bus, frames, func(t float64) float64 {
 		if t <= 0 {
 			return 0
@@ -227,7 +227,7 @@ func SimulateTransfer(bus Bus, frames []Frame, dataBytes int64, m ErrorModel) Tr
 	})
 	stream := NewErrorStream(m.Seed)
 	var ctr ErrorCounters
-	errFrameMS := float64(m.errorFrameBits()) * bus.BitTimeMS()
+	errFrameMS := float64(MaxErrorFrameBits) * bus.BitTimeMS()
 	now := 0.0
 	for st.DeliveredBytes < dataBytes {
 		// Pick the earliest pending slot (first in slice order on ties).

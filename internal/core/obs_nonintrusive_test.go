@@ -50,7 +50,7 @@ func TestExplorerObsNonIntrusive(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		tracer := obs.NewTracer(reg, obs.TracerConfig{Record: true, BufferCap: 64})
+		tracer := obs.NewTracer(reg, obs.TracerConfig{Record: true})
 		traced := NewExplorer(spec, dec2)
 		traced.Obs = tracer
 		got, err := traced.Run(opt)

@@ -325,7 +325,7 @@ func TestMidLogCorruption(t *testing.T) {
 
 func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 	fs := NewMemFS()
-	st, o, _ := openOwner(t, fs, "d", Options{SnapshotEvery: 1 << 30, KeepSnapshots: 2})
+	st, o, _ := openOwner(t, fs, "d", Options{SnapshotEvery: 1 << 30})
 	want := appendN(t, st, o, 0, 10)
 	if err := st.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -352,7 +352,7 @@ func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 	raw[len(raw)-1] ^= 0xFF
 	fs.WriteFile(newest, raw)
 
-	st2, o2, rec := openOwner(t, fs, "d", Options{SnapshotEvery: 1 << 30, KeepSnapshots: 2})
+	st2, o2, rec := openOwner(t, fs, "d", Options{SnapshotEvery: 1 << 30})
 	defer st2.Close()
 	if rec.SkippedSnapshots != 1 {
 		t.Fatalf("SkippedSnapshots = %d, want 1 (recovery %+v)", rec.SkippedSnapshots, rec)
@@ -480,7 +480,7 @@ func TestSeededCrashPoints(t *testing.T) {
 
 func TestSegmentPruning(t *testing.T) {
 	fs := NewMemFS()
-	st, o, _ := openOwner(t, fs, "d", Options{SnapshotEvery: 4, KeepSnapshots: 2})
+	st, o, _ := openOwner(t, fs, "d", Options{SnapshotEvery: 4})
 	want := appendN(t, st, o, 0, 60)
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -506,7 +506,7 @@ func TestSegmentPruning(t *testing.T) {
 		t.Fatalf("%d segments retained, want aggressive pruning (%v)", nSegs, names)
 	}
 
-	st2, o2, _ := openOwner(t, fs, "d", Options{SnapshotEvery: 4, KeepSnapshots: 2})
+	st2, o2, _ := openOwner(t, fs, "d", Options{SnapshotEvery: 4})
 	defer st2.Close()
 	wantEntries(t, o2, want)
 }

@@ -35,10 +35,6 @@ type Options struct {
 	SnapshotEvery int
 	// SnapshotInterval additionally snapshots on a timer when positive.
 	SnapshotInterval time.Duration
-	// KeepSnapshots retains that many newest snapshots (default 2). WAL
-	// segments are pruned only once the OLDEST retained snapshot covers
-	// them, so a corrupt newest snapshot never strands the log.
-	KeepSnapshots int
 
 	// State captures the owner's committed state for a snapshot,
 	// returning the serialized bytes and the highest LSN the capture
@@ -64,9 +60,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 4096
-	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
 	}
 	return o
 }
@@ -542,6 +535,11 @@ func (s *Store) loadSnapshot(lsn uint64) ([]byte, error) {
 	return data, nil
 }
 
+// keepSnapshots is how many of the newest snapshots gc retains. WAL
+// segments are pruned only once the OLDEST retained snapshot covers
+// them, so a corrupt newest snapshot never strands the log.
+const keepSnapshots = 2
+
 // gc rotates the WAL onto a fresh segment and removes snapshots and
 // segments made redundant by the retention policy. Best-effort.
 func (s *Store) gc() {
@@ -577,7 +575,7 @@ func (s *Store) gc() {
 			snaps = append(snaps, lsn)
 		}
 	}
-	for len(snaps) > s.opts.KeepSnapshots {
+	for len(snaps) > keepSnapshots {
 		fs.Remove(s.path(snapName(snaps[0])))
 		snaps = snaps[1:]
 	}

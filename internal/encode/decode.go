@@ -20,20 +20,26 @@ func (e *Encoding) Branching(genotype []float64) (pbsat.Branching, error) {
 	if len(genotype) != len(e.mapOrder) {
 		return nil, fmt.Errorf("encode: genotype length %d, want %d", len(genotype), len(e.mapOrder))
 	}
-	prio := make(map[pbsat.Var]float64, len(genotype))
-	pref := make(map[pbsat.Var]bool, len(genotype))
+	b := pbsat.NewDensePriorityBranching(len(genotype))
+	prio, pref := make([]float64, len(genotype)), make([]bool, len(genotype))
+	setPriorities(b, genotype, prio, pref)
+	return b, nil
+}
+
+// setPriorities fills b with the decision order of the genotype, using
+// prio and pref as scratch. Gene i sets mapping variable i+1: its
+// distance from 0.5 is the decision confidence, so confident genes are
+// decided first and the decode follows the genotype closely.
+func setPriorities(b *pbsat.PriorityBranching, genotype, prio []float64, pref []bool) {
 	for i, g := range genotype {
-		v := pbsat.Var(i + 1)
-		// Distance from 0.5 is decision confidence; decide confident
-		// genes first so the decode follows the genotype closely.
 		d := g - 0.5
 		if d < 0 {
 			d = -d
 		}
-		prio[v] = d
-		pref[v] = g >= 0.5
+		prio[i] = d
+		pref[i] = g >= 0.5
 	}
-	return pbsat.NewPriorityBranching(prio, pref), nil
+	b.SetDense(prio, pref)
 }
 
 // DecoderState is the reusable per-worker decode pipeline: one PB
@@ -77,15 +83,7 @@ func (d *DecoderState) Decode(genotype []float64) (*model.Implementation, *pbsat
 	if len(genotype) != len(e.mapOrder) {
 		return nil, nil, fmt.Errorf("encode: genotype length %d, want %d", len(genotype), len(e.mapOrder))
 	}
-	for i, g := range genotype {
-		c := g - 0.5
-		if c < 0 {
-			c = -c
-		}
-		d.prio[i] = c
-		d.pref[i] = g >= 0.5
-	}
-	d.branch.SetDense(d.prio, d.pref)
+	setPriorities(d.branch, genotype, d.prio, d.pref)
 	res := d.solver.Solve(d.branch)
 	if !res.SAT {
 		return nil, &res, fmt.Errorf("encode: no feasible implementation found (aborted=%v, conflicts=%d)", res.Aborted, res.Conflicts)

@@ -188,12 +188,6 @@ func (e *Encoding) nearest(from []int32, r int32) int {
 	return d
 }
 
-// MapVar returns the variable of a mapping edge.
-func (e *Encoding) MapVar(m model.Mapping) (pbsat.Var, bool) {
-	v, ok := e.mapVars[m]
-	return v, ok
-}
-
 // addTaskConstraints binds mandatory tasks exactly once and optional
 // diagnosis tasks at most once (Eq. 2a).
 func (e *Encoding) addTaskConstraints() {

@@ -633,3 +633,50 @@ func TestPaperScaleDecodeIdentity(t *testing.T) {
 		t.Errorf("model SHA-256 = %s, want %s", got, wantSHA)
 	}
 }
+
+// TestBranchingSolveMatchesDecoderState: on random case-study
+// genotypes, solving Encoding.Branching with a fresh solver and
+// decoding its model with Encoding.Decode, step by step, yields the
+// implementation the pooled DecoderState decodes in one call.
+func TestBranchingSolveMatchesDecoderState(t *testing.T) {
+	spec, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Build(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.NewDecoderState()
+	rng := rand.New(rand.NewSource(12))
+	for round := 0; round < 6; round++ {
+		g := make([]float64, e.GenotypeLen())
+		for i := range g {
+			g[i] = rng.Float64()
+		}
+		b, err := e.Branching(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := pbsat.NewSolver(e.Problem).Solve(b)
+		if !res.SAT {
+			t.Fatalf("round %d: no model (aborted=%v)", round, res.Aborted)
+		}
+		got, err := e.Decode(res.Model)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		want, wantRes, err := st.Decode(g)
+		if err != nil {
+			t.Fatalf("round %d: DecoderState: %v", round, err)
+		}
+		if res.Decisions != wantRes.Decisions || res.Conflicts != wantRes.Conflicts {
+			t.Fatalf("round %d: search stats (d=%d c=%d) vs DecoderState (d=%d c=%d)",
+				round, res.Decisions, res.Conflicts, wantRes.Decisions, wantRes.Conflicts)
+		}
+		if !reflect.DeepEqual(got.Binding, want.Binding) || !reflect.DeepEqual(got.Allocation, want.Allocation) ||
+			!reflect.DeepEqual(got.Routing, want.Routing) {
+			t.Fatalf("round %d: step-by-step decode differs from DecoderState", round)
+		}
+	}
+}

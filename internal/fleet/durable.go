@@ -127,11 +127,10 @@ type DurableConfig struct {
 	Dir string
 	// FS overrides the filesystem (fault injection in tests).
 	FS durable.FS
-	// SnapshotEvery / SnapshotInterval / KeepSnapshots tune the
-	// snapshot cadence (durable.Options semantics).
+	// SnapshotEvery / SnapshotInterval tune the snapshot cadence
+	// (durable.Options semantics).
 	SnapshotEvery    int
 	SnapshotInterval time.Duration
-	KeepSnapshots    int
 	// OnCommit, when set, observes every durable commit LSN. Called
 	// with a shard lock held — keep it trivial (the chaos harness's
 	// kill switch).
@@ -151,7 +150,6 @@ func (s *Server) OpenDurable(cfg DurableConfig) (durable.Recovery, error) {
 		FS:               cfg.FS,
 		SnapshotEvery:    cfg.SnapshotEvery,
 		SnapshotInterval: cfg.SnapshotInterval,
-		KeepSnapshots:    cfg.KeepSnapshots,
 		State:            s.captureState,
 		Restore:          s.restoreState,
 		Apply:            s.applyEntry,

@@ -141,9 +141,6 @@ func (s *Server) SetObs(t *obs.Tracer) {
 	}
 }
 
-// NumShards returns the shard count.
-func (s *Server) NumShards() int { return len(s.shards) }
-
 // ShardOf returns the shard index owning a vehicle (32-bit FNV-1a of
 // the ID).
 func (s *Server) ShardOf(vehicle string) int {

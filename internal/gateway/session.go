@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"repro/internal/can"
 	"repro/internal/obs"
@@ -16,10 +15,10 @@ import (
 // path assumes a perfect bus; on a faulty one a single corrupted c^R
 // chunk would tear the stored record. The session layer makes the
 // transfer safe: sequence-numbered, CRC-checked chunks, bounded retry
-// with exponential backoff, a per-session timeout, and a degraded-mode
-// policy — when the CAN controller leaves error-active, the ECU keeps
-// the fail data in local b^D storage and resumes the session from the
-// first undelivered chunk once the bus recovers.
+// with exponential backoff, and a degraded-mode policy — when the CAN
+// controller leaves error-active, the ECU keeps the fail data in local
+// b^D storage and resumes the session from the first undelivered chunk
+// once the bus recovers.
 
 // Chunk is one sequence-numbered segment of a marshaled Record on the
 // wire.
@@ -225,13 +224,10 @@ func (fc *FaultyChannel) Deliver(c Chunk) (bool, float64) {
 	return true, ms
 }
 
-// SessionConfig tunes the sender's retry behaviour. Zero values select
-// the defaults.
+// SessionConfig tunes the sender's chunking. Zero values select the
+// defaults.
 type SessionConfig struct {
-	ChunkBytes int     // payload bytes per chunk (default 64)
-	MaxRetries int     // retransmissions per chunk before giving up (default 8)
-	BackoffMS  float64 // first retry backoff, doubled per retry (default 1)
-	TimeoutMS  float64 // per-session budget, 0 = unbounded
+	ChunkBytes int // payload bytes per chunk (default 64)
 	// Obs, when non-nil, times each Run as a gateway_session span and
 	// marks degraded-mode fallbacks. Purely observational: transfer time
 	// stays simulated and deterministic.
@@ -245,26 +241,21 @@ func (c SessionConfig) chunkBytes() int {
 	return c.ChunkBytes
 }
 
-func (c SessionConfig) maxRetries() int {
-	if c.MaxRetries <= 0 {
-		return 8
-	}
-	return c.MaxRetries
-}
-
-func (c SessionConfig) backoffMS() float64 {
-	if c.BackoffMS <= 0 {
-		return 1
-	}
-	return c.BackoffMS
-}
+// The sender retransmits a chunk up to maxRetries times, waiting
+// firstBackoffMS before the first retry and doubling the wait per retry
+// up to maxBackoffMS.
+const (
+	maxRetries     = 8
+	firstBackoffMS = 1.0
+	maxBackoffMS   = 64.0
+)
 
 // TransferResult is the outcome of one Session.Run.
 type TransferResult struct {
 	// Delivered is true when every chunk was acknowledged.
 	Delivered bool
 	// LocalFallback is true when the session aborted into degraded mode:
-	// the controller left error-active (or retries/timeout ran out) and
+	// the controller left error-active (or the retries ran out) and
 	// the fail data stays in local b^D storage until resumed.
 	LocalFallback bool
 	ElapsedMS     float64
@@ -338,8 +329,8 @@ func degraded(ch Channel) bool {
 	return ok && sr.State() != can.ErrorActive
 }
 
-// Run drives the transfer over ch until completion, timeout, retry
-// exhaustion, or a degraded bus. Time is simulated: elapsed milliseconds
+// Run drives the transfer over ch until completion, retry exhaustion,
+// or a degraded bus. Time is simulated: elapsed milliseconds
 // accumulate from the channel's per-attempt cost and the retry
 // backoffs, so runs are deterministic.
 func (s *Session) Run(ch Channel) TransferResult {
@@ -361,16 +352,13 @@ func (s *Session) run(ch Channel) TransferResult {
 			return res
 		}
 		c := s.chunks[s.next]
-		backoff := s.cfg.backoffMS()
+		backoff := firstBackoffMS
 		sent := false
-		for attempt := 0; attempt <= s.cfg.maxRetries(); attempt++ {
-			if s.cfg.TimeoutMS > 0 && res.ElapsedMS > s.cfg.TimeoutMS {
-				break
-			}
+		for attempt := 0; attempt <= maxRetries; attempt++ {
 			if attempt > 0 {
 				res.Retries++
 				res.ElapsedMS += backoff
-				if backoff < 64 {
+				if backoff < maxBackoffMS {
 					backoff *= 2
 				}
 				if degraded(ch) {
@@ -430,28 +418,4 @@ func (c *Collector) IngestReliable(ecu string, fd stumps.FailData, bus can.Bus, 
 	}
 	c.push(rec)
 	return res, nil
-}
-
-// ExpectedTransferMS estimates the mean bus time of delivering a
-// marshaled record of n bytes over a channel with the given error
-// model: per-chunk geometric retransmission at the chunk error
-// probability. It is the analytic cousin of Session.Run used by the
-// robustness objective.
-func ExpectedTransferMS(bus can.Bus, m can.ErrorModel, recordBytes int, cfg SessionConfig) float64 {
-	size := cfg.chunkBytes()
-	chunks := (recordBytes + size - 1) / size
-	if chunks < 1 {
-		chunks = 1
-	}
-	frames := (size + chunkHeaderBytes + can.MaxPayload - 1) / can.MaxPayload
-	bits := frames * can.FrameBits(can.MaxPayload, bus.Format)
-	perChunk := float64(bits) * bus.BitTimeMS()
-	p := m.FrameErrorProb(bits)
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	// Mean attempts per chunk: 1/(1−p); each failed attempt adds an error
-	// frame.
-	mean := perChunk/(1-p) + p/(1-p)*float64(can.MaxErrorFrameBits)*bus.BitTimeMS()
-	return float64(chunks) * mean
 }

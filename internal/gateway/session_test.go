@@ -116,7 +116,7 @@ func (b *busOffChannel) State() can.ControllerState { return b.state }
 // twice, no gap is torn into the record.
 func TestSessionDegradedFallbackAndResume(t *testing.T) {
 	fd := sampleFail(8)
-	sess, err := NewSession("ecu04", 3, fd, SessionConfig{ChunkBytes: 16, MaxRetries: 2})
+	sess, err := NewSession("ecu04", 3, fd, SessionConfig{ChunkBytes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +153,27 @@ func TestSessionDegradedFallbackAndResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec.Fail, fd) {
 		t.Fatal("resumed fail data corrupted")
+	}
+}
+
+// deafChannel never acknowledges a chunk and costs no bus time, so a
+// session over it spends only its retry backoffs.
+type deafChannel struct{}
+
+func (deafChannel) Deliver(Chunk) (bool, float64) { return false, 0 }
+
+// A chunk that is never acknowledged is sent once and retried 8 times,
+// with backoffs of 1, 2, 4, …, 64 ms (capped at 64), before the session
+// gives up into the local fallback at that chunk.
+func TestSessionGivesUpAfterRetries(t *testing.T) {
+	sess, err := NewSession("ecu05", 4, sampleFail(3), SessionConfig{ChunkBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sess.Run(deafChannel{})
+	want := TransferResult{LocalFallback: true, ElapsedMS: 1 + 2 + 4 + 8 + 16 + 32 + 64 + 64, ChunksSent: 9, Retries: 8}
+	if res != want {
+		t.Fatalf("got %+v, want %+v", res, want)
 	}
 }
 
@@ -315,7 +336,7 @@ func TestImportTypedErrors(t *testing.T) {
 // session to a fresh assembler — byte-identical to the first attempt.
 func TestSessionRewindAfterReceiverRestart(t *testing.T) {
 	fd := sampleFail(8)
-	sess, err := NewSession("ecu04", 3, fd, SessionConfig{ChunkBytes: 16, MaxRetries: 2})
+	sess, err := NewSession("ecu04", 3, fd, SessionConfig{ChunkBytes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

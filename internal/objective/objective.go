@@ -15,7 +15,6 @@ package objective
 import (
 	"math"
 
-	"repro/internal/can"
 	"repro/internal/model"
 )
 
@@ -148,34 +147,6 @@ func testQuality(x *model.Implementation, idx *specIndex, sc *evalScratch) float
 		sum += idx.ix.Tasks[s.t].Coverage
 	}
 	return sum / float64(ecus)
-}
-
-// FunctionalFrames returns the CAN frame view of the functional
-// messages sent by tasks bound to ECU r — the message set I of Eq. (1)
-// whose mirrored bandwidth carries the test patterns.
-func FunctionalFrames(x *model.Implementation, r model.ResourceID) []can.Frame {
-	ix := x.Index()
-	rp := ix.ResourcePos(r)
-	if rp < 0 {
-		return nil
-	}
-	var frames []can.Frame
-	for i, m := range ix.Messages {
-		if ix.Kind[ix.Src[i]] != model.KindFunctional || x.Binding.At(ix.Src[i]) != rp {
-			continue
-		}
-		payload := int(m.SizeBytes)
-		if payload > can.MaxPayload {
-			payload = can.MaxPayload // long messages are segmented
-		}
-		frames = append(frames, can.Frame{
-			ID:       string(m.ID),
-			Priority: m.Priority,
-			Payload:  payload,
-			PeriodMS: m.PeriodMS,
-		})
-	}
-	return frames
 }
 
 // transferBandwidth returns Σ s(c)/p(c) in bytes per millisecond for

@@ -164,19 +164,6 @@ func TestShutOffInfiniteWithoutBandwidth(t *testing.T) {
 	}
 }
 
-func TestFunctionalFrames(t *testing.T) {
-	spec := buildSpec(t)
-	x := bindAll(spec, "gw", true)
-	frames := FunctionalFrames(x, "ecu1")
-	if len(frames) != 1 || frames[0].ID != "c1" || frames[0].Payload != 8 {
-		t.Fatalf("frames = %+v", frames)
-	}
-	// Diagnostic messages (cR1 from bT1) must not count as functional.
-	if frames := FunctionalFrames(x, "gw"); len(frames) != 0 {
-		t.Fatalf("gateway frames = %+v", frames)
-	}
-}
-
 func TestEvaluateAndMinimized(t *testing.T) {
 	spec := buildSpec(t)
 	v := Evaluate(bindAll(spec, "ecu1", true))

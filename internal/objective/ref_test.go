@@ -201,19 +201,13 @@ func refFillAllocated(x *refImpl, sc *refEvalScratch) []model.ResourceID {
 	return sc.alloc
 }
 
-func refWithDefaults(c objective.RobustConfig) objective.RobustConfig {
-	if c.DeadlineMS <= 0 {
-		c.DeadlineMS = 20_000
-	}
-	if c.BitRate <= 0 {
-		c.BitRate = 500_000
-	}
-	return c
-}
+// refDeadlineMS is the diagnosis deadline the miss probability is
+// measured against: the paper's 20 s shut-off threshold.
+const refDeadlineMS = 20_000
 
 // refErrorModel returns the can.ErrorModel view of the config.
 func refErrorModel(c objective.RobustConfig) can.ErrorModel {
-	return can.ErrorModel{BitErrorRate: c.ErrorRate, ErrorFrameBits: c.ErrorFrameBits}
+	return can.ErrorModel{BitErrorRate: c.ErrorRate}
 }
 
 // refEvaluateRobust computes the three base objectives plus, when the
@@ -226,7 +220,7 @@ func refEvaluateRobust(x *refImpl, cfg objective.RobustConfig) objective.Vector 
 		return v
 	}
 	v.RobustOn = true
-	v.RobustMS, v.RobustMissProb = refRobustScore(x, refWithDefaults(cfg))
+	v.RobustMS, v.RobustMissProb = refRobustScore(x, cfg)
 	return v
 }
 
@@ -246,7 +240,7 @@ func refEvaluateRobust(x *refImpl, cfg objective.RobustConfig) objective.Vector 
 // normal-approximation tail P[delivered(D) < s(b^D)] at the deadline
 // window D remaining after the session runtime. The scalar objective is
 //
-//	score = l(b^T) + E[transfer] + P_miss · DeadlineMS
+//	score = l(b^T) + E[transfer] + P_miss · refDeadlineMS
 //
 // so a design that rarely misses pays its expected time, while one that
 // misses often is pushed a full deadline's worth away — comparable
@@ -280,7 +274,7 @@ func refRobustScore(x *refImpl, cfg objective.RobustConfig) (scoreMS, missProb f
 			if dataRes, ok := x.Binding[bD.ID]; ok && dataRes != s.r {
 				if b := bwEff[s.r]; b > 0 {
 					t += float64(bD.MemBytes) / b
-					miss = refTransferMissProb(float64(bD.MemBytes), b, varRate[s.r], cfg.DeadlineMS-s.t.WCETms)
+					miss = refTransferMissProb(float64(bD.MemBytes), b, varRate[s.r], refDeadlineMS-s.t.WCETms)
 				} else {
 					t = math.Inf(1)
 					miss = 1
@@ -288,7 +282,7 @@ func refRobustScore(x *refImpl, cfg objective.RobustConfig) (scoreMS, missProb f
 			}
 			// Locally stored data needs no bus transfer: immune to errors.
 		}
-		score := t + miss*cfg.DeadlineMS
+		score := t + miss*refDeadlineMS
 		if score > worst {
 			worst = score
 		}

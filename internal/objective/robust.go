@@ -9,39 +9,25 @@ import (
 
 // RobustConfig parameterizes the optional robustness objective: the
 // expected BIST transfer completion under a CAN bit-error rate plus the
-// probability of missing the diagnosis deadline. Zero values select the
-// defaults; a zero ErrorRate disables the objective entirely, keeping
-// evaluation bit-identical to the three-objective path.
+// probability of missing the diagnosis deadline. A zero ErrorRate
+// disables the objective entirely, keeping evaluation bit-identical to
+// the three-objective path.
 type RobustConfig struct {
 	// ErrorRate is the bit-error rate of the transfer bus. 0 disables the
 	// robustness objective.
 	ErrorRate float64
-	// DeadlineMS is the diagnosis session deadline the miss probability
-	// is measured against (default 20000 — the paper's 20 s shut-off
-	// threshold).
-	DeadlineMS float64
-	// BitRate of the transfer bus in bit/s (default 500000).
-	BitRate float64
-	// ErrorFrameBits per error (default can.MaxErrorFrameBits).
-	ErrorFrameBits int
 }
+
+// deadlineMS is the diagnosis session deadline the miss probability is
+// measured against: the paper's 20 s shut-off threshold.
+const deadlineMS = 20_000
 
 // Enabled reports whether the robustness objective is active.
 func (c RobustConfig) Enabled() bool { return c.ErrorRate > 0 }
 
-func (c RobustConfig) withDefaults() RobustConfig {
-	if c.DeadlineMS <= 0 {
-		c.DeadlineMS = 20_000
-	}
-	if c.BitRate <= 0 {
-		c.BitRate = 500_000
-	}
-	return c
-}
-
 // errorModel returns the can.ErrorModel view of the config.
 func (c RobustConfig) errorModel() can.ErrorModel {
-	return can.ErrorModel{BitErrorRate: c.ErrorRate, ErrorFrameBits: c.ErrorFrameBits}
+	return can.ErrorModel{BitErrorRate: c.ErrorRate}
 }
 
 // EvaluateRobust computes the three base objectives plus, when the
@@ -54,7 +40,7 @@ func EvaluateRobust(x *model.Implementation, cfg RobustConfig) Vector {
 		return v
 	}
 	v.RobustOn = true
-	v.RobustMS, v.RobustMissProb = robustScore(x, cfg.withDefaults())
+	v.RobustMS, v.RobustMissProb = robustScore(x, cfg)
 	return v
 }
 
@@ -74,7 +60,7 @@ func EvaluateRobust(x *model.Implementation, cfg RobustConfig) Vector {
 // normal-approximation tail P[delivered(D) < s(b^D)] at the deadline
 // window D remaining after the session runtime. The scalar objective is
 //
-//	score = l(b^T) + E[transfer] + P_miss · DeadlineMS
+//	score = l(b^T) + E[transfer] + P_miss · deadlineMS
 //
 // so a design that rarely misses pays its expected time, while one that
 // misses often is pushed a full deadline's worth away — comparable
@@ -110,7 +96,7 @@ func robustScore(x *model.Implementation, cfg RobustConfig) (scoreMS, missProb f
 				mem := float64(ix.Tasks[bD].MemBytes)
 				if b := bwEff[s.r]; b > 0 {
 					t += mem / b
-					miss = transferMissProb(mem, b, varRate[s.r], cfg.DeadlineMS-bT.WCETms)
+					miss = transferMissProb(mem, b, varRate[s.r], deadlineMS-bT.WCETms)
 				} else {
 					t = math.Inf(1)
 					miss = 1
@@ -118,7 +104,7 @@ func robustScore(x *model.Implementation, cfg RobustConfig) (scoreMS, missProb f
 			}
 			// Locally stored data needs no bus transfer: immune to errors.
 		}
-		score := t + miss*cfg.DeadlineMS
+		score := t + miss*deadlineMS
 		if score > worst {
 			worst = score
 		}
@@ -159,14 +145,13 @@ func WorstCaseRobust(spec *model.Specification, cfg RobustConfig) Vector {
 	if !cfg.Enabled() {
 		return v
 	}
-	cfg = cfg.withDefaults()
 	v.RobustOn = true
 	p := cfg.errorModel().FrameErrorProb(can.FrameBits(can.MaxPayload, can.Standard))
 	den := 1 - p
 	if den < 1e-12 {
 		den = 1e-12
 	}
-	v.RobustMS = v.ShutOffMS/den + cfg.DeadlineMS
+	v.RobustMS = v.ShutOffMS/den + deadlineMS
 	v.RobustMissProb = 1
 	return v
 }

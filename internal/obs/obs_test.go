@@ -221,7 +221,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 
 func TestTracerSpansAndDrain(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(reg, TracerConfig{Record: true, Stripes: 2, BufferCap: 16})
+	tr := NewTracer(reg, TracerConfig{Record: true})
 	sp := tr.StartW(1, StageDecode)
 	sp.End()
 	tr.Mark(StageDegraded)
@@ -257,15 +257,18 @@ func TestTracerSpansAndDrain(t *testing.T) {
 	}
 }
 
+// TestTracerRingBounded fills one stripe (every span on worker 0) past
+// its capacity: the stripe keeps stripeCap events and counts the rest
+// as dropped.
 func TestTracerRingBounded(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(reg, TracerConfig{Record: true, Stripes: 1, BufferCap: 8})
-	for i := 0; i < 20; i++ {
+	tr := NewTracer(reg, TracerConfig{Record: true})
+	for i := 0; i < stripeCap+12; i++ {
 		tr.StartW(0, StageDecode).End()
 	}
 	evs := tr.Drain(nil)
-	if len(evs) != 8 {
-		t.Fatalf("ring should cap at 8, got %d", len(evs))
+	if len(evs) != 4096 {
+		t.Fatalf("ring should cap at 4096, got %d", len(evs))
 	}
 	if tr.Dropped() != 12 {
 		t.Fatalf("dropped: got %d want 12", tr.Dropped())

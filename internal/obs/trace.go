@@ -56,13 +56,16 @@ type Event struct {
 	Dur    time.Duration
 }
 
-// TracerConfig tunes the event buffers. The zero value gives 8 stripes
-// of 4096 events with recording off (histograms only).
+// TracerConfig tunes the event buffers. The zero value records no
+// events (histograms only).
 type TracerConfig struct {
-	Stripes   int  // independent event rings (reduce contention across workers)
-	BufferCap int  // events per stripe; overflow increments the dropped counter
-	Record    bool // buffer events for a flight recorder; metrics are always on
+	Record bool // buffer events for a flight recorder; metrics are always on
 }
+
+const (
+	traceStripes = 8    // independent event rings (reduce contention across workers)
+	stripeCap    = 4096 // events per stripe; overflow increments the dropped counter
+)
 
 type eventStripe struct {
 	mu  sync.Mutex
@@ -79,8 +82,7 @@ type Tracer struct {
 	hist    [numStages]*Histogram
 	marks   [numStages]*Counter
 	record  bool
-	stripes []eventStripe
-	cap     int
+	stripes [traceStripes]eventStripe
 	rr      atomic.Uint32
 	dropped atomic.Uint64
 }
@@ -88,18 +90,7 @@ type Tracer struct {
 // NewTracer builds a tracer registering one duration histogram and one
 // event counter per stage on reg (label stage="...").
 func NewTracer(reg *Registry, cfg TracerConfig) *Tracer {
-	if cfg.Stripes <= 0 {
-		cfg.Stripes = 8
-	}
-	if cfg.BufferCap <= 0 {
-		cfg.BufferCap = 4096
-	}
-	t := &Tracer{
-		epoch:   time.Now(),
-		record:  cfg.Record,
-		stripes: make([]eventStripe, cfg.Stripes),
-		cap:     cfg.BufferCap,
-	}
+	t := &Tracer{epoch: time.Now(), record: cfg.Record}
 	for s := Stage(0); s < numStages; s++ {
 		t.hist[s] = reg.HistogramL("obs_stage_duration_seconds", `stage="`+s.String()+`"`,
 			"latency distribution of each instrumented pipeline stage", DurationBuckets)
@@ -184,9 +175,9 @@ func (t *Tracer) push(e Event) {
 	if idx < 0 {
 		idx = int32(t.rr.Add(1))
 	}
-	st := &t.stripes[int(uint32(idx))%len(t.stripes)]
+	st := &t.stripes[uint32(idx)%traceStripes]
 	st.mu.Lock()
-	if len(st.buf) >= t.cap {
+	if len(st.buf) >= stripeCap {
 		st.mu.Unlock()
 		t.dropped.Add(1)
 		return

@@ -139,12 +139,14 @@ func TestPriorityBranchingSteersModel(t *testing.T) {
 		a := p.NewVar("a")
 		b := p.NewVar("b")
 		p.AddClause("a|b", Pos(a), Pos(b))
-		prio := map[Var]float64{a: 0, b: 0}
-		pref := map[Var]bool{a: false, b: false}
+		// Entry i is variable i+1: a, then b.
+		prio, pref := []float64{0, 0}, []bool{false, false}
 		chosen := Var(prefer)
-		prio[chosen] = 10
-		pref[chosen] = true
-		res := NewSolver(p).Solve(NewPriorityBranching(prio, pref))
+		prio[chosen-1] = 10
+		pref[chosen-1] = true
+		br := NewDensePriorityBranching(2)
+		br.SetDense(prio, pref)
+		res := NewSolver(p).Solve(br)
 		if !res.SAT {
 			t.Fatal("unsat")
 		}
@@ -158,7 +160,8 @@ func TestPriorityBranchingReusable(t *testing.T) {
 	p := NewProblem()
 	a := p.NewVar("a")
 	p.AddClause("a", Pos(a))
-	br := NewPriorityBranching(map[Var]float64{a: 1}, map[Var]bool{a: true})
+	br := NewDensePriorityBranching(1)
+	br.SetDense([]float64{1}, []bool{true})
 	s := NewSolver(p)
 	for i := 0; i < 3; i++ {
 		if res := s.Solve(br); !res.SAT {

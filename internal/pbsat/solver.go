@@ -34,25 +34,6 @@ type PriorityBranching struct {
 	pos     int
 }
 
-// NewPriorityBranching builds a branching from per-variable priorities
-// and preferred values. Variables missing from the maps are left to the
-// solver's fallback.
-func NewPriorityBranching(priority map[Var]float64, preferTrue map[Var]bool) *PriorityBranching {
-	vars := make([]Var, 0, len(priority))
-	for v := range priority {
-		vars = append(vars, v)
-	}
-	slices.Sort(vars)
-	prio := make([]float64, len(vars))
-	pref := make([]bool, len(vars))
-	for i, v := range vars {
-		prio[i], pref[i] = priority[v], preferTrue[v]
-	}
-	b := NewDensePriorityBranching(len(vars))
-	b.set(vars, prio, pref)
-	return b
-}
-
 // NewDensePriorityBranching returns an empty branching with buffers
 // sized for n variables, ready for SetDense.
 func NewDensePriorityBranching(n int) *PriorityBranching {
@@ -66,22 +47,15 @@ func NewDensePriorityBranching(n int) *PriorityBranching {
 // SetDense rebuilds the decision order in place from dense per-variable
 // slices: entry i holds the priority and preferred polarity of variable
 // i+1. It reuses the branching's buffers, so steady-state calls do not
-// allocate. The resulting order matches NewPriorityBranching on maps
-// with the same contents: priority descending, ties by variable index.
+// allocate. The order is deterministic: priority descending, ties
+// broken by ascending variable. A radix sort of packed keys does nearly
+// all of it: each key is the priority's bits, mapped so that ascending
+// keys mean descending priorities, with the low bits.Len(n) bits
+// replaced by i. Priorities that differ only in those low bits then tie
+// and fall back to i, and +0 and −0 get different keys though they tie,
+// so an exact insertion pass finishes the order; it moves only those
+// rare pairs.
 func (b *PriorityBranching) SetDense(priority []float64, preferTrue []bool) {
-	b.set(nil, priority, preferTrue)
-}
-
-// set establishes the deterministic decision order over entries i, the
-// variable vars[i] (i+1 when vars is nil; either way ascending in i):
-// priority descending, ties broken by ascending variable. A radix sort
-// of packed keys does nearly all of it: each key is the priority's
-// bits, mapped so that ascending keys mean descending priorities, with
-// the low bits.Len(n) bits replaced by i. Priorities that differ only in
-// those low bits then tie and fall back to i, and +0 and −0 get
-// different keys though they tie, so an exact insertion pass finishes
-// the order; it moves only those rare pairs.
-func (b *PriorityBranching) set(vars []Var, priority []float64, preferTrue []bool) {
 	n := len(priority)
 	low := uint64(1)<<bits.Len(uint(n)) - 1
 	b.keys = b.keys[:0]
@@ -106,11 +80,7 @@ func (b *PriorityBranching) set(vars []Var, priority []float64, preferTrue []boo
 	b.order = b.order[:0]
 	for _, key := range keys {
 		i := int(key & low)
-		v := Var(i + 1)
-		if vars != nil {
-			v = vars[i]
-		}
-		b.order = append(b.order, Lit{Var: v, Neg: !preferTrue[i]})
+		b.order = append(b.order, Lit{Var: Var(i + 1), Neg: !preferTrue[i]})
 	}
 	b.pos = 0
 }

@@ -282,13 +282,15 @@ func randomClauseProblem(rng *rand.Rand) (*Problem, *PriorityBranching) {
 // randomBranching draws a priority and a preferred polarity for each of
 // the variables 1..nVars.
 func randomBranching(rng *rand.Rand, nVars int) *PriorityBranching {
-	prio := make(map[Var]float64, nVars)
-	pref := make(map[Var]bool, nVars)
-	for v := Var(1); v <= Var(nVars); v++ {
-		prio[v] = rng.Float64()
-		pref[v] = rng.Intn(2) == 0
+	prio := make([]float64, nVars)
+	pref := make([]bool, nVars)
+	for i := range prio {
+		prio[i] = rng.Float64()
+		pref[i] = rng.Intn(2) == 0
 	}
-	return NewPriorityBranching(prio, pref)
+	b := NewDensePriorityBranching(nVars)
+	b.SetDense(prio, pref)
+	return b
 }
 
 // problemGenerators are the random problem families of the
@@ -592,29 +594,22 @@ func queueDrained(s *Solver) error {
 }
 
 // TestSetDenseMatchesMapConstructor pins the dense-branching rebuild
-// against the map-based constructor and against an exact comparison
-// sort (priority descending, ties by variable). Fixed cases come first:
-// zero, one and two variables; all priorities equal (with fewer than
-// 256 variables their keys differ only in the lowest byte); priorities
-// that differ in a single byte, so the radix sort skips every other
-// digit; and negative priorities mixed with non-negative ones. Random
-// rounds follow: small coarse priorities that force ties, then up to
-// 4,096 variables, including priorities that differ only in the low
-// mantissa bits the packed sort keys give over to the variable index.
+// against an exact comparison sort (priority descending, ties by
+// variable). Fixed cases come first: zero, one and two variables; all
+// priorities equal (with fewer than 256 variables their keys differ
+// only in the lowest byte); priorities that differ in a single byte, so
+// the radix sort skips every other digit; and negative priorities mixed
+// with non-negative ones. Random rounds follow: small coarse priorities
+// that force ties, then up to 4,096 variables, including priorities
+// that differ only in the low mantissa bits the packed sort keys give
+// over to the variable index.
 func TestSetDenseMatchesMapConstructor(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dense := NewDensePriorityBranching(0)
 	check := func(name string, prio []float64, pref []bool) {
 		t.Helper()
 		n := len(prio)
-		mp := make(map[Var]float64, n)
-		mb := make(map[Var]bool, n)
-		for i := range prio {
-			mp[Var(i+1)] = prio[i]
-			mb[Var(i+1)] = pref[i]
-		}
 		dense.SetDense(prio, pref)
-		ref := NewPriorityBranching(mp, mb)
 		want := make([]Lit, n)
 		for i := range want {
 			want[i] = Lit{Var: Var(i + 1), Neg: !pref[i]}
@@ -630,9 +625,6 @@ func TestSetDenseMatchesMapConstructor(t *testing.T) {
 		})
 		if !slices.Equal(dense.order, want) {
 			t.Fatalf("%s (n=%d): dense order differs from the exact sort", name, n)
-		}
-		if !slices.Equal(ref.order, want) {
-			t.Fatalf("%s (n=%d): map order differs from the exact sort", name, n)
 		}
 	}
 	fill := func(n int, p func(i int) float64) ([]float64, []bool) {
